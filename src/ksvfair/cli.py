@@ -331,7 +331,11 @@ def _worker_count(n_seeds: int) -> int:
     workers = min(n_seeds, os.cpu_count() or 1)
     cap = os.environ.get("KSV_THREADS", "")
     if cap.strip():
-        workers = min(workers, max(1, int(cap)))
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ConfigError(f"KSV_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, limit))
     return workers
 
 

@@ -36,9 +36,9 @@ class RestrictedGame:
 
     ``valuation`` maps a sorted tuple of arm indices to a real number and
     must satisfy valuation(()) == 0.  Values are memoized per instance,
-    keyed by the canonical encoding, because exact value computations
-    revisit subsets heavily.  Instances are immutable after construction
-    apart from the memo, which only ever fills in.
+    keyed by the canonical encoding, because the axiom checks and the
+    reference oracles revisit subsets heavily.  Instances are immutable
+    after construction apart from the memo, which only ever fills in.
     """
 
     def __init__(self, n_arms: int, budget: int, valuation, *, memoize: bool = True):
@@ -107,22 +107,21 @@ def marginal_contribution(game: RestrictedGame, arm: int, members) -> float:
     return game.value(S + (arm,)) - game.value(S)
 
 
-def _subset_weights(budget: int) -> list[float]:
-    """w_s = s! (K-s-1)! / K! for s = 0..K-1."""
-    fact = [math.factorial(j) for j in range(budget + 1)]
-    return [fact[s] * fact[budget - s - 1] / fact[budget] for s in range(budget)]
-
-
 def exact_k_shapley(
     game: RestrictedGame, *, max_arms: int = 20, max_budget: int = 8
 ) -> ShapleyVector:
-    """Exact budget-restricted Shapley values by full enumeration.
+    """Exact budget-restricted Shapley values, visiting each coalition once.
 
-    For each arm, enumerates every budget-sized coalition containing it
-    (outer sum) and every subset of the remaining members (inner sum,
-    bitmask iteration), weighting marginal contributions by
-    |S|! (K-|S|-1)! / (C(M-1, K-1) K!).  Cost is C(M-1, K-1) * 2^(K-1)
-    marginal terms per arm, hence the enumeration guard.
+    Averaging an arm's within-coalition value over the C(M-1, K-1)
+    budget-sized coalitions containing it collapses to one sum over the
+    subsets S avoiding the arm with |S| <= K-1: each marginal
+    V(S+i) - V(S) carries the weight
+    w_s = s! (K-s-1)! / K! * C(M-1-s, K-1-s) / C(M-1, K-1), s = |S|.
+    Grouping by size, the S+i terms are the coalitions of size s+1
+    containing i, and the S terms are all size-s coalitions minus those
+    containing i; both are per-arm sums of one value table per size.
+    Cost is sum over s <= K of C(M, s) valuations plus linear numpy
+    reductions; the guard still bounds it.
     """
     M, K = game.n_arms, game.budget
     if M > max_arms or K > max_budget:
@@ -130,24 +129,27 @@ def exact_k_shapley(
             f"enumeration guard: M={M} (max {max_arms}), K={K} (max {max_budget}); "
             "raise the limits explicitly if you accept the cost"
         )
-    weights = _subset_weights(K)
-    n_outer = math.comb(M - 1, K - 1)
-    # subsets of a (K-1)-tuple, precomputed as index tuples per bitmask
-    masks = [
-        [j for j in range(K - 1) if mask >> j & 1] for mask in range(1 << (K - 1))
-    ]
     value = game.value
+    # with_arm[s][i]: total worth of the size-s coalitions containing arm i
+    with_arm = [np.zeros(M)]
+    totals = [0.0]
+    for s in range(1, K + 1):
+        n = math.comb(M, s)
+        members = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(M), s)),
+            dtype=np.intp,
+            count=n * s,
+        )
+        worth = np.fromiter(
+            (value(S) for S in itertools.combinations(range(M), s)), dtype=float, count=n
+        )
+        with_arm.append(np.bincount(members, weights=np.repeat(worth, s), minlength=M))
+        totals.append(float(worth.sum()))
+    denom = math.factorial(K) * math.comb(M - 1, K - 1)
     phi = np.zeros(M)
-    for i in range(M):
-        others = [a for a in range(M) if a != i]
-        acc = 0.0
-        for rest in itertools.combinations(others, K - 1):
-            for bits in masks:
-                S = tuple(rest[j] for j in bits)
-                acc += weights[len(S)] * (
-                    value(tuple(sorted(S + (i,)))) - value(S)
-                )
-        phi[i] = acc / n_outer
+    for s in range(K):
+        count = math.factorial(s) * math.factorial(K - 1 - s) * math.comb(M - 1 - s, K - 1 - s)
+        phi += count / denom * (with_arm[s + 1] - (totals[s] - with_arm[s]))
     return ShapleyVector(phi, "exact")
 
 

@@ -16,6 +16,10 @@ import numpy as np
 SUM_TOL = 1e-9
 
 
+class RepeatedPickError(ValueError):
+    """The systematic sampler landed two cut points in one arm's interval."""
+
+
 @dataclass(frozen=True)
 class MarginalVector:
     """Per-arm inclusion probabilities summing to an integer budget."""
@@ -77,12 +81,19 @@ def normalize_to_marginals(raw, K: int) -> MarginalVector:
             probs[free] = 0.0
             break
         probs[free] = mass * raw[free] / free_total
-    # absorb float drift into the largest uncapped entry
+    # absorb float drift into the largest uncapped entry; whatever the cap at 1
+    # leaves over moves on to the next largest uncapped entry with room
     drift = K - float(probs.sum())
     if drift != 0.0:
         free_idx = np.flatnonzero(~capped & (probs > 0))
-        target = free_idx[np.argmax(probs[free_idx])] if len(free_idx) else int(np.argmax(probs))
-        probs[target] = min(probs[target] + drift, 1.0)
+        if len(free_idx) == 0:
+            free_idx = np.array([int(np.argmax(probs))])
+        for target in free_idx[np.argsort(-probs[free_idx], kind="stable")]:
+            shifted = probs[target] + drift
+            probs[target] = min(shifted, 1.0)
+            drift = shifted - probs[target]
+            if drift == 0.0:
+                break
     return MarginalVector(probs)
 
 
@@ -99,5 +110,7 @@ def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     cuts[-1] = float(K)
     offset = rng.random()
     points = offset + np.arange(K)
-    picked = perm[np.searchsorted(cuts, points, side="right")]
-    return tuple(sorted(int(a) for a in picked))
+    picked = tuple(sorted(perm[np.searchsorted(cuts, points, side="right")].tolist()))
+    if any(picked[j] == picked[j + 1] for j in range(K - 1)):
+        raise RepeatedPickError(f"arm picked twice in {picked}; marginals drifted off their sum")
+    return picked

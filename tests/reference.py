@@ -2,9 +2,14 @@
 
 These deliberately take different routes than the library: the dividend
 oracle goes through the Moebius transform and the carrier decomposition,
-the collapsed oracle counts enclosing coalitions instead of enumerating
-them, and the prefix oracle brute-forces orderings.  Keep them slow and
-obvious.
+the definitional oracle averages within-coalition values over every
+budget-sized coalition, and the prefix oracle brute-forces orderings.
+Keep them slow and obvious.
+
+The collapsed oracle counts enclosing coalitions instead of enumerating
+them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
+so agreement with it checks the vectorization only, not the formula; the
+dividend and definitional oracles are the independent checks.
 """
 
 from __future__ import annotations
@@ -63,6 +68,26 @@ def collapsed_k_shapley(game) -> np.ndarray:
                     game.value(tuple(sorted(S + (i,)))) - game.value(S)
                 )
         phi[i] = acc / denom
+    return phi
+
+
+def definitional_k_shapley(game) -> np.ndarray:
+    """Value straight from the definition: for each arm, average its
+    within-coalition Shapley value over the budget-sized coalitions that
+    contain it, expanding each one over every subset of its other members."""
+    M, K = game.n_arms, game.budget
+    fact = [math.factorial(j) for j in range(K + 1)]
+    weights = [fact[s] * fact[K - s - 1] / fact[K] for s in range(K)]
+    masks = [[j for j in range(K - 1) if mask >> j & 1] for mask in range(1 << (K - 1))]
+    phi = np.zeros(M)
+    for i in range(M):
+        others = [a for a in range(M) if a != i]
+        acc = 0.0
+        for rest in itertools.combinations(others, K - 1):
+            for bits in masks:
+                S = tuple(rest[j] for j in bits)
+                acc += weights[len(S)] * (game.value(tuple(sorted(S + (i,)))) - game.value(S))
+        phi[i] = acc / math.comb(M - 1, K - 1)
     return phi
 
 

@@ -147,6 +147,11 @@ class TestRunExperiment:
         for name in ("run_seed1.csv", "run_seed2.csv", "aggregate.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_non_integer_thread_cap_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KSV_THREADS", "two")
+        with pytest.raises(ConfigError, match="KSV_THREADS.*'two'"):
+            run_experiment(write_config(tmp_path, rounds=5))
+
     def test_all_algorithms_run(self, tmp_path):
         for algo in ("muras", "uniform", "etcg"):
             out = run_experiment(write_config(tmp_path, algo=algo, rounds=20, name=f"{algo}.ini"))

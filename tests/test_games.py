@@ -1,6 +1,7 @@
 """Exact value computations, axiom checks, and game constructors."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ksvfair.games import k_efficiency_gap, null_players, symmetric_pairs
 
 from reference import (
     collapsed_k_shapley,
+    definitional_k_shapley,
     dividend_k_shapley,
     moebius_dividends,
     random_table_game,
@@ -165,12 +167,31 @@ class TestExactValues:
         phi = exact_k_shapley(g, max_arms=25)
         np.testing.assert_allclose(phi.values, np.full(25, 0.1), atol=1e-12)
 
-    @pytest.mark.parametrize("seed,M,K", [(0, 5, 2), (1, 6, 3), (2, 7, 3), (3, 8, 4)])
+    @pytest.mark.parametrize(
+        "seed,M,K",
+        [(0, 5, 2), (1, 6, 3), (2, 7, 3), (3, 8, 4), (4, 6, 1), (5, 7, 6), (6, 6, 6)],
+    )
     def test_random_games_match_dividend_oracle(self, seed, M, K):
         g = random_table_game(M, K, np.random.default_rng(seed))
         phi = exact_k_shapley(g).values
-        np.testing.assert_allclose(phi, dividend_k_shapley(g), atol=1e-10)
-        np.testing.assert_allclose(phi, collapsed_k_shapley(g), atol=1e-10)
+        np.testing.assert_allclose(phi, dividend_k_shapley(g), atol=1e-12)
+        np.testing.assert_allclose(phi, definitional_k_shapley(g), atol=1e-12)
+        np.testing.assert_allclose(phi, collapsed_k_shapley(g), atol=1e-12)
+
+    @pytest.mark.parametrize("M,K", [(6, 1), (7, 3), (6, 6)])
+    def test_each_feasible_coalition_valued_once(self, M, K):
+        calls = []
+        table = random_table_game(M, K, np.random.default_rng(9))
+
+        def worth(S):
+            calls.append(S)
+            return table.value(S)
+
+        g = RestrictedGame(M, K, worth, memoize=False)
+        calls.clear()  # construction checks the empty coalition
+        exact_k_shapley(g)
+        assert len(calls) == sum(math.comb(M, s) for s in range(1, K + 1))
+        assert len(set(calls)) == len(calls)
 
 
 class TestClassicalShapley:

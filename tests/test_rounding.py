@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksvfair import MarginalVector, normalize_to_marginals, rrs_sample
+from ksvfair import MarginalVector, RepeatedPickError, normalize_to_marginals, rrs_sample
 
 
 def empirical_frequencies(pi, K, n_draws, rng):
@@ -85,6 +85,14 @@ class TestNormalizeToMarginals:
         with pytest.raises(ValueError):
             normalize_to_marginals([0.5, -0.1, 0.6], 2)
 
+    def test_drift_past_the_cap_moves_to_next_entry(self):
+        # water-filling leaves [1/3, 1 - 2 ulp, 1, 2/3], 4.4e-16 short of K;
+        # the largest uncapped entry has room for only half of that
+        mv = normalize_to_marginals([0.1, 0.3, 3.0, 0.2], 3)
+        assert mv.probs[1] == 1.0 and mv.probs[2] == 1.0
+        assert mv.probs[3] > 2 / 3
+        assert mv.probs.sum() == 3.0
+
     @given(
         st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=2, max_size=12),
         st.integers(min_value=1, max_value=12),
@@ -99,7 +107,29 @@ class TestNormalizeToMarginals:
         assert np.all(mv.probs <= 1.0 + 1e-12)
 
 
+class _FixedRng:
+    """Identity permutation and a fixed offset, to place the cut points by hand."""
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def random(self):
+        return self.offset
+
+
 class TestRrsSample:
+    def test_repeated_pick_raises(self):
+        # the sum is 1e-10 short of K, within tolerance; stretching the last
+        # cut to K widens the capped arm's interval past 1, so an offset just
+        # below 1 puts both points in it
+        pi = np.array([0.5 - 1e-10, 0.5, 1.0])
+        with pytest.raises(RepeatedPickError, match="picked twice"):
+            rrs_sample(pi, 2, _FixedRng(1 - 1e-11))
+        assert rrs_sample(pi, 2, _FixedRng(0.5)) == (1, 2)
+
     def test_degenerate_marginals_return_support(self):
         pi = np.array([1.0, 0.0, 1.0, 0.0])
         for seed in range(10):
