@@ -347,11 +347,11 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    workers = _worker_count(len(cfg.seeds))
     oracle = build_env(cfg)
     phi = true_shapley(cfg, oracle)
     pi_star = fair_policy(phi, cfg.K).probs
 
-    workers = _worker_count(len(cfg.seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, [cfg] * len(cfg.seeds), cfg.seeds))

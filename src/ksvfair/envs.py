@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,14 +247,6 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
     @property
     def n_edges(self) -> int:
@@ -314,16 +306,26 @@ def load_edge_list(path) -> Graph:
     )
 
 
+# Uniform draws per chunk of cascade_exact's worlds: rows of n_edges
+# doubles, so one chunk's temporaries stay near 2 MB whatever n_sims is.
+_CHUNK_DRAWS = 1 << 18
+
+
 class CascadeEnv(ValuationOracle):
     """Influence diffusion over an undirected graph.
 
-    One pull seeds the coalition's nodes and runs a single cascade: each
-    newly activated node gets one chance per currently inactive neighbour,
-    succeeding with probability ``activation_p``; the reward is the
-    activated fraction of the graph.  ``exact`` is a memoized Monte-Carlo
-    estimate (the true spread is intractable) with per-coalition standard
-    error at most 1 / (2 sqrt(exact_sims)); its RNG is derived from the
-    coalition itself so the estimate does not depend on query order.
+    One pull seeds the coalition's nodes and runs a single independent
+    cascade: each newly activated node gets one chance per currently
+    inactive neighbour, succeeding with probability ``activation_p``; the
+    reward is the activated fraction of the graph.  Each edge is tried at
+    most once, from whichever end activates first, so a cascade has the
+    same law as bond percolation (Kempe, Kleinberg and Tardos, KDD 2003):
+    a pull draws one coin per edge, in ``graph.edges`` order, and counts
+    the nodes reachable from the seeds over the live edges.  ``exact`` is a
+    memoized Monte-Carlo estimate (the true spread is intractable) with
+    per-coalition standard error at most 1 / (2 sqrt(exact_sims)); its RNG
+    is derived from the coalition itself so the estimate does not depend on
+    query order.
     """
 
     def __init__(
@@ -350,28 +352,41 @@ class CascadeEnv(ValuationOracle):
         self.exact_sims = int(exact_sims)
         self.exact_seed = int(exact_seed)
         self._exact_memo: dict[tuple[int, ...], float] = {}
+        self._ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+
+    def _live_edges(self, n_worlds: int, rng) -> np.ndarray:
+        """(n_worlds, n_edges) edge coins, one row per world in draw order."""
+        return rng.random((n_worlds, self.graph.n_edges)) < self.activation_p
+
+    def _spread_counts(self, S, live: np.ndarray) -> np.ndarray:
+        """Nodes reachable from S over each world's live edges (one row of live).
+
+        Worlds are swept together as one graph on nodes w * n + v, one
+        frontier level per pass.
+        """
+        n_worlds, n = live.shape[0], self.n_arms
+        world, edge = np.divmod(np.flatnonzero(live), live.shape[1])
+        u, v = self._ends[:, edge] + world * n
+        # each live edge as two arcs, u -> v and v -> u
+        src = np.concatenate((u, v))
+        dst = np.concatenate((v, u))
+        active = np.zeros(n_worlds * n, dtype=bool)
+        active[(np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel()] = True
+        frontier = active
+        while True:
+            reached = np.zeros_like(active)
+            reached[dst[frontier[src]]] = True
+            frontier = np.greater(reached, active, out=reached)  # reached and not yet active
+            if not frontier.any():
+                break
+            active |= frontier
+        return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
 
     def pull(self, members, rng) -> float:
         S = self._checked(members)
         if not S:
             return 0.0
-        n = self.graph.n_nodes
-        p = self.activation_p
-        adjacency = self.graph.adjacency
-        active = np.zeros(n, dtype=bool)
-        active[list(S)] = True
-        frontier = list(S)
-        n_active = len(S)
-        while frontier:
-            new: list[int] = []
-            for node in frontier:
-                for nbr in adjacency[node]:
-                    if not active[nbr] and rng.random() < p:
-                        active[nbr] = True
-                        new.append(nbr)
-            n_active += len(new)
-            frontier = new
-        return n_active / n
+        return int(self._spread_counts(S, self._live_edges(1, rng))[0]) / self.n_arms
 
     def exact(self, members) -> float:
         S = self._checked(members)
@@ -386,10 +401,20 @@ class CascadeEnv(ValuationOracle):
 
 
 def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
-    """Mean activated fraction over n_sims independent cascades from the seed set."""
+    """Mean activated fraction over n_sims independent cascades from the seed set.
+
+    Draws the worlds in chunks of rows, so it consumes ``rng`` exactly as
+    n_sims successive ``env.pull`` calls would and returns their mean, up
+    to rounding.
+    """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    total = 0.0
-    for _ in range(n_sims):
-        total += env.pull(members, rng)
-    return total / n_sims
+    S = env._checked(members)
+    if not S:
+        return 0.0
+    rows = max(1, _CHUNK_DRAWS // max(1, env.graph.n_edges))
+    total = 0
+    for start in range(0, n_sims, rows):
+        live = env._live_edges(min(rows, n_sims - start), rng)
+        total += int(env._spread_counts(S, live).sum())
+    return total / (env.n_arms * n_sims)

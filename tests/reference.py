@@ -3,8 +3,9 @@
 These deliberately take different routes than the library: the dividend
 oracle goes through the Moebius transform and the carrier decomposition,
 the definitional oracle averages within-coalition values over every
-budget-sized coalition, and the prefix oracle brute-forces orderings.
-Keep them slow and obvious.
+budget-sized coalition, the prefix oracle brute-forces orderings, and the
+BFS cascade oracle tries each neighbour in turn instead of drawing live
+edges.  Keep them slow and obvious.
 
 The collapsed oracle counts enclosing coalitions instead of enumerating
 them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
@@ -105,6 +106,31 @@ def prefix_shapley_within(value_fn, members) -> dict[int, float]:
             out[a] += (cur - prev) / n_perms
             prev = cur
     return out
+
+
+def bfs_cascade_pull(graph, p: float, S, rng) -> float:
+    """One independent cascade by breadth-first search: every newly active
+    node tries each inactive neighbour once, with a fresh coin per try.
+    Returns the activated fraction of the graph."""
+    adjacency: list[list[int]] = [[] for _ in range(graph.n_nodes)]
+    for u, v in graph.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    active = [False] * graph.n_nodes
+    for node in S:
+        active[node] = True
+    frontier = list(S)
+    n_active = len(frontier)
+    while frontier:
+        new: list[int] = []
+        for node in frontier:
+            for nbr in adjacency[node]:
+                if not active[nbr] and rng.random() < p:
+                    active[nbr] = True
+                    new.append(nbr)
+        n_active += len(new)
+        frontier = new
+    return n_active / graph.n_nodes
 
 
 def random_table_game(M: int, K: int, rng):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ksvfair import cli
 from ksvfair.cli import (
     ConfigError,
     compare_runs,
@@ -150,6 +151,15 @@ class TestRunExperiment:
     def test_non_integer_thread_cap_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSV_THREADS", "two")
         with pytest.raises(ConfigError, match="KSV_THREADS.*'two'"):
+            run_experiment(write_config(tmp_path, rounds=5))
+
+    def test_thread_cap_checked_before_fair_target(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fair target built before KSV_THREADS was checked")
+
+        monkeypatch.setattr(cli, "true_shapley", fail)
+        monkeypatch.setenv("KSV_THREADS", "x")
+        with pytest.raises(ConfigError, match="KSV_THREADS"):
             run_experiment(write_config(tmp_path, rounds=5))
 
     def test_all_algorithms_run(self, tmp_path):

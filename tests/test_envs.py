@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from ksvfair import (
     cascade_exact,
     load_edge_list,
 )
+from ksvfair import envs
+from reference import bfs_cascade_pull
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def make_synthetic(M=4, K=2, curvature=1.0, noise=None, **kw):
@@ -206,6 +211,45 @@ class TestCascade:
         env = CascadeEnv(path_graph(3), 0.3, budget=2)
         with pytest.raises(ValueError):
             env.pull((0, 7), np.random.default_rng(0))
+
+
+class TestLiveEdgePulls:
+    """Live-edge pulls against the per-neighbour BFS oracle and against themselves."""
+
+    def test_single_seed_spread_histogram_matches_bfs(self):
+        g = load_edge_list(DATA / "toy_8.edges")
+        env = CascadeEnv(g, 0.3, budget=1)
+        n = 3000
+        rng_live, rng_bfs = np.random.default_rng(21), np.random.default_rng(22)
+        for seed in range(g.n_nodes):
+            live = [round(env.pull((seed,), rng_live) * g.n_nodes) for _ in range(n)]
+            bfs = [round(bfs_cascade_pull(g, 0.3, (seed,), rng_bfs) * g.n_nodes) for _ in range(n)]
+            p_live = np.bincount(live, minlength=g.n_nodes + 1) / n
+            p_bfs = np.bincount(bfs, minlength=g.n_nodes + 1) / n
+            se = np.sqrt((p_live * (1 - p_live) + p_bfs * (1 - p_bfs)) / n)
+            assert np.all(np.abs(p_live - p_bfs) <= 4 * se), (seed, p_live, p_bfs)
+
+    @pytest.mark.parametrize("S", [(0,), (3, 97, 400)])
+    def test_community_mean_spread_matches_bfs(self, S):
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, 0.1, budget=3)
+        n = 300
+        rng_live, rng_bfs = np.random.default_rng(31), np.random.default_rng(32)
+        live = np.array([env.pull(S, rng_live) for _ in range(n)])
+        bfs = np.array([bfs_cascade_pull(g, 0.1, S, rng_bfs) for _ in range(n)])
+        se = math.sqrt((live.var(ddof=1) + bfs.var(ddof=1)) / n)
+        assert abs(live.mean() - bfs.mean()) <= 4 * se
+
+    def test_batch_matches_sequential_pulls(self):
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, 0.1, budget=3)
+        S, n = (3, 97, 400), 75
+        assert n > envs._CHUNK_DRAWS // g.n_edges  # spans more than one chunk
+        rng_seq, rng_batch = np.random.default_rng(41), np.random.default_rng(41)
+        sequential = math.fsum(env.pull(S, rng_seq) for _ in range(n)) / n
+        batch = cascade_exact(env, S, n, rng_batch)
+        assert batch == pytest.approx(sequential, rel=1e-15, abs=0)
+        assert rng_seq.bit_generator.state == rng_batch.bit_generator.state
 
 
 class TestLoadEdgeList(object):
