@@ -19,8 +19,10 @@ means = np.linspace(0.25, 0.9, 6)
 env = SyntheticEnv(means, budget=4, curvature=1.5, shared_noise_std=0.2)
 S = (0, 2, 3, 5)
 
-# ground truth: within-coalition value by enumerating all orderings
-truth = {a: 0.0 for a in S}
+# ground truth: within-coalition value by enumerating all orderings; like
+# the estimates, it is indexed by arm and NaN outside the coalition
+truth = np.full(env.n_arms, np.nan)
+truth[list(S)] = 0.0
 for perm in itertools.permutations(S):
     prev, prefix = 0.0, []
     for a in perm:
@@ -28,14 +30,15 @@ for perm in itertools.permutations(S):
         cur = env.exact(tuple(sorted(prefix)))
         truth[a] += (cur - prev) / math.factorial(len(S))
         prev = cur
-print("exact within-coalition values:", {a: round(v, 4) for a, v in truth.items()})
+print("exact within-coalition values:", truth)
 
 print(f"\n{'R':>5} {'L':>4} {'max err':>9} {'radius':>8}")
 for R, L in [(20, 5), (100, 20), (500, 50), (2000, 100)]:
     est = shapley_estimation(S, env, R, L, np.random.default_rng(0))
-    err = max(abs(est.estimates[a] - truth[a]) for a in S)
+    err = np.abs(est.estimates[est.arms] - truth[est.arms]).max()
     radius = confidence_radius(1, R, L, env.n_arms, 0.05, 0.05)
     print(f"{R:>5} {L:>4} {err:>9.4f} {radius:>8.3f}")
+print("last estimates:", est.estimates)
 
 print("\npull accounting is literal: R * |S| * 2 * L per call")
 est = shapley_estimation(S, env, 50, 10, np.random.default_rng(1))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +36,8 @@ from .envs import CascadeEnv, SyntheticEnv, load_edge_list
 from .games import ShapleyVector, exact_k_shapley, sampled_k_shapley
 from .metrics import FairnessLedger, fair_policy, merit_to_selection
 from .policies import PolicyConfig, RunRecord, etcg_baseline, muras_run, run_ksvfair, uniform_baseline
+
+log = logging.getLogger(__name__)
 
 ALGOS = ("ksvfair", "muras", "uniform", "etcg")
 ENVS = ("synthetic", "cascade")
@@ -317,6 +320,15 @@ def write_arms_csv(path, record: RunRecord, true_phi: np.ndarray) -> None:
 
 def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
     n = min(l.n_rounds for l in ledgers)
+    truncated = sum(l.n_rounds > n for l in ledgers)
+    if truncated:
+        log.warning(
+            "%s aggregate: truncated %d of %d seed runs to the shortest run's %d rounds",
+            algo,
+            truncated,
+            len(ledgers),
+            n,
+        )
     fr = np.stack([l.fr_cum[:n] for l in ledgers])
     mean = fr.mean(axis=0)
     var = fr.var(axis=0)

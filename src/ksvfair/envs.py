@@ -3,8 +3,10 @@
 Every environment exposes two surfaces: ``pull`` draws one noisy reward for
 a coalition (what a bandit run observes) and ``exact`` returns the
 ground-truth mean (a backdoor used only to build the fair target policy and
-in tests).  Pulls take an explicit RNG so callers own determinism; an
-environment never mutates after construction.
+in tests).  The estimators query in batches through ``pull_mean_many``,
+which takes an (n_sets, M) boolean membership matrix, one coalition per
+row.  Pulls take an explicit RNG so callers own determinism; an environment
+never mutates after construction.
 """
 
 from __future__ import annotations
@@ -53,9 +55,22 @@ class ValuationOracle:
         """Mean of n independent pulls of the same coalition."""
         return float(np.mean([self.pull(members, rng) for _ in range(n)]))
 
-    def pull_mean_many(self, sets, n: int, rng) -> np.ndarray:
-        """pull_mean applied to a list of coalitions, in order."""
-        return np.array([self.pull_mean(S, n, rng) for S in sets])
+    def _check_masks(self, masks) -> np.ndarray:
+        masks = np.asarray(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != self.n_arms:
+            raise ValueError(
+                f"expected an (n_sets, {self.n_arms}) membership matrix, got shape {masks.shape}"
+            )
+        return masks
+
+    def _mask_sets(self, masks) -> list[tuple[int, ...]]:
+        """Each row of a membership matrix as its sorted member tuple."""
+        return [tuple(np.flatnonzero(row).tolist()) for row in self._check_masks(masks)]
+
+    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+        """pull_mean applied to each row of an (n_sets, M) boolean
+        membership matrix, row by row."""
+        return np.array([self.pull_mean(S, n, rng) for S in self._mask_sets(masks)])
 
     def restricted_game(self, *, memoize: bool = True) -> RestrictedGame:
         """The noiseless game over ``exact``, for fair-target computation."""
@@ -90,8 +105,8 @@ class _GaussianOracle(ValuationOracle):
         draws = np.clip(mu + rng.normal(0.0, sigma, size=n), 0.0, 1.0)
         return float(draws.mean())
 
-    def pull_mean_many(self, sets, n: int, rng) -> np.ndarray:
-        checked = [self._checked(S) for S in sets]
+    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+        checked = [self._checked(S) for S in self._mask_sets(masks)]
         mus = np.array([self.exact(S) for S in checked])
         sigmas = np.array([self._noise_scale(S) for S in checked])
         if not sigmas.any():
@@ -166,28 +181,27 @@ class SyntheticEnv(_GaussianOracle):
             return float(self.shared_noise_std)
         return float(math.sqrt(self._noise_sq[list(S)].mean()))
 
-    def pull_mean_many(self, sets, n: int, rng) -> np.ndarray:
-        """Vectorized batch of L-pull means; members must be distinct per set.
+    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+        """Vectorized batch of L-pull means over the rows of a membership matrix.
 
-        Segment sums run left to right like the scalar path, so batched and
-        one-at-a-time queries agree bitwise on the noiseless values.
+        Each row's members are summed in ascending arm order, left to right
+        like the scalar path, so batched and one-at-a-time queries agree
+        bitwise on the noiseless values.
         """
-        sets = [tuple(s) for s in sets]
-        lengths = np.array([len(s) for s in sets], dtype=np.intp)
-        if len(lengths) == 0:
+        masks = self._check_masks(masks)
+        if len(masks) == 0:
             return np.zeros(0)
+        row, flat = np.divmod(np.flatnonzero(masks), self.n_arms)
+        lengths = np.bincount(row, minlength=len(masks))
         if lengths.max() > self.query_limit:
             raise ValueError(
                 f"coalition of size {int(lengths.max())} exceeds query limit {self.query_limit}"
             )
-        flat = np.array([a for s in sets for a in s], dtype=np.intp)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.n_arms):
-            raise ValueError("arm index out of range")
-        offsets = np.zeros(len(sets) + 1, dtype=np.intp)
+        offsets = np.zeros(len(masks) + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
         nonempty = lengths > 0
-        sum_means = np.zeros(len(sets))
-        sigmas = np.zeros(len(sets))
+        sum_means = np.zeros(len(masks))
+        sigmas = np.zeros(len(masks))
         if flat.size:
             starts = offsets[:-1][nonempty]
             sum_means[nonempty] = np.add.reduceat(self.means[flat], starts)
@@ -199,8 +213,10 @@ class SyntheticEnv(_GaussianOracle):
         mus = np.where(nonempty, self._transform(sum_means), 0.0)
         if not sigmas.any():
             return np.clip(mus, 0.0, 1.0)
-        draws = rng.standard_normal((len(sets), n)) * sigmas[:, None] + mus[:, None]
-        means = np.clip(draws, 0.0, 1.0).mean(axis=1)
+        draws = rng.standard_normal((len(masks), n))
+        draws *= sigmas[:, None]
+        draws += mus[:, None]
+        means = np.clip(draws, 0.0, 1.0, out=draws).mean(axis=1)
         return np.where(sigmas == 0.0, np.clip(mus, 0.0, 1.0), means)
 
 

@@ -15,22 +15,36 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundEstimates:
-    """Per-arm estimates from one estimation call.
+    """Per-arm estimates from one estimation call, as length-M arrays.
 
-    ``estimates`` maps arm -> mean marginal over the sampled orderings;
-    ``squares`` carries the matching mean of squared per-ordering marginals
-    (lets callers pool variances across rounds); ``n_perms`` is the number
-    of orderings behind each mean.  ``pulls_consumed`` counts every oracle
-    pull the call made, with no sharing assumed.
+    ``estimates[a]`` is arm a's mean marginal over the sampled orderings;
+    ``squares[a]`` the matching mean of squared per-ordering marginals
+    (lets callers pool variances across rounds).  Both are NaN outside
+    ``arms``, the sorted ids of the estimated arms.  ``n_perms`` is the
+    number of orderings behind each mean.  ``pulls_consumed`` counts every
+    oracle pull the call made, with no sharing assumed.
     """
 
-    estimates: dict[int, float]
-    squares: dict[int, float]
+    estimates: np.ndarray
+    squares: np.ndarray
+    arms: np.ndarray
     n_perms: int
     pulls_consumed: int
     coalition: tuple[int, ...] | None = None
+
+
+def _prefix_chains(orders: np.ndarray, M: int) -> np.ndarray:
+    """(R, k+1, M) membership of each ordering's prefixes of length 0..k.
+
+    An arm is in the length-p prefix when its position in the ordering is
+    below p; arms outside the ordering get position k and join no prefix.
+    """
+    R, k = orders.shape
+    position = np.full((R, M), k, dtype=np.intp)
+    position[np.arange(R)[:, None], orders] = np.arange(k)
+    return position[:, None, :] < np.arange(k + 1)[:, None]
 
 
 def shapley_estimation(
@@ -46,62 +60,60 @@ def shapley_estimation(
     """Estimate within-coalition marginals for every member of S.
 
     Draws R orderings of S uniformly with replacement (or takes
-    ``permutations`` verbatim, mainly for exhaustive-coverage tests).  For
-    each ordering and each member, the values of the prefix with and
-    without the member are estimated as means of L fresh pulls each, and
-    the differences are averaged over orderings.  Pull accounting is
-    literal: R * |S| * 2 * L, every prefix value drawn independently.
-    With ``reuse_prefix`` the with-member value is carried over as the next
-    prefix value, for R * (|S| + 1) * L pulls; this halves cost but
-    correlates consecutive marginals, so it is off by default.
+    ``permutations``, an (R, |S|) array of reorderings of S, mainly for
+    exhaustive-coverage tests).  For each ordering and each member, the
+    values of the prefix with and without the member are estimated as
+    means of L fresh pulls each, and the differences are averaged over
+    orderings.  Pull accounting is literal: R * |S| * 2 * L, every prefix
+    value drawn independently.  With ``reuse_prefix`` the with-member value
+    is carried over as the next prefix value, for R * (|S| + 1) * L pulls;
+    this halves cost but correlates consecutive marginals, so it is off by
+    default.
+
+    All prefixes go to the oracle as one membership matrix, ordering by
+    ordering: without- then with-member row per position, or the k + 1
+    prefixes of the chain with ``reuse_prefix``.
     """
     members = [int(a) for a in S]
-    if not members:
+    k, M = len(members), oracle.n_arms
+    if k == 0:
         raise ValueError("cannot estimate an empty coalition")
-    if len(set(members)) != len(members):
+    if len(set(members)) != k:
         raise ValueError(f"duplicate members in {members}")
+    if min(members) < 0 or max(members) >= M:
+        raise ValueError(f"arm index out of range in {members} (M={M})")
+    members = np.array(members, dtype=np.intp)
     if R < 1 or L < 1:
         raise ValueError("R and L must be >= 1")
     if permutations is None:
-        perms = [[members[j] for j in rng.permutation(len(members))] for _ in range(R)]
+        orders = members[rng.permuted(np.tile(np.arange(k), (R, 1)), axis=1)]
     else:
-        perms = [list(p) for p in permutations]
-        if any(sorted(p) != sorted(members) for p in perms):
+        orders = np.asarray(permutations, dtype=np.intp)
+        if orders.ndim != 2 or orders.shape[1] != k or not np.array_equal(
+            np.sort(orders, axis=1), np.broadcast_to(np.sort(members), orders.shape)
+        ):
             raise ValueError("supplied permutations must reorder S exactly")
-        R = len(perms)
+        R = len(orders)
 
-    sets: list[tuple[int, ...]] = []
-    for perm in perms:
-        prefix: list[int] = []
-        for a in perm:
-            if not reuse_prefix or not prefix:
-                sets.append(tuple(sorted(prefix)))
-            sets.append(tuple(sorted(prefix + [a])))
-            prefix.append(a)
-    means = oracle.pull_mean_many(sets, L, rng)
-
-    est = {a: 0.0 for a in members}
-    sq = {a: 0.0 for a in members}
-    idx = 0
-    for perm in perms:
-        prev = None
-        for a in perm:
-            if not reuse_prefix or prev is None:
-                base = means[idx]
-                idx += 1
-            else:
-                base = prev
-            with_a = means[idx]
-            idx += 1
-            d = with_a - base
-            est[a] += d / R
-            sq[a] += d * d / R
-            prev = with_a
+    chains = _prefix_chains(orders, M)
     if reuse_prefix:
-        pulls = R * (len(members) + 1) * L
+        means = oracle.pull_mean_many(chains.reshape(-1, M), L, rng).reshape(R, k + 1)
+        d = means[:, 1:] - means[:, :-1]
+        pulls = R * (k + 1) * L
     else:
-        pulls = R * len(members) * 2 * L
-    return RoundEstimates(est, sq, R, pulls, coalition=tuple(sorted(members)))
+        masks = np.stack((chains[:, :-1], chains[:, 1:]), axis=2).reshape(-1, M)
+        pairs = oracle.pull_mean_many(masks, L, rng).reshape(R, k, 2)
+        d = pairs[..., 1] - pairs[..., 0]
+        pulls = R * k * 2 * L
+    # bincount adds each arm's terms in ordering order, like a running sum
+    flat = orders.ravel()
+    est = np.bincount(flat, weights=(d / R).ravel(), minlength=M)
+    sq = np.bincount(flat, weights=(d * d / R).ravel(), minlength=M)
+    outside = np.ones(M, dtype=bool)
+    outside[members] = False
+    est[outside] = sq[outside] = np.nan
+    arms = np.sort(members)
+    return RoundEstimates(est, sq, arms, R, pulls, coalition=tuple(arms.tolist()))
 
 
 def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
@@ -119,33 +131,21 @@ def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
         raise ValueError("L must be >= 1")
     order = rng.permutation(M)
     positions = np.sort(rng.choice(M, size=K, replace=False))
-    in_order = [int(order[j]) for j in positions]
-    coalition = tuple(sorted(in_order))
-    chosen = set(in_order)
-    outside = [int(a) for a in order if int(a) not in chosen]
-
-    sets: list[tuple[int, ...]] = []
-    for j, a in enumerate(in_order):
-        prefix = in_order[:j]
-        sets.append(tuple(sorted(prefix)))
-        sets.append(tuple(sorted(prefix + [a])))
-    for a in outside:
-        sets.append(coalition)
-        sets.append(tuple(sorted(coalition + (a,))))
-    means = oracle.pull_mean_many(sets, L, rng)
-
-    est: dict[int, float] = {}
-    sq: dict[int, float] = {}
-    idx = 0
-    for a in in_order:
-        d = float(means[idx + 1] - means[idx])
-        est[a], sq[a] = d, d * d
-        idx += 2
-    for a in outside:
-        d = float(means[idx + 1] - means[idx])
-        est[a], sq[a] = d, d * d
-        idx += 2
-    return RoundEstimates(est, sq, 1, 2 * L * M, coalition=coalition)
+    in_order = order[positions]
+    chain = _prefix_chains(in_order[None, :], M)[0]
+    inside = chain[-1]
+    outside = order[~inside[order]]
+    # one (without, with) pair of rows per arm: members along the chain,
+    # then each outsider on top of the full coalition
+    pairs = np.empty((M, 2, M), dtype=bool)
+    pairs[:K, 0], pairs[:K, 1] = chain[:-1], chain[1:]
+    pairs[K:] = inside
+    pairs[np.arange(K, M), 1, outside] = True
+    means = oracle.pull_mean_many(pairs.reshape(2 * M, M), L, rng).reshape(M, 2)
+    est = np.empty(M)
+    est[np.concatenate((in_order, outside))] = means[:, 1] - means[:, 0]
+    coalition = tuple(np.flatnonzero(inside).tolist())
+    return RoundEstimates(est, est * est, np.arange(M), 1, 2 * L * M, coalition=coalition)
 
 
 def running_mean_update(prev_mean: float, prev_count: int, new_value: float):

@@ -11,13 +11,16 @@ pull budget and round count differ by the per-round estimation cost).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import RoundEstimates, muras_round, running_mean_update, shapley_estimation
+from .estimation import RoundEstimates, muras_round, shapley_estimation
 from .rounding import normalize_to_marginals, rrs_sample
+
+log = logging.getLogger(__name__)
 
 RADIUS_MODES = ("worst_case", "adaptive")
 
@@ -80,6 +83,18 @@ def _worst_case_radii(N, R, L, M, delta1, delta2) -> np.ndarray:
     return first + second
 
 
+def _fold(mean, mean_raw, counts, est: RoundEstimates, weight: int):
+    """Fold one round's estimates into running means, in place, as ``weight``
+    observations each: clipped at 0 into ``mean``, raw into ``mean_raw``.
+    Returns the estimated arms and their values."""
+    a, value = est.arms, est.estimates[est.arms]
+    n = counts[a]
+    mean[a] = (n * mean[a] + weight * np.maximum(value, 0.0)) / (n + weight)
+    mean_raw[a] = (n * mean_raw[a] + weight * value) / (n + weight)
+    counts[a] = n + weight
+    return a, value
+
+
 class PolicyState:
     """Mutable per-run estimation state.
 
@@ -102,13 +117,11 @@ class PolicyState:
         self.last_phi_plus = np.full(M, np.nan)
 
     def absorb(self, est: RoundEstimates) -> None:
-        for a, value in est.estimates.items():
-            self.mean[a], _ = running_mean_update(self.mean[a], int(self.counts[a]), max(value, 0.0))
-            self.mean_raw[a], _ = running_mean_update(self.mean_raw[a], int(self.counts[a]), value)
-            self.counts[a] += 1
-            self.pool_n[a] += est.n_perms
-            self.pool_sum[a] += est.n_perms * value
-            self.pool_sumsq[a] += est.n_perms * est.squares[a]
+        a, value = _fold(self.mean, self.mean_raw, self.counts, est, 1)
+        w = est.n_perms
+        self.pool_n[a] += w
+        self.pool_sum[a] += w * value
+        self.pool_sumsq[a] += w * est.squares[a]
 
     def radii(self, cfg: PolicyConfig) -> np.ndarray:
         """Per-arm optimism bonus used for the selection probabilities.
@@ -303,10 +316,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
     used = 0
     for _ in range(phase1_rounds):
         est = muras_round(oracle, M, K, cfg.L, rng)
-        for a, value in est.estimates.items():
-            mean[a], _ = running_mean_update(mean[a], int(est_n[a]), max(value, 0.0))
-            mean_raw[a], _ = running_mean_update(mean_raw[a], int(est_n[a]), value)
-            est_n[a] += 1
+        _fold(mean, mean_raw, est_n, est, 1)
         sel_counts[list(est.coalition)] += 1
         used += est.pulls_consumed
         rec.log(uniform, est.coalition, est.pulls_consumed)
@@ -316,6 +326,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
     else:
         main_cost = cfg.R * K * 2 * cfg.L
     t = phase1_rounds
+    fallbacks = 0
     while True:
         t += 1
         if not _round_allowed(used, main_cost, t, cfg):
@@ -324,17 +335,22 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             pi = normalize_to_marginals(mean, K).probs
         else:
             pi = uniform  # degenerate estimates; fall back rather than abort
+            fallbacks += 1
         S = rrs_sample(pi, K, rng)
         est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng, reuse_prefix=cfg.reuse_prefix)
-        for a, value in est.estimates.items():
-            n = int(est_n[a])
-            w = est.n_perms
-            mean[a] = (n * mean[a] + w * max(value, 0.0)) / (n + w)
-            mean_raw[a] = (n * mean_raw[a] + w * value) / (n + w)
-            est_n[a] = n + w
+        _fold(mean, mean_raw, est_n, est, est.n_perms)
         sel_counts[list(S)] += 1
         used += est.pulls_consumed
         rec.log(pi, S, est.pulls_consumed)
+    if fallbacks:
+        log.warning(
+            "muras_run (seed %s) fell back to uniform in %d of %d merit rounds: "
+            "fewer than K=%d arms had a positive estimate",
+            seed,
+            fallbacks,
+            t - 1 - phase1_rounds,
+            K,
+        )
     return rec.finish("muras", seed, cfg, sel_counts, mean, mean_raw)
 
 

@@ -20,6 +20,18 @@ class RepeatedPickError(ValueError):
     """The systematic sampler landed two cut points in one arm's interval."""
 
 
+def _check_marginals(p: np.ndarray) -> float:
+    """Validate a probability vector; returns its total."""
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("probs must be a nonempty 1-d array")
+    if p.min() < -SUM_TOL or p.max() > 1 + SUM_TOL:
+        raise ValueError("entries must lie in [0, 1]")
+    total = float(p.sum())
+    if abs(total - round(total)) > SUM_TOL:
+        raise ValueError(f"entries must sum to an integer budget, got {total}")
+    return total
+
+
 @dataclass(frozen=True)
 class MarginalVector:
     """Per-arm inclusion probabilities summing to an integer budget."""
@@ -28,13 +40,7 @@ class MarginalVector:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValueError("probs must be a nonempty 1-d array")
-        if np.any(p < -SUM_TOL) or np.any(p > 1 + SUM_TOL):
-            raise ValueError("entries must lie in [0, 1]")
-        total = float(p.sum())
-        if abs(total - round(total)) > SUM_TOL:
-            raise ValueError(f"entries must sum to an integer budget, got {total}")
+        _check_marginals(p)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -99,18 +105,17 @@ def normalize_to_marginals(raw, K: int) -> MarginalVector:
 
 def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     """Draw exactly K distinct arms with inclusion probabilities matching pi."""
-    probs = pi.probs if isinstance(pi, MarginalVector) else MarginalVector(np.asarray(pi, dtype=float)).probs
-    M = len(probs)
-    total = float(probs.sum())
+    probs = pi.probs if isinstance(pi, MarginalVector) else np.asarray(pi, dtype=float)
+    total = _check_marginals(probs)
     if abs(total - K) > SUM_TOL:
         raise ValueError(f"marginals sum to {total}, expected budget {K}")
-    probs = np.clip(probs, 0.0, 1.0)
-    perm = rng.permutation(M)
-    cuts = np.cumsum(probs[perm])
-    cuts[-1] = float(K)
-    offset = rng.random()
-    points = offset + np.arange(K)
-    picked = tuple(sorted(perm[np.searchsorted(cuts, points, side="right")].tolist()))
-    if any(picked[j] == picked[j + 1] for j in range(K - 1)):
-        raise RepeatedPickError(f"arm picked twice in {picked}; marginals drifted off their sum")
-    return picked
+    perm = rng.permutation(len(probs))
+    # entries may sit up to SUM_TOL outside [0, 1]; clip before laying them end to end
+    cuts = np.minimum(np.maximum(probs[perm], 0.0), 1.0).cumsum()
+    cuts[-1] = K
+    picked = np.sort(perm[cuts.searchsorted(rng.random() + np.arange(K), side="right")]).tolist()
+    if len(set(picked)) < K:
+        raise RepeatedPickError(
+            f"arm picked twice in {tuple(picked)}; marginals drifted off their sum"
+        )
+    return tuple(picked)

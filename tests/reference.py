@@ -7,6 +7,10 @@ budget-sized coalition, the prefix oracle brute-forces orderings, and the
 BFS cascade oracle tries each neighbour in turn instead of drawing live
 edges.  Keep them slow and obvious.
 
+The scalar estimators and sampler are the library's earlier one-tuple-at-a-
+time code, kept so the array versions can be checked against them exactly:
+same estimates, same pull counts and the same generator state afterwards.
+
 The collapsed oracle counts enclosing coalitions instead of enumerating
 them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
 so agreement with it checks the vectorization only, not the formula; the
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -142,3 +147,108 @@ def random_table_game(M: int, K: int, rng):
         for S in itertools.combinations(range(M), size):
             table[S] = float(rng.random())
     return table_game(M, K, table)
+
+
+def _set_masks(sets, M: int) -> np.ndarray:
+    """Membership matrix with one row per coalition tuple, in order."""
+    masks = np.zeros((len(sets), M), dtype=bool)
+    for row, S in zip(masks, sets):
+        row[list(S)] = True
+    return masks
+
+
+def scalar_shapley_estimation(S, oracle, R, L, rng, *, reuse_prefix=False, permutations=None):
+    """Permutation-sampling estimate built prefix by prefix as sorted tuples.
+
+    Returns ``estimates`` and ``squares`` as dicts over the members of S.
+    """
+    members = [int(a) for a in S]
+    if permutations is None:
+        perms = [[members[j] for j in rng.permutation(len(members))] for _ in range(R)]
+    else:
+        perms = [list(p) for p in permutations]
+        R = len(perms)
+
+    sets: list[tuple[int, ...]] = []
+    for perm in perms:
+        prefix: list[int] = []
+        for a in perm:
+            if not reuse_prefix or not prefix:
+                sets.append(tuple(sorted(prefix)))
+            sets.append(tuple(sorted(prefix + [a])))
+            prefix.append(a)
+    means = oracle.pull_mean_many(_set_masks(sets, oracle.n_arms), L, rng)
+
+    est = {a: 0.0 for a in members}
+    sq = {a: 0.0 for a in members}
+    idx = 0
+    for perm in perms:
+        prev = None
+        for a in perm:
+            if not reuse_prefix or prev is None:
+                base = means[idx]
+                idx += 1
+            else:
+                base = prev
+            with_a = means[idx]
+            idx += 1
+            d = with_a - base
+            est[a] += d / R
+            sq[a] += d * d / R
+            prev = with_a
+    if reuse_prefix:
+        pulls = R * (len(members) + 1) * L
+    else:
+        pulls = R * len(members) * 2 * L
+    return SimpleNamespace(estimates=est, squares=sq, n_perms=R, pulls_consumed=pulls)
+
+
+def scalar_muras_round(oracle, M, K, L, rng):
+    """One uniform round built as sorted tuples; dict estimates over all arms."""
+    order = rng.permutation(M)
+    positions = np.sort(rng.choice(M, size=K, replace=False))
+    in_order = [int(order[j]) for j in positions]
+    coalition = tuple(sorted(in_order))
+    chosen = set(in_order)
+    outside = [int(a) for a in order if int(a) not in chosen]
+
+    sets: list[tuple[int, ...]] = []
+    for j, a in enumerate(in_order):
+        prefix = in_order[:j]
+        sets.append(tuple(sorted(prefix)))
+        sets.append(tuple(sorted(prefix + [a])))
+    for a in outside:
+        sets.append(coalition)
+        sets.append(tuple(sorted(coalition + (a,))))
+    means = oracle.pull_mean_many(_set_masks(sets, M), L, rng)
+
+    est: dict[int, float] = {}
+    sq: dict[int, float] = {}
+    idx = 0
+    for a in in_order + outside:
+        d = float(means[idx + 1] - means[idx])
+        est[a], sq[a] = d, d * d
+        idx += 2
+    return SimpleNamespace(
+        estimates=est, squares=sq, n_perms=1, pulls_consumed=2 * L * M, coalition=coalition
+    )
+
+
+def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
+    """Systematic sampler that builds a MarginalVector and checks picks pairwise."""
+    from ksvfair import MarginalVector, RepeatedPickError
+
+    probs = MarginalVector(np.asarray(pi, dtype=float)).probs
+    total = float(probs.sum())
+    if abs(total - K) > 1e-9:
+        raise ValueError(f"marginals sum to {total}, expected budget {K}")
+    probs = np.clip(probs, 0.0, 1.0)
+    perm = rng.permutation(len(probs))
+    cuts = np.cumsum(probs[perm])
+    cuts[-1] = float(K)
+    offset = rng.random()
+    points = offset + np.arange(K)
+    picked = tuple(sorted(perm[np.searchsorted(cuts, points, side="right")].tolist()))
+    if any(picked[j] == picked[j + 1] for j in range(K - 1)):
+        raise RepeatedPickError(f"arm picked twice in {picked}")
+    return picked

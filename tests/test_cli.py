@@ -1,19 +1,21 @@
 """End-to-end harness runs, CSV schemas, determinism, exit codes."""
 
 import csv
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ksvfair import cli
+from ksvfair import FairnessLedger, cli
 from ksvfair.cli import (
     ConfigError,
     compare_runs,
     load_config,
     main,
     run_experiment,
+    write_aggregate_csv,
 )
 
 SMALL_CONFIG = """\
@@ -194,6 +196,23 @@ class TestRunExperiment:
         phi = true_shapley(cfg, build_env(cfg))
         assert phi.kind == "estimated"
         assert phi.stderr is not None and np.all(phi.stderr > 0)
+
+
+class TestAggregate:
+    def test_truncation_warns_with_count(self, tmp_path, caplog):
+        ledgers = [FairnessLedger(np.full(n, 0.5)) for n in (5, 3, 4)]
+        with caplog.at_level(logging.WARNING, logger="ksvfair.cli"):
+            write_aggregate_csv(tmp_path / "aggregate.csv", "muras", ledgers)
+        [record] = caplog.records
+        assert "truncated 2 of 3 seed runs to the shortest run's 3 rounds" in record.getMessage()
+        rows = read_rows(tmp_path / "aggregate.csv")
+        assert [r["round"] for r in rows] == ["1", "2", "3"]
+
+    def test_equal_lengths_no_warning(self, tmp_path, caplog):
+        ledgers = [FairnessLedger(np.full(4, 0.5)) for _ in range(3)]
+        with caplog.at_level(logging.WARNING, logger="ksvfair.cli"):
+            write_aggregate_csv(tmp_path / "aggregate.csv", "ksvfair", ledgers)
+        assert caplog.records == []
 
 
 class TestCompare:

@@ -140,8 +140,21 @@ class TestSyntheticPull:
         env = make_synthetic(noise=np.zeros(4))
         rng = np.random.default_rng(4)
         sets = [(0,), (), (1, 2)]
-        out = env.pull_mean_many(sets, 3, rng)
+        masks = np.zeros((len(sets), 4), dtype=bool)
+        for row, s in zip(masks, sets):
+            row[list(s)] = True
+        out = env.pull_mean_many(masks, 3, rng)
         np.testing.assert_allclose(out, [env.exact(s) for s in sets], atol=0)
+
+    @pytest.mark.parametrize(
+        "masks",
+        [np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool), np.array([[1, 1, 1, 0]], dtype=bool)],
+        ids=["wrong-width", "one-dim", "over-limit"],
+    )
+    def test_pull_mean_many_rejects_bad_masks(self, masks):
+        env = make_synthetic(noise=np.zeros(4))
+        with pytest.raises(ValueError):
+            env.pull_mean_many(masks, 3, np.random.default_rng(0))
 
     def test_determinism_with_fixed_seed(self):
         env = make_synthetic(noise=np.full(4, 0.2))

@@ -1,6 +1,7 @@
 """Monte-Carlo marginal estimators: exactness, soundness, pull accounting."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksvfair import (
+    CascadeEnv,
     GameOracle,
     SyntheticEnv,
     additive_game,
     confidence_radius,
+    load_edge_list,
     muras_round,
     running_mean_update,
     shapley_estimation,
 )
-from reference import prefix_shapley_within, random_table_game
+from reference import (
+    prefix_shapley_within,
+    random_table_game,
+    scalar_muras_round,
+    scalar_shapley_estimation,
+)
+
+TOY_8 = Path(__file__).resolve().parent.parent / "data" / "toy_8.edges"
 
 
 def submodular_oracle(M=4, K=4, noise=0.0, **kw):
@@ -94,7 +104,7 @@ class TestShapleyEstimation:
             shapley_estimation((0, 1, 3), oracle, 5, 4, np.random.default_rng(42)).estimates
             for _ in range(2)
         ]
-        assert runs[0] == runs[1]
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_empty_set_rejected(self):
         oracle = submodular_oracle()
@@ -108,8 +118,76 @@ class TestShapleyEstimation:
 
     def test_estimates_cover_exactly_the_coalition(self):
         oracle = submodular_oracle()
-        est = shapley_estimation((1, 2), oracle, 2, 1, np.random.default_rng(0))
-        assert set(est.estimates) == {1, 2}
+        est = shapley_estimation((2, 1), oracle, 2, 1, np.random.default_rng(0))
+        assert est.arms.tolist() == [1, 2]
+        assert np.isnan(est.estimates).tolist() == [True, False, False, True]
+        assert np.isnan(est.squares).tolist() == [True, False, False, True]
+
+
+def noisy_oracle(kind, K, extra=False):
+    """An 8-arm oracle of each kind, noisy where the kind allows it."""
+    M = 8
+    if kind == "synthetic":
+        means = np.linspace(0.2, 0.95, M)
+        return SyntheticEnv(
+            means, np.linspace(0.1, 0.3, M), budget=K, curvature=1.5, allow_extra_query=extra
+        )
+    if kind == "game":
+        game = random_table_game(M, M, np.random.default_rng(5))
+        return GameOracle(game, 0.2, budget=K, allow_extra_query=extra)
+    return CascadeEnv(
+        load_edge_list(TOY_8), 0.3, budget=K, exact_sims=10, allow_extra_query=extra
+    )
+
+
+def assert_same_round(new, old, rng_new, rng_old, M):
+    """Array estimates equal the scalar dicts exactly, NaN elsewhere, same stream."""
+    arms = sorted(old.estimates)
+    assert new.arms.tolist() == arms
+    assert new.estimates[arms].tolist() == [old.estimates[a] for a in arms]
+    assert new.squares[arms].tolist() == [old.squares[a] for a in arms]
+    rest = np.setdiff1d(np.arange(M), arms)
+    assert np.isnan(new.estimates[rest]).all() and np.isnan(new.squares[rest]).all()
+    assert (new.n_perms, new.pulls_consumed) == (old.n_perms, old.pulls_consumed)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+KINDS = ["synthetic", "game", "cascade"]
+COALITIONS = {1: (5,), 3: (6, 1, 3), 8: (4, 0, 7, 2, 6, 1, 5, 3)}
+
+
+class TestArrayMatchesScalar:
+    """The array estimators reproduce the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["drawn", "supplied"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["paired", "reuse"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shapley_estimation(self, kind, reuse, k, supplied):
+        oracle = noisy_oracle(kind, max(k, 3))
+        S = COALITIONS[k]
+        perms = None
+        if supplied:
+            draw = np.random.default_rng(11)
+            perms = [tuple(draw.permutation(S).tolist()) for _ in range(5)]
+        for seed in range(3):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            kw = dict(reuse_prefix=reuse, permutations=perms)
+            new = shapley_estimation(S, oracle, 4, 3, rng_new, **kw)
+            old = scalar_shapley_estimation(S, oracle, 4, 3, rng_old, **kw)
+            assert_same_round(new, old, rng_new, rng_old, 8)
+            assert new.coalition == tuple(sorted(S))
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_muras_round(self, kind, K):
+        oracle = noisy_oracle(kind, K, extra=K < 8)
+        for seed in range(3):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = muras_round(oracle, 8, K, 3, rng_new)
+            old = scalar_muras_round(oracle, 8, K, 3, rng_old)
+            assert_same_round(new, old, rng_new, rng_old, 8)
+            assert new.coalition == old.coalition
 
 
 def muras_expectation(game, M, K):
@@ -139,7 +217,7 @@ class TestMurasRound:
         game = additive_game(w, 3)  # room for the K+1 probe
         oracle = GameOracle(game, budget=2, allow_extra_query=True)
         est = muras_round(oracle, 4, 2, 3, np.random.default_rng(0))
-        assert set(est.estimates) == {0, 1, 2, 3}
+        assert est.arms.tolist() == [0, 1, 2, 3]
         for a in range(4):
             assert est.estimates[a] == pytest.approx(w[a], abs=1e-12)
 
@@ -159,8 +237,7 @@ class TestMurasRound:
         acc = np.zeros(M)
         for _ in range(R):
             est = muras_round(oracle, M, K, 1, rng)
-            for a, v in est.estimates.items():
-                acc[a] += v / R
+            acc += est.estimates / R
         np.testing.assert_allclose(acc, muras_expectation(game, M, K), atol=0.02)
 
     def test_pull_accounting(self):

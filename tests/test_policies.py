@@ -1,5 +1,6 @@
 """Policy round mechanics, confidence radii, budget ledgers, determinism."""
 
+import logging
 import math
 
 import numpy as np
@@ -226,6 +227,23 @@ class TestMuras:
         oracle = GameOracle(additive_game(w, 3))
         rec = muras_run(cfg, oracle, np.random.default_rng(0))
         assert rec.n_rounds == 4
+
+    def test_uniform_fallback_warns_with_count(self, caplog):
+        # one positive arm with K=2: no merit round can normalize the estimates
+        cfg = PolicyConfig(T=10**9, M=4, K=2, R=2, L=1, rounds=6)
+        oracle = self.make_oracle(w=(0.0, 0.0, 0.5, 0.0))
+        with caplog.at_level(logging.WARNING, logger="ksvfair.policies"):
+            rec = muras_run(cfg, oracle, np.random.default_rng(0), seed=3)
+        np.testing.assert_allclose(rec.pi, 0.5)
+        [record] = caplog.records
+        assert "fell back to uniform in 4 of 4 merit rounds" in record.getMessage()
+        assert "seed 3" in record.getMessage()
+
+    def test_no_fallback_no_warning(self, caplog):
+        cfg = PolicyConfig(T=10**9, M=4, K=2, R=2, L=1, rounds=6)
+        with caplog.at_level(logging.WARNING, logger="ksvfair.policies"):
+            muras_run(cfg, self.make_oracle(), np.random.default_rng(0))
+        assert caplog.records == []
 
     def test_deterministic(self):
         cfg = PolicyConfig(T=10**9, M=4, K=2, R=4, L=2, rounds=9)

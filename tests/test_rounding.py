@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksvfair import MarginalVector, RepeatedPickError, normalize_to_marginals, rrs_sample
+from reference import scalar_rrs_sample
 
 
 def empirical_frequencies(pi, K, n_draws, rng):
@@ -129,6 +130,26 @@ class TestRrsSample:
         with pytest.raises(RepeatedPickError, match="picked twice"):
             rrs_sample(pi, 2, _FixedRng(1 - 1e-11))
         assert rrs_sample(pi, 2, _FixedRng(0.5)) == (1, 2)
+
+    def test_matches_scalar_sampler(self):
+        # same picks and the same generator use as the reference sampler,
+        # on vectors with entries capped at 1 and entries a hair outside [0, 1]
+        vectors = [np.array([1 + 5e-10, 0.5, 0.5 - 5e-10, -1e-10, 1e-10])]
+        draw = np.random.default_rng(9)
+        while len(vectors) < 200:
+            M = int(draw.integers(2, 21))
+            K = int(draw.integers(1, M + 1))
+            raw = draw.random(M) ** 3
+            raw[draw.random(M) < 0.25] *= 50
+            if np.count_nonzero(raw) >= K:
+                vectors.append(normalize_to_marginals(raw, K).probs)
+        assert sum(int(np.any(p == 1.0)) for p in vectors) > 50
+        for i, pi in enumerate(vectors):
+            K = round(float(pi.sum()))
+            rng_new, rng_old = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(20):
+                assert rrs_sample(pi, K, rng_new) == scalar_rrs_sample(pi, K, rng_old)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
     def test_degenerate_marginals_return_support(self):
         pi = np.array([1.0, 0.0, 1.0, 0.0])
