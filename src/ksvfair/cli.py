@@ -27,7 +27,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,19 +60,9 @@ class ConfigError(ValueError):
 class RunConfig:
     algo: str
     env: str
-    T: int
-    M: int
-    K: int
-    R: int
-    L: int
+    policy: PolicyConfig
     seeds: tuple[int, ...]
     out_dir: str
-    delta1: float = 0.05
-    delta2: float = 0.05
-    rounds: int | None = None
-    radius_mode: str = "adaptive"
-    reuse_prefix: bool = False
-    explore_pulls: int = 20
     means: tuple[float, ...] = ()
     noise_stds: tuple[float, ...] = ()
     curvature: float = 1.0
@@ -83,20 +73,13 @@ class RunConfig:
     max_exact_arms: int = 20
     max_exact_budget: int = 8
 
-    def policy_config(self) -> PolicyConfig:
-        return PolicyConfig(
-            T=self.T,
-            M=self.M,
-            K=self.K,
-            R=self.R,
-            L=self.L,
-            delta1=self.delta1,
-            delta2=self.delta2,
-            rounds=self.rounds,
-            radius_mode=self.radius_mode,
-            reuse_prefix=self.reuse_prefix,
-            explore_pulls=self.explore_pulls,
-        )
+    @property
+    def M(self) -> int:
+        return self.policy.M
+
+    @property
+    def K(self) -> int:
+        return self.policy.K
 
 
 def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
@@ -162,22 +145,25 @@ def load_config(path) -> RunConfig:
                 return False
             raise ConfigError(f"key '{key}': expected boolean, got {sec[key]!r}")
 
-        cfg = RunConfig(
-            algo=algo,
-            env=env,
+        policy = PolicyConfig(
             T=geti(run, "t"),
             M=geti(env_sec, "m"),
             K=geti(env_sec, "k"),
             R=geti(algo_sec, "r", 50),
             L=geti(algo_sec, "l", 20),
-            seeds=seeds,
-            out_dir=run.get("out_dir", "results"),
             delta1=getf(algo_sec, "delta1", 0.05),
             delta2=getf(algo_sec, "delta2", 0.05),
             rounds=geti(run, "rounds", 0) or None,
             radius_mode=str(algo_sec.get("radius_mode", "adaptive")),
             reuse_prefix=getb(algo_sec, "reuse_prefix", False),
             explore_pulls=geti(algo_sec, "explore_pulls", 20),
+        )
+        cfg = RunConfig(
+            algo=algo,
+            env=env,
+            policy=policy,
+            seeds=seeds,
+            out_dir=run.get("out_dir", "results"),
             means=_parse_floats(env_sec.get("means", ""), "means"),
             noise_stds=_parse_floats(env_sec.get("noise_stds", ""), "noise_stds"),
             curvature=getf(env_sec, "lambda", 1.0),
@@ -192,18 +178,13 @@ def load_config(path) -> RunConfig:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing config section {exc}") from exc
+    except ValueError as exc:  # PolicyConfig rejected an [algo]/[run] value
+        raise ConfigError(str(exc)) from exc
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.T <= cfg.K:
-        raise ConfigError(f"key 't': budget {cfg.T} must exceed k={cfg.K}")
-    if not 1 <= cfg.K <= cfg.M:
-        raise ConfigError(f"keys 'k'/'m': need 1 <= k <= m, got k={cfg.K}, m={cfg.M}")
-    for name, d in (("delta1", cfg.delta1), ("delta2", cfg.delta2)):
-        if not 0.0 < d < 1.0:
-            raise ConfigError(f"key '{name}' must lie in (0, 1), got {d}")
     if cfg.env == "synthetic":
         if len(cfg.means) != cfg.M:
             raise ConfigError(f"key 'means' must list m={cfg.M} values, got {len(cfg.means)}")
@@ -283,7 +264,7 @@ def _fmt(x) -> str:
 def _run_one(cfg: RunConfig, seed: int) -> RunRecord:
     oracle = build_env(cfg)
     rng = np.random.default_rng(seed)
-    return _RUNNERS[cfg.algo](cfg.policy_config(), oracle, rng, seed=seed)
+    return _RUNNERS[cfg.algo](cfg.policy, oracle, rng, seed=seed)
 
 
 def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLedger:
@@ -355,7 +336,7 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     """Execute the configured runs and write all CSVs; returns the output dir."""
     cfg = load_config(config_path)
     if seed_offset:
-        cfg = RunConfig(**{**cfg.__dict__, "seeds": tuple(s + seed_offset for s in cfg.seeds)})
+        cfg = replace(cfg, seeds=tuple(s + seed_offset for s in cfg.seeds))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

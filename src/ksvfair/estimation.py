@@ -35,6 +35,12 @@ class RoundEstimates:
     coalition: tuple[int, ...] | None = None
 
 
+def pull_cost(k: int, R: int, L: int, reuse_prefix: bool = False) -> int:
+    """Literal pulls of one ``shapley_estimation`` call on a k-arm coalition:
+    R * k * 2 * L, or R * (k + 1) * L with ``reuse_prefix``."""
+    return R * (k + 1) * L if reuse_prefix else R * k * 2 * L
+
+
 def _prefix_chains(orders: np.ndarray, M: int) -> np.ndarray:
     """(R, k+1, M) membership of each ordering's prefixes of length 0..k.
 
@@ -64,11 +70,10 @@ def shapley_estimation(
     exhaustive-coverage tests).  For each ordering and each member, the
     values of the prefix with and without the member are estimated as
     means of L fresh pulls each, and the differences are averaged over
-    orderings.  Pull accounting is literal: R * |S| * 2 * L, every prefix
+    orderings.  Pull accounting is literal (``pull_cost``), every prefix
     value drawn independently.  With ``reuse_prefix`` the with-member value
-    is carried over as the next prefix value, for R * (|S| + 1) * L pulls;
-    this halves cost but correlates consecutive marginals, so it is off by
-    default.
+    is carried over as the next prefix value; this halves cost but
+    correlates consecutive marginals, so it is off by default.
 
     All prefixes go to the oracle as one membership matrix, ordering by
     ordering: without- then with-member row per position, or the k + 1
@@ -99,12 +104,10 @@ def shapley_estimation(
     if reuse_prefix:
         means = oracle.pull_mean_many(chains.reshape(-1, M), L, rng).reshape(R, k + 1)
         d = means[:, 1:] - means[:, :-1]
-        pulls = R * (k + 1) * L
     else:
         masks = np.stack((chains[:, :-1], chains[:, 1:]), axis=2).reshape(-1, M)
         pairs = oracle.pull_mean_many(masks, L, rng).reshape(R, k, 2)
         d = pairs[..., 1] - pairs[..., 0]
-        pulls = R * k * 2 * L
     # bincount adds each arm's terms in ordering order, like a running sum
     flat = orders.ravel()
     est = np.bincount(flat, weights=(d / R).ravel(), minlength=M)
@@ -113,6 +116,7 @@ def shapley_estimation(
     outside[members] = False
     est[outside] = sq[outside] = np.nan
     arms = np.sort(members)
+    pulls = pull_cost(k, R, L, reuse_prefix)
     return RoundEstimates(est, sq, arms, R, pulls, coalition=tuple(arms.tolist()))
 
 
@@ -146,11 +150,3 @@ def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
     est[np.concatenate((in_order, outside))] = means[:, 1] - means[:, 0]
     coalition = tuple(np.flatnonzero(inside).tolist())
     return RoundEstimates(est, est * est, np.arange(M), 1, 2 * L * M, coalition=coalition)
-
-
-def running_mean_update(prev_mean: float, prev_count: int, new_value: float):
-    """Fold one observation into a running mean; returns (new_mean, new_count)."""
-    if prev_count < 0:
-        raise ValueError("count must be nonnegative")
-    new_count = prev_count + 1
-    return (prev_count * prev_mean + new_value) / new_count, new_count

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import RoundEstimates, muras_round, shapley_estimation
+from .estimation import RoundEstimates, muras_round, pull_cost, shapley_estimation
 from .rounding import normalize_to_marginals, rrs_sample
 
 log = logging.getLogger(__name__)
@@ -83,20 +83,8 @@ def _worst_case_radii(N, R, L, M, delta1, delta2) -> np.ndarray:
     return first + second
 
 
-def _fold(mean, mean_raw, counts, est: RoundEstimates, weight: int):
-    """Fold one round's estimates into running means, in place, as ``weight``
-    observations each: clipped at 0 into ``mean``, raw into ``mean_raw``.
-    Returns the estimated arms and their values."""
-    a, value = est.arms, est.estimates[est.arms]
-    n = counts[a]
-    mean[a] = (n * mean[a] + weight * np.maximum(value, 0.0)) / (n + weight)
-    mean_raw[a] = (n * mean_raw[a] + weight * value) / (n + weight)
-    counts[a] = n + weight
-    return a, value
-
-
 class PolicyState:
-    """Mutable per-run estimation state.
+    """Mutable per-run estimation state of ``run_ksvfair`` and ``muras_run``.
 
     Keeps two running means per arm: one over non-negatively clipped round
     estimates (drives the selection probabilities, keeping them in [0, 1])
@@ -116,8 +104,14 @@ class PolicyState:
         self.last_radius = np.full(M, np.nan)
         self.last_phi_plus = np.full(M, np.nan)
 
-    def absorb(self, est: RoundEstimates) -> None:
-        a, value = _fold(self.mean, self.mean_raw, self.counts, est, 1)
+    def absorb(self, est: RoundEstimates, weight: int = 1) -> None:
+        """Fold one round's estimates into the running means as ``weight``
+        observations each, and pool its ``n_perms`` per-ordering marginals."""
+        a, value = est.arms, est.estimates[est.arms]
+        n = self.counts[a]
+        self.mean[a] = (n * self.mean[a] + weight * np.maximum(value, 0.0)) / (n + weight)
+        self.mean_raw[a] = (n * self.mean_raw[a] + weight * value) / (n + weight)
+        self.counts[a] = n + weight
         w = est.n_perms
         self.pool_n[a] += w
         self.pool_sum[a] += w * value
@@ -263,20 +257,33 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
     _check_oracle(cfg, oracle)
     state = PolicyState(cfg.M)
     rec = _Recorder(cfg.M)
-    warm_cost = 1 * cfg.K * 2 * 1 if not cfg.reuse_prefix else (cfg.K + 1) * 1 * 1
-    if cfg.reuse_prefix:
-        main_cost = cfg.R * (cfg.K + 1) * cfg.L
-    else:
-        main_cost = cfg.R * cfg.K * 2 * cfg.L
+    warm_cost = pull_cost(cfg.K, 1, 1, cfg.reuse_prefix)
+    main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
     used = 0
+    pooled = saturated = 0
     while True:
         t = state.t + 1
-        cost = warm_cost if t < cfg.warm_rounds + 1 else main_cost
-        if not _round_allowed(used, cost, t, cfg):
+        merit = t > cfg.warm_rounds
+        if not _round_allowed(used, main_cost if merit else warm_cost, t, cfg):
             break
+        # an arm with fewer than two pooled marginals keeps the worst-case
+        # radius and caps at 1 by design; only count rounds where none does
+        all_pooled = merit and np.all(state.pool_n >= 2)
         S, pi, est = ksvfair_round(state, cfg, oracle, rng)
+        if all_pooled:
+            pooled += 1
+            saturated += bool(np.all(state.last_phi_plus >= 1.0))
         used += est.pulls_consumed
         rec.log(pi, S, est.pulls_consumed)
+    if saturated:
+        log.warning(
+            "run_ksvfair (seed %s) played uniform in %d of %d merit rounds with every "
+            "arm pooled: every optimistic value capped at 1 (radius_mode=%s)",
+            seed,
+            saturated,
+            pooled,
+            cfg.radius_mode,
+        )
     return rec.finish("ksvfair", seed, cfg, state.counts, state.mean, state.mean_raw)
 
 
@@ -308,37 +315,32 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
 
     M, K = cfg.M, cfg.K
     rec = _Recorder(M)
-    mean = np.zeros(M)
-    mean_raw = np.zeros(M)
-    est_n = np.zeros(M, dtype=int)
+    state = PolicyState(M)
     sel_counts = np.zeros(M, dtype=int)
     uniform = np.full(M, K / M)
     used = 0
     for _ in range(phase1_rounds):
         est = muras_round(oracle, M, K, cfg.L, rng)
-        _fold(mean, mean_raw, est_n, est, 1)
+        state.absorb(est)
         sel_counts[list(est.coalition)] += 1
         used += est.pulls_consumed
         rec.log(uniform, est.coalition, est.pulls_consumed)
 
-    if cfg.reuse_prefix:
-        main_cost = cfg.R * (K + 1) * cfg.L
-    else:
-        main_cost = cfg.R * K * 2 * cfg.L
+    main_cost = pull_cost(K, cfg.R, cfg.L, cfg.reuse_prefix)
     t = phase1_rounds
     fallbacks = 0
     while True:
         t += 1
         if not _round_allowed(used, main_cost, t, cfg):
             break
-        if np.count_nonzero(mean) >= K:
-            pi = normalize_to_marginals(mean, K).probs
+        if np.count_nonzero(state.mean) >= K:
+            pi = normalize_to_marginals(state.mean, K).probs
         else:
             pi = uniform  # degenerate estimates; fall back rather than abort
             fallbacks += 1
         S = rrs_sample(pi, K, rng)
         est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng, reuse_prefix=cfg.reuse_prefix)
-        _fold(mean, mean_raw, est_n, est, est.n_perms)
+        state.absorb(est, weight=est.n_perms)
         sel_counts[list(S)] += 1
         used += est.pulls_consumed
         rec.log(pi, S, est.pulls_consumed)
@@ -351,7 +353,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             t - 1 - phase1_rounds,
             K,
         )
-    return rec.finish("muras", seed, cfg, sel_counts, mean, mean_raw)
+    return rec.finish("muras", seed, cfg, sel_counts, state.mean, state.mean_raw)
 
 
 def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:

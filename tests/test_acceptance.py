@@ -161,7 +161,7 @@ def test_criterion_4_rounding_marginals():
 def benchmark_runs():
     """30-seed runs of all four policies at the shipped benchmark config."""
     cfg = load_config(REPO / "configs" / "synthetic_ksvfair.ini")
-    policy_cfg = cfg.policy_config()
+    policy_cfg = cfg.policy
     phi = exact_k_shapley(build_env(cfg).restricted_game()).values
     pi_star = fair_policy(phi, cfg.K).probs
     runners = {

@@ -2,14 +2,17 @@
 
 import csv
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ksvfair import FairnessLedger, cli
 from ksvfair.cli import (
+    EXIT_CONFIG,
     ConfigError,
     compare_runs,
     load_config,
@@ -17,6 +20,8 @@ from ksvfair.cli import (
     run_experiment,
     write_aggregate_csv,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL_CONFIG = """\
 [run]
@@ -86,6 +91,33 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError, match="graph_path"):
             load_config(p)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("r", "0"),
+            ("l", "0"),
+            ("rounds", "-3"),
+            ("radius_mode", "bogus"),
+            ("explore_pulls", "0"),
+            ("delta1", "1.5"),
+        ],
+    )
+    def test_invalid_policy_value(self, tmp_path, key, value):
+        # caught at load time: exit 2, before the output directory exists
+        out = tmp_path / "out"
+        lines = [
+            line
+            for line in SMALL_CONFIG.format(algo="ksvfair", rounds=25, seeds="1", out=out).splitlines()
+            if not line.startswith(f"{key} =")
+        ]
+        lines.insert(lines.index("[run]" if key == "rounds" else "[algo]") + 1, f"{key} = {value}")
+        p = tmp_path / "bad.ini"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError):
+            load_config(p)
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestRunExperiment:
@@ -268,8 +300,11 @@ class TestMainEntry:
 
     def test_console_script_invocation(self, tmp_path):
         cfg = write_config(tmp_path, rounds=8)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ksvfair.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -5,18 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ksvfair import (
     CascadeEnv,
     GameOracle,
+    PolicyState,
+    RoundEstimates,
     SyntheticEnv,
     additive_game,
     confidence_radius,
     load_edge_list,
     muras_round,
-    running_mean_update,
     shapley_estimation,
 )
 from reference import (
@@ -259,31 +258,12 @@ class TestMurasRound:
 
 
 class TestRunningMean:
-    def test_first_observation(self):
-        assert running_mean_update(0.0, 0, 0.7) == (0.7, 1)
-
-    def test_second_observation(self):
-        mean, count = running_mean_update(0.5, 1, 0.7)
-        assert mean == pytest.approx(0.6)
-        assert count == 2
-
     def test_matches_direct_mean(self):
-        rng = np.random.default_rng(0)
-        values = rng.random(10_000)
-        mean, count = 0.0, 0
+        # PolicyState.absorb folds one observation per call into the mean
+        values = np.random.default_rng(0).random(10_000)
+        state = PolicyState(1)
+        arm = np.array([0])
         for v in values:
-            mean, count = running_mean_update(mean, count, float(v))
-        assert count == len(values)
-        assert mean == pytest.approx(values.mean(), abs=1e-12)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_property_equals_arithmetic_mean(self, values):
-        mean, count = 0.0, 0
-        for v in values:
-            mean, count = running_mean_update(mean, count, v)
-        assert mean == pytest.approx(sum(values) / len(values), abs=1e-9)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            running_mean_update(0.0, -1, 0.5)
+            state.absorb(RoundEstimates(np.array([v]), np.array([v * v]), arm, 1, 1))
+        assert state.counts[0] == len(values)
+        assert state.mean[0] == pytest.approx(values.mean(), abs=1e-12)

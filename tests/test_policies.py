@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ class TestRunKsvfair:
         warm = cfg.warm_rounds
         assert np.all(rec.pulls[:warm] == cfg.K + 1)
         assert np.all(rec.pulls[warm:] == cfg.R * (cfg.K + 1) * cfg.L)
+
+    def test_saturated_radius_warns_with_count(self, caplog):
+        # the worst-case radius caps every arm at 1 in every merit round
+        cfg = small_cfg(radius_mode="worst_case", rounds=30)
+        with caplog.at_level(logging.WARNING, logger="ksvfair.policies"):
+            rec = run_ksvfair(cfg, small_env(), np.random.default_rng(2), seed=4)
+        np.testing.assert_allclose(rec.pi[cfg.warm_rounds :], cfg.K / cfg.M)
+        [record] = caplog.records
+        match = re.search(r"played uniform in (\d+) of \1 merit rounds", record.getMessage())
+        assert match and int(match[1]) >= 20
+        assert "seed 4" in record.getMessage()
+
+    def test_noiseless_adaptive_no_warning(self, caplog):
+        cfg = small_cfg(R=50, L=1, rounds=30)
+        with caplog.at_level(logging.WARNING, logger="ksvfair.policies"):
+            run_ksvfair(cfg, small_env(noise=0), np.random.default_rng(2), seed=4)
+        assert caplog.records == []
 
 
 class TestMuras:

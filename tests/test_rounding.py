@@ -131,6 +131,12 @@ class TestRrsSample:
             rrs_sample(pi, 2, _FixedRng(1 - 1e-11))
         assert rrs_sample(pi, 2, _FixedRng(0.5)) == (1, 2)
 
+    def test_entries_clipped_to_unit_interval(self):
+        # unclipped, the -5e-10 entry pulls arm 1's cut below the offset and
+        # the point lands in arm 2's interval instead
+        pi = np.array([-5e-10, 0.5, 0.5 + 5e-10])
+        assert rrs_sample(pi, 1, _FixedRng(0.4999999997)) == (1,)
+
     def test_matches_scalar_sampler(self):
         # same picks and the same generator use as the reference sampler,
         # on vectors with entries capped at 1 and entries a hair outside [0, 1]
