@@ -12,10 +12,10 @@ Subcommands:
 
 Configs are flat INI text: a ``[run]`` block (algo, env, budget, seeds,
 output), an ``[algo]`` block (estimation and policy knobs) and an
-``[env]`` block (environment parameters); lists are comma-separated.
-Every run is fully determined by (config, seed); reruns are byte-identical.
-The ``KSV_THREADS`` environment variable caps how many seeds run in
-parallel workers.
+``[env]`` block (environment parameters); lists are comma-separated, and
+an unknown key is a config error.  Every run is fully determined by
+(config, seed); reruns are byte-identical.  The ``KSV_THREADS``
+environment variable caps how many seeds run in parallel workers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import CascadeEnv, SyntheticEnv, load_edge_list
-from .games import ShapleyVector, exact_k_shapley, sampled_k_shapley
+from .games import MAX_EXACT_COALITIONS, ShapleyVector, exact_cost, exact_k_shapley, sampled_k_shapley
 from .metrics import FairnessLedger, fair_policy, merit_to_selection
 from .policies import PolicyConfig, RunRecord, etcg_baseline, muras_run, run_ksvfair, uniform_baseline
 
@@ -70,8 +70,6 @@ class RunConfig:
     activation_p: float = 0.1
     pistar_sims: int = 10_000
     pistar_samples: int = 4_000
-    max_exact_arms: int = 20
-    max_exact_budget: int = 8
 
     @property
     def M(self) -> int:
@@ -101,49 +99,54 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    # each key read is popped, so whatever is left was not read
+    sections = {name: dict(parser[name]) for name in parser.sections()}
     try:
-        run = parser["run"]
-        algo = run.get("algo", "")
-        env = run.get("env", "")
+        run = sections["run"]
+        algo = run.pop("algo", "")
+        env = run.pop("env", "")
         if algo not in ALGOS:
             raise ConfigError(f"key 'algo' must be one of {ALGOS}, got {algo!r}")
         if env not in ENVS:
             raise ConfigError(f"key 'env' must be one of {ENVS}, got {env!r}")
-        seeds = _parse_ints(run.get("seeds", ""), "seeds")
+        seeds = _parse_ints(run.pop("seeds", ""), "seeds")
         if not seeds:
             raise ConfigError("key 'seeds' must list at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("key 'seeds' contains duplicates")
-        algo_sec = parser["algo"] if parser.has_section("algo") else {}
-        env_sec = parser["env"] if parser.has_section("env") else {}
+        algo_sec = sections.setdefault("algo", {})
+        env_sec = sections.setdefault("env", {})
 
         def geti(sec, key, default=None):
-            if key not in sec:
+            raw = sec.pop(key, None)
+            if raw is None:
                 if default is None:
                     raise ConfigError(f"missing required key '{key}'")
                 return default
             try:
-                return int(sec[key])
+                return int(raw)
             except ValueError as exc:
-                raise ConfigError(f"key '{key}': expected integer, got {sec[key]!r}") from exc
+                raise ConfigError(f"key '{key}': expected integer, got {raw!r}") from exc
 
         def getf(sec, key, default):
-            if key not in sec:
+            raw = sec.pop(key, None)
+            if raw is None:
                 return default
             try:
-                return float(sec[key])
+                return float(raw)
             except ValueError as exc:
-                raise ConfigError(f"key '{key}': expected number, got {sec[key]!r}") from exc
+                raise ConfigError(f"key '{key}': expected number, got {raw!r}") from exc
 
         def getb(sec, key, default):
-            if key not in sec:
+            raw = sec.pop(key, None)
+            if raw is None:
                 return default
-            val = str(sec[key]).strip().lower()
+            val = raw.strip().lower()
             if val in ("true", "1", "yes", "on"):
                 return True
             if val in ("false", "0", "no", "off"):
                 return False
-            raise ConfigError(f"key '{key}': expected boolean, got {sec[key]!r}")
+            raise ConfigError(f"key '{key}': expected boolean, got {raw!r}")
 
         policy = PolicyConfig(
             T=geti(run, "t"),
@@ -154,7 +157,7 @@ def load_config(path) -> RunConfig:
             delta1=getf(algo_sec, "delta1", 0.05),
             delta2=getf(algo_sec, "delta2", 0.05),
             rounds=geti(run, "rounds", 0) or None,
-            radius_mode=str(algo_sec.get("radius_mode", "adaptive")),
+            radius_mode=algo_sec.pop("radius_mode", "adaptive"),
             reuse_prefix=getb(algo_sec, "reuse_prefix", False),
             explore_pulls=geti(algo_sec, "explore_pulls", 20),
         )
@@ -163,17 +166,18 @@ def load_config(path) -> RunConfig:
             env=env,
             policy=policy,
             seeds=seeds,
-            out_dir=run.get("out_dir", "results"),
-            means=_parse_floats(env_sec.get("means", ""), "means"),
-            noise_stds=_parse_floats(env_sec.get("noise_stds", ""), "noise_stds"),
+            out_dir=run.pop("out_dir", "results"),
+            means=_parse_floats(env_sec.pop("means", ""), "means"),
+            noise_stds=_parse_floats(env_sec.pop("noise_stds", ""), "noise_stds"),
             curvature=getf(env_sec, "lambda", 1.0),
-            graph_path=str(env_sec.get("graph_path", "")),
+            graph_path=env_sec.pop("graph_path", ""),
             activation_p=getf(env_sec, "activation_p", 0.1),
             pistar_sims=geti(env_sec, "pistar_sims", 10_000),
             pistar_samples=geti(env_sec, "pistar_samples", 4_000),
-            max_exact_arms=geti(env_sec, "max_exact_arms", 20),
-            max_exact_budget=geti(env_sec, "max_exact_budget", 8),
         )
+        for name, sec in sections.items():
+            if sec:
+                raise ConfigError(f"unknown key '{next(iter(sec))}' in section [{name}]")
     except ConfigError:
         raise
     except KeyError as exc:
@@ -234,16 +238,17 @@ def build_env(cfg: RunConfig):
 def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
     """Ground-truth values from the environment's exact backdoor.
 
-    Uses full enumeration within the guard, otherwise the uniform-coalition
-    Monte-Carlo estimator.  On cascade environments even the enumerated
-    values rest on simulated coalition worths, so they are tagged as
-    estimates with a conservative per-arm standard error: each value is a
-    fixed combination of independent coalition estimates whose signed
-    weights total 1 on each side, giving se <= 1 / sqrt(2 * pistar_sims).
+    Enumerates when ``exact_cost(M, K)`` is within ``MAX_EXACT_COALITIONS``,
+    otherwise uses the uniform-coalition Monte-Carlo estimator.  On cascade
+    environments even the enumerated values rest on simulated coalition
+    worths, so they are tagged as estimates with a conservative per-arm
+    standard error: each value is a fixed combination of independent
+    coalition estimates whose signed weights total 1 on each side, giving
+    se <= 1 / sqrt(2 * pistar_sims).
     """
     game = oracle.restricted_game()
-    if cfg.M <= cfg.max_exact_arms and cfg.K <= cfg.max_exact_budget:
-        phi = exact_k_shapley(game, max_arms=cfg.max_exact_arms, max_budget=cfg.max_exact_budget)
+    if exact_cost(cfg.M, cfg.K) <= MAX_EXACT_COALITIONS:
+        phi = exact_k_shapley(game)
         if cfg.env == "cascade":
             se = 1.0 / np.sqrt(2 * cfg.pistar_sims)
             return ShapleyVector(

@@ -1,12 +1,13 @@
 """Stochastic full-feedback valuation oracles.
 
-Every environment exposes two surfaces: ``pull`` draws one noisy reward for
-a coalition (what a bandit run observes) and ``exact`` returns the
-ground-truth mean (a backdoor used only to build the fair target policy and
-in tests).  The estimators query in batches through ``pull_mean_many``,
-which takes an (n_sets, M) boolean membership matrix, one coalition per
-row.  Pulls take an explicit RNG so callers own determinism; an environment
-never mutates after construction.
+Every environment implements ``exact``, the ground-truth mean of a
+coalition (a backdoor used only to build the fair target policy and in
+tests); ``pull``, one noisy reward (what a bandit run observes); and
+``pull_mean_many``, the mean of n fresh pulls for each row of an (n_sets, M)
+boolean membership matrix, which is how the estimators query.  ``pull_mean``
+is its one-row case, written once on the base class.  Pulls take an
+explicit RNG so callers own determinism; an environment never mutates
+after construction.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ log = logging.getLogger(__name__)
 class ValuationOracle:
     """Interface shared by all environments.
 
+    Subclasses implement ``exact``, ``pull`` and ``pull_mean_many``.
     ``budget`` is the selection budget K.  ``query_limit`` is the largest
     coalition a query may name: equal to K in strict mode, K + 1 when the
     environment was built with ``allow_extra_query`` (needed by estimators
@@ -41,6 +43,10 @@ class ValuationOracle:
     def pull(self, members, rng) -> float:
         raise NotImplementedError
 
+    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+        """Mean of n independent pulls of each row of an (n_sets, M) membership matrix."""
+        raise NotImplementedError
+
     def _checked(self, members) -> tuple[int, ...]:
         S = canon(members)
         if len(S) > self.query_limit:
@@ -51,30 +57,28 @@ class ValuationOracle:
             raise ValueError(f"arm index out of range in {S} (M={self.n_arms})")
         return S
 
-    def pull_mean(self, members, n: int, rng) -> float:
-        """Mean of n independent pulls of the same coalition."""
-        return float(np.mean([self.pull(members, rng) for _ in range(n)]))
-
     def _check_masks(self, masks) -> np.ndarray:
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.n_arms:
             raise ValueError(
                 f"expected an (n_sets, {self.n_arms}) membership matrix, got shape {masks.shape}"
             )
+        sizes = masks.sum(axis=1)
+        if (sizes > self.query_limit).any():
+            raise ValueError(
+                f"coalition of size {int(sizes.max())} exceeds query limit {self.query_limit}"
+            )
         return masks
 
-    def _mask_sets(self, masks) -> list[tuple[int, ...]]:
-        """Each row of a membership matrix as its sorted member tuple."""
-        return [tuple(np.flatnonzero(row).tolist()) for row in self._check_masks(masks)]
+    def pull_mean(self, members, n: int, rng) -> float:
+        """Mean of n independent pulls of the same coalition."""
+        mask = np.zeros((1, self.n_arms), dtype=bool)
+        mask[0, list(self._checked(members))] = True
+        return float(self.pull_mean_many(mask, n, rng)[0])
 
-    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
-        """pull_mean applied to each row of an (n_sets, M) boolean
-        membership matrix, row by row."""
-        return np.array([self.pull_mean(S, n, rng) for S in self._mask_sets(masks)])
-
-    def restricted_game(self, *, memoize: bool = True) -> RestrictedGame:
-        """The noiseless game over ``exact``, for fair-target computation."""
-        return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S), memoize=memoize)
+    def restricted_game(self) -> RestrictedGame:
+        """The noiseless game over ``exact``, memoized, for fair-target computation."""
+        return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S))
 
 
 class _GaussianOracle(ValuationOracle):
@@ -88,6 +92,13 @@ class _GaussianOracle(ValuationOracle):
     def _noise_scale(self, S) -> float:
         raise NotImplementedError
 
+    def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row exact mean and noise scale of a checked membership matrix."""
+        rows = [tuple(np.flatnonzero(row).tolist()) for row in masks]
+        mus = np.array([self.exact(S) for S in rows])
+        sigmas = np.array([self._noise_scale(S) for S in rows])
+        return mus, sigmas
+
     def pull(self, members, rng) -> float:
         S = self._checked(members)
         mu = self.exact(S)
@@ -96,25 +107,15 @@ class _GaussianOracle(ValuationOracle):
             return float(min(max(mu, 0.0), 1.0))
         return float(np.clip(mu + rng.normal(0.0, sigma), 0.0, 1.0))
 
-    def pull_mean(self, members, n: int, rng) -> float:
-        S = self._checked(members)
-        mu = self.exact(S)
-        sigma = self._noise_scale(S)
-        if sigma == 0.0:
-            return float(min(max(mu, 0.0), 1.0))
-        draws = np.clip(mu + rng.normal(0.0, sigma, size=n), 0.0, 1.0)
-        return float(draws.mean())
-
     def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
-        checked = [self._checked(S) for S in self._mask_sets(masks)]
-        mus = np.array([self.exact(S) for S in checked])
-        sigmas = np.array([self._noise_scale(S) for S in checked])
+        mus, sigmas = self._moments(self._check_masks(masks))
+        exact = np.clip(mus, 0.0, 1.0)
         if not sigmas.any():
-            return np.clip(mus, 0.0, 1.0)
-        draws = rng.standard_normal((len(checked), n)) * sigmas[:, None] + mus[:, None]
-        means = np.clip(draws, 0.0, 1.0).mean(axis=1)
+            return exact
+        draws = rng.standard_normal((len(mus), n)) * sigmas[:, None] + mus[:, None]
+        means = np.clip(draws, 0.0, 1.0, out=draws).mean(axis=1)
         # noiseless rows stay exact rather than picking up mean-of-copies rounding
-        return np.where(sigmas == 0.0, np.clip(mus, 0.0, 1.0), means)
+        return np.where(sigmas == 0.0, exact, means)
 
 
 class SyntheticEnv(_GaussianOracle):
@@ -181,43 +182,29 @@ class SyntheticEnv(_GaussianOracle):
             return float(self.shared_noise_std)
         return float(math.sqrt(self._noise_sq[list(S)].mean()))
 
-    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
-        """Vectorized batch of L-pull means over the rows of a membership matrix.
+    def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row exact means and noise scales, summed per row by ``np.add.reduceat``.
 
-        Each row's members are summed in ascending arm order, left to right
-        like the scalar path, so batched and one-at-a-time queries agree
-        bitwise on the noiseless values.
+        Each row's members are taken in ascending arm order, but reduceat
+        does not add them left to right as ``exact`` does, so for
+        coalitions of three or more arms a noiseless batched value can
+        differ from ``exact`` by a few ulp (at most 3 on the shipped 20-arm
+        game); coalitions of one or two arms agree bitwise.
         """
-        masks = self._check_masks(masks)
-        if len(masks) == 0:
-            return np.zeros(0)
         row, flat = np.divmod(np.flatnonzero(masks), self.n_arms)
         lengths = np.bincount(row, minlength=len(masks))
-        if lengths.max() > self.query_limit:
-            raise ValueError(
-                f"coalition of size {int(lengths.max())} exceeds query limit {self.query_limit}"
-            )
-        offsets = np.zeros(len(masks) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=offsets[1:])
         nonempty = lengths > 0
+        starts = (np.cumsum(lengths) - lengths)[nonempty]
         sum_means = np.zeros(len(masks))
+        sum_means[nonempty] = np.add.reduceat(self.means[flat], starts)
         sigmas = np.zeros(len(masks))
-        if flat.size:
-            starts = offsets[:-1][nonempty]
-            sum_means[nonempty] = np.add.reduceat(self.means[flat], starts)
-            if self.shared_noise_std is not None:
-                sigmas[nonempty] = self.shared_noise_std
-            else:
-                noise_sums = np.add.reduceat(self._noise_sq[flat], starts)
-                sigmas[nonempty] = np.sqrt(noise_sums / lengths[nonempty])
+        if self.shared_noise_std is not None:
+            sigmas[nonempty] = self.shared_noise_std
+        else:
+            noise_sums = np.add.reduceat(self._noise_sq[flat], starts)
+            sigmas[nonempty] = np.sqrt(noise_sums / lengths[nonempty])
         mus = np.where(nonempty, self._transform(sum_means), 0.0)
-        if not sigmas.any():
-            return np.clip(mus, 0.0, 1.0)
-        draws = rng.standard_normal((len(masks), n))
-        draws *= sigmas[:, None]
-        draws += mus[:, None]
-        means = np.clip(draws, 0.0, 1.0, out=draws).mean(axis=1)
-        return np.where(sigmas == 0.0, np.clip(mus, 0.0, 1.0), means)
+        return mus, sigmas
 
 
 class GameOracle(_GaussianOracle):
@@ -337,11 +324,13 @@ class CascadeEnv(ValuationOracle):
     most once, from whichever end activates first, so a cascade has the
     same law as bond percolation (Kempe, Kleinberg and Tardos, KDD 2003):
     a pull draws one coin per edge, in ``graph.edges`` order, and counts
-    the nodes reachable from the seeds over the live edges.  ``exact`` is a
-    memoized Monte-Carlo estimate (the true spread is intractable) with
-    per-coalition standard error at most 1 / (2 sqrt(exact_sims)); its RNG
-    is derived from the coalition itself so the estimate does not depend on
-    query order.
+    the nodes reachable from the seeds over the live edges.  ``pull`` is the
+    one-world case of ``cascade_exact``.  ``exact`` is a Monte-Carlo
+    estimate (the true spread is intractable) with per-coalition standard
+    error at most 1 / (2 sqrt(exact_sims)); its RNG is seeded by the
+    coalition itself, so the estimate does not depend on query order and is
+    recomputed identically on every call.  ``restricted_game`` memoizes it
+    for the fair target.
     """
 
     def __init__(
@@ -367,12 +356,7 @@ class CascadeEnv(ValuationOracle):
         self.query_limit = self.budget + (1 if allow_extra_query else 0)
         self.exact_sims = int(exact_sims)
         self.exact_seed = int(exact_seed)
-        self._exact_memo: dict[tuple[int, ...], float] = {}
         self._ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
-
-    def _live_edges(self, n_worlds: int, rng) -> np.ndarray:
-        """(n_worlds, n_edges) edge coins, one row per world in draw order."""
-        return rng.random((n_worlds, self.graph.n_edges)) < self.activation_p
 
     def _spread_counts(self, S, live: np.ndarray) -> np.ndarray:
         """Nodes reachable from S over each world's live edges (one row of live).
@@ -399,29 +383,24 @@ class CascadeEnv(ValuationOracle):
         return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
 
     def pull(self, members, rng) -> float:
-        S = self._checked(members)
-        if not S:
-            return 0.0
-        return int(self._spread_counts(S, self._live_edges(1, rng))[0]) / self.n_arms
+        return cascade_exact(self, members, 1, rng)
+
+    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+        """Each row's mean of n successive ``pull`` calls, row by row."""
+        rows = [np.flatnonzero(row) for row in self._check_masks(masks)]
+        return np.array([np.mean([self.pull(S, rng) for _ in range(n)]) for S in rows])
 
     def exact(self, members) -> float:
         S = self._checked(members)
-        if not S:
-            return 0.0
-        cached = self._exact_memo.get(S)
-        if cached is None:
-            rng = np.random.default_rng((self.exact_seed, *S))
-            cached = cascade_exact(self, S, self.exact_sims, rng)
-            self._exact_memo[S] = cached
-        return cached
+        return cascade_exact(self, S, self.exact_sims, np.random.default_rng((self.exact_seed, *S)))
 
 
 def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
     """Mean activated fraction over n_sims independent cascades from the seed set.
 
     Draws the worlds in chunks of rows, so it consumes ``rng`` exactly as
-    n_sims successive ``env.pull`` calls would and returns their mean, up
-    to rounding.
+    n_sims successive ``env.pull`` calls (each the n_sims = 1 case) would
+    and returns their mean, up to rounding.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
@@ -431,6 +410,7 @@ def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
     rows = max(1, _CHUNK_DRAWS // max(1, env.graph.n_edges))
     total = 0
     for start in range(0, n_sims, rows):
-        live = env._live_edges(min(rows, n_sims - start), rng)
+        # one row of edge coins per world, in draw order
+        live = rng.random((min(rows, n_sims - start), env.graph.n_edges)) < env.activation_p
         total += int(env._spread_counts(S, live).sum())
     return total / (env.n_arms * n_sims)

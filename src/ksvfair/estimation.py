@@ -41,6 +41,11 @@ def pull_cost(k: int, R: int, L: int, reuse_prefix: bool = False) -> int:
     return R * (k + 1) * L if reuse_prefix else R * k * 2 * L
 
 
+def muras_pull_cost(M: int, L: int) -> int:
+    """Literal pulls of one ``muras_round`` on M arms: 2 * L * M."""
+    return 2 * L * M
+
+
 def _prefix_chains(orders: np.ndarray, M: int) -> np.ndarray:
     """(R, k+1, M) membership of each ordering's prefixes of length 0..k.
 
@@ -149,4 +154,4 @@ def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
     est = np.empty(M)
     est[np.concatenate((in_order, outside))] = means[:, 1] - means[:, 0]
     coalition = tuple(np.flatnonzero(inside).tolist())
-    return RoundEstimates(est, est * est, np.arange(M), 1, 2 * L * M, coalition=coalition)
+    return RoundEstimates(est, est * est, np.arange(M), 1, muras_pull_cost(M, L), coalition)

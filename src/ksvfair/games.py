@@ -5,7 +5,8 @@ members; larger coalitions are infeasible and querying them is an error,
 not a silent zero.  The per-arm value concept implemented here averages an
 arm's within-coalition Shapley contribution over all budget-sized
 coalitions containing it, and reduces to the classical Shapley value when
-the budget equals the number of arms.
+the budget equals the number of arms.  ``exact_k_shapley`` values each of
+the ``exact_cost(M, K)`` coalitions once, up to a cost bound.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 Coalition = tuple[int, ...]
+# exact_cost(20, 8): every game with M <= 20 and K <= 8 is enumerated by default
+MAX_EXACT_COALITIONS = 263_949
 
 
 class CoalitionSizeError(ValueError):
@@ -107,8 +110,13 @@ def marginal_contribution(game: RestrictedGame, arm: int, members) -> float:
     return game.value(S + (arm,)) - game.value(S)
 
 
+def exact_cost(M: int, K: int) -> int:
+    """Valuations ``exact_k_shapley`` makes: the coalitions of 1..K of M arms."""
+    return sum(math.comb(M, s) for s in range(1, K + 1))
+
+
 def exact_k_shapley(
-    game: RestrictedGame, *, max_arms: int = 20, max_budget: int = 8
+    game: RestrictedGame, *, max_coalitions: int = MAX_EXACT_COALITIONS
 ) -> ShapleyVector:
     """Exact budget-restricted Shapley values, visiting each coalition once.
 
@@ -120,14 +128,15 @@ def exact_k_shapley(
     Grouping by size, the S+i terms are the coalitions of size s+1
     containing i, and the S terms are all size-s coalitions minus those
     containing i; both are per-arm sums of one value table per size.
-    Cost is sum over s <= K of C(M, s) valuations plus linear numpy
-    reductions; the guard still bounds it.
+    Cost is ``exact_cost(M, K)`` valuations plus linear numpy reductions;
+    the guard refuses games that cost more than ``max_coalitions``.
     """
     M, K = game.n_arms, game.budget
-    if M > max_arms or K > max_budget:
+    cost = exact_cost(M, K)
+    if cost > max_coalitions:
         raise ValueError(
-            f"enumeration guard: M={M} (max {max_arms}), K={K} (max {max_budget}); "
-            "raise the limits explicitly if you accept the cost"
+            f"enumeration guard: M={M}, K={K} needs {cost} valuations (max {max_coalitions}); "
+            "raise max_coalitions explicitly if you accept the cost"
         )
     value = game.value
     # with_arm[s][i]: total worth of the size-s coalitions containing arm i

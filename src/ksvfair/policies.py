@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import RoundEstimates, muras_round, pull_cost, shapley_estimation
+from .estimation import RoundEstimates, muras_pull_cost, muras_round, pull_cost, shapley_estimation
 from .rounding import normalize_to_marginals, rrs_sample
 
 log = logging.getLogger(__name__)
@@ -304,7 +304,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             "allow_extra_query=True for this policy"
         )
     phase1_rounds = cfg.R
-    phase1_cost_each = 2 * cfg.L * cfg.M
+    phase1_cost_each = muras_pull_cost(cfg.M, cfg.L)
     if cfg.T < phase1_rounds * phase1_cost_each:
         raise ValueError(
             f"budget T={cfg.T} cannot cover the {phase1_rounds} uniform estimation "

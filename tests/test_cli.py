@@ -21,7 +21,8 @@ from ksvfair.cli import (
     write_aggregate_csv,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 SMALL_CONFIG = """\
 [run]
@@ -118,6 +119,37 @@ class TestLoadConfig:
             load_config(p)
         assert main(["run", "--config", str(p)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("run", "round"), ("algo", "radius_mod"), ("env", "max_exact_arms")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        text = SMALL_CONFIG.format(algo="ksvfair", rounds=5, seeds="1", out=tmp_path / "out")
+        p = tmp_path / "typo.ini"
+        p.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 3\n"))
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+            load_config(p)
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.ini")))
+    def test_shipped_configs_load(self, monkeypatch, name):
+        monkeypatch.chdir(ROOT)
+        assert load_config(Path("configs") / name).seeds
+
+    def test_enumeration_bound_not_arm_count(self, tmp_path):
+        from ksvfair.cli import build_env, true_shapley
+
+        # 25 arms at K=2 is 325 valuations, well inside the cost bound
+        p = tmp_path / "wide.ini"
+        p.write_text(
+            "[run]\nalgo = ksvfair\nenv = synthetic\nt = 1000\nseeds = 1\n"
+            "[env]\nm = 25\nk = 2\n"
+            f"means = {','.join(['0.5'] * 25)}\n"
+        )
+        cfg = load_config(p)
+        assert true_shapley(cfg, build_env(cfg)).kind == "exact"
 
 
 class TestRunExperiment:

@@ -131,6 +131,16 @@ class TestSyntheticPull:
         target = clipped_gaussian_mean(env.exact(S), sigma)
         assert abs(mean - target) < 3 * sigma / math.sqrt(n)
 
+    def test_pull_mean_draws_like_scalar_normal(self):
+        # the one-row batch consumes the stream as rng.normal(0, sigma, n) does
+        env = make_synthetic(noise=np.linspace(0.1, 0.4, 4))
+        S, n = (1, 3), 50
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        got = env.pull_mean(S, n, rng_a)
+        draws = env.exact(S) + rng_b.normal(0.0, env._noise_scale(S), size=n)
+        assert got == np.clip(draws, 0.0, 1.0).mean()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_shared_noise_level_used(self):
         env = SyntheticEnv([0.4, 0.5], [0.1, 0.2], budget=2, shared_noise_std=0.0)
         rng = np.random.default_rng(3)
@@ -145,6 +155,19 @@ class TestSyntheticPull:
             row[list(s)] = True
         out = env.pull_mean_many(masks, 3, rng)
         np.testing.assert_allclose(out, [env.exact(s) for s in sets], atol=0)
+
+    def test_batched_noiseless_values_within_ulps_of_exact(self):
+        # reduceat need not add a row left to right as exact does
+        env = make_synthetic(M=8, K=4, noise=np.zeros(8), allow_extra_query=True)
+        sets = [S for s in range(env.query_limit + 1) for S in itertools.combinations(range(8), s)]
+        masks = np.zeros((len(sets), 8), dtype=bool)
+        for row, S in zip(masks, sets):
+            row[list(S)] = True
+        out = env.pull_mean_many(masks, 3, np.random.default_rng(0))
+        exact = np.array([env.exact(S) for S in sets])
+        np.testing.assert_array_max_ulp(out, exact, maxulp=4)
+        small = masks.sum(axis=1) <= 2
+        np.testing.assert_array_equal(out[small], exact[small])
 
     @pytest.mark.parametrize(
         "masks",
@@ -218,7 +241,7 @@ class TestCascade:
         env2.exact((1,))  # different query order
         b = env2.exact((0, 2))
         assert a == b
-        assert env1.exact((0, 2)) == a  # memo hit
+        assert env1.exact((0, 2)) == a  # recomputed from the same per-coalition seed
 
     def test_invalid_seed_node(self):
         env = CascadeEnv(path_graph(3), 0.3, budget=2)
@@ -263,6 +286,18 @@ class TestLiveEdgePulls:
         batch = cascade_exact(env, S, n, rng_batch)
         assert batch == pytest.approx(sequential, rel=1e-15, abs=0)
         assert rng_seq.bit_generator.state == rng_batch.bit_generator.state
+
+
+    def test_pull_mean_many_is_rowwise_sequential_pulls(self):
+        env = CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=3)
+        sets, n = [(0,), (), (6, 1, 4)], 5
+        masks = np.zeros((len(sets), 8), dtype=bool)
+        for row, S in zip(masks, sets):
+            row[list(S)] = True
+        rng_rows, rng_seq = np.random.default_rng(51), np.random.default_rng(51)
+        out = env.pull_mean_many(masks, n, rng_rows)
+        assert out.tolist() == [np.mean([env.pull(S, rng_seq) for _ in range(n)]) for S in sets]
+        assert rng_rows.bit_generator.state == rng_seq.bit_generator.state
 
 
 class TestLoadEdgeList(object):

@@ -24,7 +24,13 @@ from ksvfair import (
     table_game,
     verify_axioms,
 )
-from ksvfair.games import k_efficiency_gap, null_players, symmetric_pairs
+from ksvfair.games import (
+    MAX_EXACT_COALITIONS,
+    exact_cost,
+    k_efficiency_gap,
+    null_players,
+    symmetric_pairs,
+)
 
 from reference import (
     collapsed_k_shapley,
@@ -160,12 +166,20 @@ class TestExactValues:
         np.testing.assert_allclose(phi, dividend_k_shapley(g), atol=1e-12)
 
     def test_enumeration_guard(self):
-        g = additive_game(np.full(25, 0.1), 3)
+        # the old M <= 20, K <= 8 limits are the default cost bound
+        assert MAX_EXACT_COALITIONS == exact_cost(20, 8) == 263_949
         with pytest.raises(ValueError, match="guard"):
-            exact_k_shapley(g)
-        # explicit override allows it
-        phi = exact_k_shapley(g, max_arms=25)
-        np.testing.assert_allclose(phi.values, np.full(25, 0.1), atol=1e-12)
+            exact_k_shapley(additive_game(np.full(40, 0.1), 9))
+        # the bound counts valuations: 6 + 15 + 20 coalitions of 1..3 of 6 arms
+        calls = []
+        g = RestrictedGame(6, 3, lambda S: calls.append(S) or 0.1 * len(S), memoize=False)
+        assert exact_cost(6, 3) == 41
+        with pytest.raises(ValueError, match="guard"):
+            exact_k_shapley(g, max_coalitions=40)
+        calls.clear()
+        phi = exact_k_shapley(g, max_coalitions=41)
+        assert len(calls) == 41
+        np.testing.assert_allclose(phi.values, np.full(6, 0.1), atol=1e-12)
 
     @pytest.mark.parametrize(
         "seed,M,K",

@@ -16,6 +16,7 @@ from ksvfair import (
     confidence_radius,
     etcg_baseline,
     ksvfair_round,
+    muras_round,
     muras_run,
     run_ksvfair,
     uniform_baseline,
@@ -232,6 +233,17 @@ class TestMuras:
         cfg = PolicyConfig(T=50, M=4, K=2, R=6, L=2)
         with pytest.raises(ValueError, match="uniform estimation"):
             muras_run(cfg, self.make_oracle(), np.random.default_rng(0))
+
+    def test_phase1_budget_is_the_round_cost(self):
+        cfg = PolicyConfig(T=50, M=4, K=2, R=6, L=2)
+        oracle = self.make_oracle()
+        per_round = muras_round(oracle, cfg.M, cfg.K, cfg.L, np.random.default_rng(0)).pulls_consumed
+        with pytest.raises(ValueError, match=rf"\({cfg.R * per_round} pulls\)"):
+            muras_run(cfg, oracle, np.random.default_rng(0))
+        # a budget of exactly the phase-1 rounds is accepted and spent
+        fits = PolicyConfig(T=cfg.R * per_round, M=4, K=2, R=6, L=2)
+        rec = muras_run(fits, oracle, np.random.default_rng(0))
+        assert rec.n_rounds == cfg.R and rec.pulls.sum() == fits.T
 
     def test_strict_oracle_rejected(self):
         cfg = PolicyConfig(T=10**9, M=4, K=2, R=2, L=2, rounds=5)
