@@ -262,8 +262,19 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
     return sampled_k_shapley(game.value, cfg.M, cfg.K, cfg.pistar_samples, rng)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+# Every table is written from a per-row % template: integers as %d, reals as
+# %.12g (the same text as format(x, ".12g"), nan, inf and -0 included), rows
+# ended by "\r\n", so the bytes are what csv.writer wrote with those strings.
+def _quote(field) -> str:
+    """One CSV field as ``csv.writer`` writes it: quoted only when it must be."""
+    field = str(field)
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _header(fields) -> str:
+    return ",".join(_quote(f) for f in fields) + "\r\n"
 
 
 def _run_one(cfg: RunConfig, seed: int) -> RunRecord:
@@ -274,34 +285,40 @@ def _run_one(cfg: RunConfig, seed: int) -> RunRecord:
 
 def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLedger:
     ledger = FairnessLedger.from_run(pi_star, record.pi)
-    fr = ledger.fr_cum
-    pulls_cum = record.pulls_cum
     M = record.pi.shape[1]
+    row = "%d,%d,%.12g,%.12g" + ",%.12g" * M + ",%d" * M + "\r\n"
+    columns = zip(
+        range(1, record.n_rounds + 1),
+        record.pulls_cum.tolist(),
+        ledger.l1.tolist(),
+        ledger.fr_cum.tolist(),
+        record.pi.tolist(),
+        record.selected.tolist(),
+    )
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["round", "pulls_cum", "l1_to_pistar", "fr_cum"]
-            + [f"pi_{a}" for a in range(M)]
-            + [f"sel_{a}" for a in range(M)]
-        )
-        for t in range(record.n_rounds):
-            w.writerow(
-                [t + 1, int(pulls_cum[t]), _fmt(ledger.l1[t]), _fmt(fr[t])]
-                + [_fmt(x) for x in record.pi[t]]
-                + [int(x) for x in record.selected[t]]
+        fh.write(
+            _header(
+                ["round", "pulls_cum", "l1_to_pistar", "fr_cum"]
+                + [f"pi_{a}" for a in range(M)]
+                + [f"sel_{a}" for a in range(M)]
             )
+        )
+        fh.writelines(row % (t, pulls, l1, fr, *pi, *sel) for t, pulls, l1, fr, pi, sel in columns)
     return ledger
 
 
 def write_arms_csv(path, record: RunRecord, true_phi: np.ndarray) -> None:
     ratios = merit_to_selection(true_phi, record.counts, record.n_rounds)
+    columns = zip(
+        range(len(true_phi)),
+        np.asarray(true_phi, dtype=float).tolist(),
+        np.asarray(record.est_phi, dtype=float).tolist(),
+        np.asarray(record.counts, dtype=int).tolist(),
+        ratios.tolist(),
+    )
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"])
-        for a in range(len(true_phi)):
-            w.writerow(
-                [a, _fmt(true_phi[a]), _fmt(record.est_phi[a]), int(record.counts[a]), _fmt(ratios[a])]
-            )
+        fh.write(_header(["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"]))
+        fh.writelines("%d,%.12g,%.12g,%d,%.12g\r\n" % row for row in columns)
 
 
 def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
@@ -316,13 +333,11 @@ def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
             n,
         )
     fr = np.stack([l.fr_cum[:n] for l in ledgers])
-    mean = fr.mean(axis=0)
-    var = fr.var(axis=0)
+    columns = zip(range(1, n + 1), fr.mean(axis=0).tolist(), fr.var(axis=0).tolist())
+    label = _quote(algo)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["algo", "round", "fr_mean", "fr_var"])
-        for t in range(n):
-            w.writerow([algo, t + 1, _fmt(mean[t]), _fmt(var[t])])
+        fh.write(_header(["algo", "round", "fr_mean", "fr_var"]))
+        fh.writelines("%s,%d,%.12g,%.12g\r\n" % (label, *row) for row in columns)
 
 
 def _worker_count(n_seeds: int) -> int:
@@ -411,28 +426,26 @@ def compare_runs(run_dirs, out_prefix="comparison") -> tuple[Path, Path]:
         labels.append(label)
 
     fr_path = Path(f"{out_prefix}.csv")
+    columns = [base_rounds.tolist()]
+    for _, _, _, mean, var in loaded:
+        columns += [mean.tolist(), np.sqrt(var).tolist()]
+    row = "%d" + ",%.12g,%.12g" * len(loaded) + "\r\n"
     with open(fr_path, "w", newline="") as fh:
-        w = csv.writer(fh)
         header = ["round"]
         for label in labels:
             header += [f"fr_mean_{label}", f"fr_std_{label}"]
-        w.writerow(header)
-        for t in range(len(base_rounds)):
-            row = [int(base_rounds[t])]
-            for _, _, _, mean, var in loaded:
-                row += [_fmt(mean[t]), _fmt(np.sqrt(var[t]))]
-            w.writerow(row)
+        fh.write(_header(header))
+        fh.writelines(row % values for values in zip(*columns))
 
     arms_path = Path(f"{out_prefix}_arms.csv")
     ratios = [_read_arm_ratios(d) for d, *_ in loaded]
     n_arms = len(ratios[0])
     if any(len(r) != n_arms for r in ratios):
         raise ValueError("per-arm tables disagree on arm count")
+    row = "%d" + ",%.12g" * len(ratios) + "\r\n"
     with open(arms_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["arm"] + [f"ratio_{label}" for label in labels])
-        for a in range(n_arms):
-            w.writerow([a] + [_fmt(r[a]) for r in ratios])
+        fh.write(_header(["arm"] + [f"ratio_{label}" for label in labels]))
+        fh.writelines(row % values for values in zip(range(n_arms), *(r.tolist() for r in ratios)))
     return fr_path, arms_path
 
 
@@ -445,7 +458,7 @@ def print_exact_shapley(config_path, file=None) -> None:
     print(f"# env={cfg.env} M={cfg.M} K={cfg.K} kind={phi.kind}", file=file)
     print("arm,true_phi,pi_star", file=file)
     for a in range(cfg.M):
-        print(f"{a},{_fmt(phi.values[a])},{_fmt(pi_star[a])}", file=file)
+        print("%d,%.12g,%.12g" % (a, phi.values[a], pi_star[a]), file=file)
 
 
 def main(argv=None) -> int:

@@ -87,25 +87,25 @@ class _GaussianOracle(ValuationOracle):
     Clipping (rather than resampling) keeps rewards bounded for the
     Hoeffding-style analysis; the induced mean bias is small in the
     benchmark parameter ranges and is accepted by the empirical-mean tests.
+    Subclasses implement ``_moment``; the scalar ``pull`` reads it once per
+    call, and the default per-row ``_moments`` reads it row by row.
     """
 
-    def _noise_scale(self, S) -> float:
+    def _moment(self, S) -> tuple[float, float]:
+        """Exact mean and noise scale of one checked coalition."""
         raise NotImplementedError
 
     def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row exact mean and noise scale of a checked membership matrix."""
-        rows = [tuple(np.flatnonzero(row).tolist()) for row in masks]
-        mus = np.array([self.exact(S) for S in rows])
-        sigmas = np.array([self._noise_scale(S) for S in rows])
+        rows = [self._moment(tuple(np.flatnonzero(row).tolist())) for row in masks]
+        mus, sigmas = np.array(rows, dtype=float).reshape(-1, 2).T
         return mus, sigmas
 
     def pull(self, members, rng) -> float:
-        S = self._checked(members)
-        mu = self.exact(S)
-        sigma = self._noise_scale(S)
+        mu, sigma = self._moment(self._checked(members))
         if sigma == 0.0:
-            return float(min(max(mu, 0.0), 1.0))
-        return float(np.clip(mu + rng.normal(0.0, sigma), 0.0, 1.0))
+            return min(max(mu, 0.0), 1.0)
+        return min(max(mu + rng.normal(0.0, sigma), 0.0), 1.0)
 
     def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
         mus, sigmas = self._moments(self._check_masks(masks))
@@ -159,28 +159,31 @@ class SyntheticEnv(_GaussianOracle):
         self.query_limit = self.budget + (1 if allow_extra_query else 0)
         self.curvature = float(curvature)
         self.shared_noise_std = shared_noise_std
-        self._total = float(self.means.sum())
+        total = float(self.means.sum())
+        # g's denominator, the transformed total: the same for every coalition
+        self._denom = -np.expm1(-self.curvature * total) if self.curvature else total
         self._noise_sq = self.noise_stds**2
 
     def exact(self, members) -> float:
-        S = self._checked(members)
-        if not S:
-            return 0.0
-        x = float(self.means[list(S)].sum())
-        return self._transform(x)
+        return self._mean(list(self._checked(members)))
+
+    def _mean(self, idx: list[int]) -> float:
+        return float(self._transform(self.means[idx].sum())) if idx else 0.0
 
     def _transform(self, x):
         c = self.curvature
         if c == 0.0:
-            return x / self._total
-        return -np.expm1(-c * x) / -np.expm1(-c * self._total)
+            return x / self._denom
+        return -np.expm1(-c * x) / self._denom
 
-    def _noise_scale(self, S) -> float:
-        if not S:
-            return 0.0
+    def _moment(self, S) -> tuple[float, float]:
+        idx = list(S)
+        if not idx:
+            return 0.0, 0.0
         if self.shared_noise_std is not None:
-            return float(self.shared_noise_std)
-        return float(math.sqrt(self._noise_sq[list(S)].mean()))
+            return self._mean(idx), float(self.shared_noise_std)
+        # sum / count is how np.mean divides, so this is bitwise its value
+        return self._mean(idx), math.sqrt(self._noise_sq[idx].sum() / len(idx))
 
     def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row exact means and noise scales, summed per row by ``np.add.reduceat``.
@@ -238,8 +241,8 @@ class GameOracle(_GaussianOracle):
     def exact(self, members) -> float:
         return self.game.value(members)
 
-    def _noise_scale(self, S) -> float:
-        return self.noise_std if S else 0.0
+    def _moment(self, S) -> tuple[float, float]:
+        return self.exact(S), (self.noise_std if S else 0.0)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ class CoalitionSizeError(ValueError):
 
 def canon(members) -> Coalition:
     """Canonical coalition encoding: sorted tuple, duplicates rejected."""
-    S = tuple(sorted(int(a) for a in members))
-    if any(S[j] == S[j + 1] for j in range(len(S) - 1)):
+    S = tuple(sorted(map(int, members)))
+    if len(set(S)) != len(S):
         raise ValueError(f"duplicate members in coalition {S}")
     return S
 

@@ -11,6 +11,7 @@ pull budget and round count differ by the per-round estimation cost).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -211,26 +212,31 @@ class RunRecord:
 
 
 class _Recorder:
+    """Per-round log of one run.  ``log`` keeps references (callers never
+    mutate a logged policy or coalition); ``finish`` copies them into arrays."""
+
     def __init__(self, M: int):
         self.M = M
         self.pi_rows: list[np.ndarray] = []
-        self.sel_rows: list[np.ndarray] = []
+        self.coalitions: list[tuple[int, ...]] = []
         self.pull_rows: list[int] = []
 
     def log(self, pi: np.ndarray, S, pulls: int) -> None:
-        sel = np.zeros(self.M, dtype=np.uint8)
-        sel[list(S)] = 1
-        self.pi_rows.append(np.asarray(pi, dtype=float).copy())
-        self.sel_rows.append(sel)
+        self.pi_rows.append(pi)
+        self.coalitions.append(S)
         self.pull_rows.append(int(pulls))
 
     def finish(self, algo, seed, cfg, counts, est_phi, est_raw) -> RunRecord:
+        n = len(self.coalitions)
+        selected = np.zeros((n, self.M), dtype=np.uint8)
+        rows = np.repeat(np.arange(n), [len(S) for S in self.coalitions])
+        selected[rows, np.fromiter(itertools.chain.from_iterable(self.coalitions), np.intp)] = 1
         return RunRecord(
             algo=algo,
             seed=seed,
             config=cfg,
-            pi=np.array(self.pi_rows) if self.pi_rows else np.zeros((0, self.M)),
-            selected=np.array(self.sel_rows) if self.sel_rows else np.zeros((0, self.M), np.uint8),
+            pi=np.array(self.pi_rows, dtype=float) if self.pi_rows else np.zeros((0, self.M)),
+            selected=selected,
             pulls=np.array(self.pull_rows, dtype=int),
             counts=np.asarray(counts, dtype=int).copy(),
             est_phi=np.asarray(est_phi, dtype=float).copy(),
@@ -369,7 +375,7 @@ def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) ->
         t += 1
         if not _round_allowed(used, 1, t, cfg):
             break
-        S = tuple(sorted(int(a) for a in rng.choice(M, size=K, replace=False)))
+        S = tuple(sorted(rng.choice(M, size=K, replace=False).tolist()))
         oracle.pull(S, rng)
         counts[list(S)] += 1
         used += 1

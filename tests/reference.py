@@ -11,6 +11,10 @@ The scalar estimators and sampler are the library's earlier one-tuple-at-a-
 time code, kept so the array versions can be checked against them exactly:
 same estimates, same pull counts and the same generator state afterwards.
 
+The CSV writers and the scalar Gaussian pull are the library's earlier
+``csv.writer`` + ``format(x, ".12g")`` writers and ``np.clip`` pull, kept so
+the faster code can be pinned to them byte for byte and bit for bit.
+
 The collapsed oracle counts enclosing coalitions instead of enumerating
 them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
 so agreement with it checks the vectorization only, not the formula; the
@@ -19,8 +23,10 @@ dividend and definitional oracles are the independent checks.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,3 +258,116 @@ def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     if any(picked[j] == picked[j + 1] for j in range(K - 1)):
         raise RepeatedPickError(f"arm picked twice in {picked}")
     return picked
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".12g")
+
+
+def csv_round_table(path, record, pi_star) -> None:
+    """``write_round_csv`` as one ``csv.writer`` row per round."""
+    from ksvfair import FairnessLedger
+
+    ledger = FairnessLedger.from_run(pi_star, record.pi)
+    fr = ledger.fr_cum
+    pulls_cum = record.pulls_cum
+    M = record.pi.shape[1]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["round", "pulls_cum", "l1_to_pistar", "fr_cum"]
+            + [f"pi_{a}" for a in range(M)]
+            + [f"sel_{a}" for a in range(M)]
+        )
+        for t in range(record.n_rounds):
+            w.writerow(
+                [t + 1, int(pulls_cum[t]), _fmt(ledger.l1[t]), _fmt(fr[t])]
+                + [_fmt(x) for x in record.pi[t]]
+                + [int(x) for x in record.selected[t]]
+            )
+
+
+def csv_arms_table(path, record, true_phi) -> None:
+    from ksvfair import merit_to_selection
+
+    ratios = merit_to_selection(true_phi, record.counts, record.n_rounds)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"])
+        for a in range(len(true_phi)):
+            w.writerow(
+                [a, _fmt(true_phi[a]), _fmt(record.est_phi[a]), int(record.counts[a]), _fmt(ratios[a])]
+            )
+
+
+def csv_aggregate_table(path, algo, ledgers) -> None:
+    n = min(l.n_rounds for l in ledgers)
+    fr = np.stack([l.fr_cum[:n] for l in ledgers])
+    mean = fr.mean(axis=0)
+    var = fr.var(axis=0)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["algo", "round", "fr_mean", "fr_var"])
+        for t in range(n):
+            w.writerow([algo, t + 1, _fmt(mean[t]), _fmt(var[t])])
+
+
+def csv_compare_tables(run_dirs, out_prefix) -> tuple[Path, Path]:
+    """``compare_runs``'s two tables, written row by row with ``csv.writer``."""
+    from ksvfair.cli import _read_aggregate, _read_arm_ratios
+
+    loaded = [(Path(d), *_read_aggregate(Path(d) / "aggregate.csv")) for d in run_dirs]
+    base_rounds = loaded[0][2]
+    labels = []
+    for _, algo, *_ in loaded:
+        label = algo
+        k = 2
+        while label in labels:
+            label = f"{algo}{k}"
+            k += 1
+        labels.append(label)
+    fr_path = Path(f"{out_prefix}.csv")
+    with open(fr_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        header = ["round"]
+        for label in labels:
+            header += [f"fr_mean_{label}", f"fr_std_{label}"]
+        w.writerow(header)
+        for t in range(len(base_rounds)):
+            row = [int(base_rounds[t])]
+            for _, _, _, mean, var in loaded:
+                row += [_fmt(mean[t]), _fmt(np.sqrt(var[t]))]
+            w.writerow(row)
+    arms_path = Path(f"{out_prefix}_arms.csv")
+    ratios = [_read_arm_ratios(d) for d, *_ in loaded]
+    with open(arms_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["arm"] + [f"ratio_{label}" for label in labels])
+        for a in range(len(ratios[0])):
+            w.writerow([a] + [_fmt(r[a]) for r in ratios])
+    return fr_path, arms_path
+
+
+def _gaussian_moment(oracle, S) -> tuple[float, float]:
+    """Exact mean and noise scale as the earlier ``exact``/``_noise_scale`` pair."""
+    from ksvfair import GameOracle
+
+    if isinstance(oracle, GameOracle):
+        return oracle.game.value(S), (oracle.noise_std if S else 0.0)
+    if not S:
+        return 0.0, 0.0
+    x = float(oracle.means[list(S)].sum())
+    c, total = oracle.curvature, float(oracle.means.sum())
+    mu = x / total if c == 0.0 else -np.expm1(-c * x) / -np.expm1(-c * total)
+    if oracle.shared_noise_std is not None:
+        return mu, float(oracle.shared_noise_std)
+    return mu, float(math.sqrt((oracle.noise_stds**2)[list(S)].mean()))
+
+
+def scalar_gaussian_pull(oracle, members, rng) -> float:
+    """One clipped-Gaussian reward: ``np.clip(exact + normal(0, sigma), 0, 1)``."""
+    S = oracle._checked(members)
+    mu, sigma = _gaussian_moment(oracle, S)
+    if sigma == 0.0:
+        return float(min(max(mu, 0.0), 1.0))
+    return float(np.clip(mu + rng.normal(0.0, sigma), 0.0, 1.0))

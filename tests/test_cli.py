@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksvfair import FairnessLedger, cli
+from ksvfair import FairnessLedger, PolicyConfig, RunRecord, cli
 from ksvfair.cli import (
     EXIT_CONFIG,
     ConfigError,
@@ -19,7 +19,10 @@ from ksvfair.cli import (
     main,
     run_experiment,
     write_aggregate_csv,
+    write_arms_csv,
+    write_round_csv,
 )
+from reference import csv_aggregate_table, csv_arms_table, csv_compare_tables, csv_round_table
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -341,3 +344,131 @@ class TestMainEntry:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# values whose %.12g / format(x, ".12g") text is easy to get wrong
+SPECIALS = [
+    float("nan"),
+    0.0,
+    -0.0,
+    5e-324,
+    1e-300,
+    1e16,
+    0.1 + 0.2,
+    123456789012.0,
+    0.123456789012,
+    1234567.89012,
+    1 / 3,
+    float("inf"),
+    -2.5,
+]
+
+
+def special_record(M, rng):
+    n = 2 * len(SPECIALS)
+    pi = rng.choice(SPECIALS + list(rng.random(5)), size=(n, M))
+    counts = rng.integers(0, 3, size=M)
+    counts[0] = 0  # an arm never selected has a NaN merit ratio
+    return RunRecord(
+        algo="uniform",
+        seed=0,
+        config=PolicyConfig(T=10**6, M=M, K=1, R=1, L=1),
+        pi=pi,
+        selected=rng.integers(0, 2, size=(n, M)).astype(np.uint8),
+        pulls=rng.integers(1, 10**6, size=n),
+        counts=counts,
+        est_phi=rng.choice(SPECIALS, size=M),
+        est_phi_raw=np.zeros(M),
+    )
+
+
+class TestWriterBytes:
+    """The row-template writers against the csv.writer + format(x, ".12g") ones."""
+
+    @pytest.mark.parametrize("M", [1, 3, 20])
+    def test_round_and_arms_tables(self, tmp_path, M):
+        rng = np.random.default_rng(M)
+        record = special_record(M, rng)
+        pi_star = rng.random(M)
+        true_phi = rng.choice(SPECIALS, size=M)
+        write_round_csv(tmp_path / "new_run.csv", record, pi_star)
+        csv_round_table(tmp_path / "old_run.csv", record, pi_star)
+        write_arms_csv(tmp_path / "new_arms.csv", record, true_phi)
+        csv_arms_table(tmp_path / "old_arms.csv", record, true_phi)
+        for name in ("run", "arms"):
+            new = (tmp_path / f"new_{name}.csv").read_bytes()
+            assert new == (tmp_path / f"old_{name}.csv").read_bytes()
+        assert b"nan" in (tmp_path / "new_arms.csv").read_bytes()
+
+    def test_special_values_spelled_as_format(self, tmp_path):
+        record = special_record(len(SPECIALS), np.random.default_rng(0))
+        record.pi[0] = SPECIALS
+        write_round_csv(tmp_path / "run.csv", record, np.zeros(len(SPECIALS)))
+        first = (tmp_path / "run.csv").read_text().splitlines()[1].split(",")
+        assert first[4 : 4 + len(SPECIALS)] == [format(x, ".12g") for x in SPECIALS]
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")  # arm 0 is never selected
+    def test_aggregate_and_compare_tables(self, tmp_path):
+        finite = [x for x in SPECIALS if np.isfinite(x)]
+        rng = np.random.default_rng(5)
+        dirs = []
+        for k, algo in enumerate(["uniform", 'odd,"label"', "uniform"]):
+            ledgers = [FairnessLedger(rng.permutation(finite)) for _ in range(3)]
+            ledgers.append(FairnessLedger(finite[::-1][:-1] + [float("nan")]))
+            d = tmp_path / f"run{k}"
+            d.mkdir()
+            write_aggregate_csv(d / "aggregate.csv", algo, ledgers)
+            csv_aggregate_table(tmp_path / f"old_aggregate{k}.csv", algo, ledgers)
+            assert (d / "aggregate.csv").read_bytes() == (tmp_path / f"old_aggregate{k}.csv").read_bytes()
+            for seed in range(2):
+                write_arms_csv(d / f"arms_seed{seed}.csv", special_record(4, rng), rng.random(4))
+            dirs.append(d)
+        new = compare_runs(dirs, out_prefix=str(tmp_path / "new"))
+        old = csv_compare_tables(dirs, out_prefix=str(tmp_path / "old"))
+        for a, b in zip(new, old):
+            assert a.read_bytes() == b.read_bytes()
+        assert b'"fr_mean_odd,""label"""' in new[0].read_bytes()
+
+    def test_exact_shapley_printout(self, tmp_path, capsys):
+        from ksvfair import fair_policy
+        from ksvfair.cli import build_env, print_exact_shapley, true_shapley
+
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        phi = true_shapley(cfg, build_env(cfg))
+        pi_star = fair_policy(phi, cfg.K).probs
+        print_exact_shapley(path)
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert lines == [
+            f"{a},{format(float(phi.values[a]), '.12g')},{format(float(pi_star[a]), '.12g')}"
+            for a in range(cfg.M)
+        ]
+
+
+class TestOutputDigests:
+    def test_two_runs_print_the_same_lines(self):
+        script = ROOT / "scripts" / "output_digests.py"
+        config = ROOT / "configs" / "synthetic_small.ini"
+        outs = [
+            subprocess.run(
+                [sys.executable, str(script), str(config), "--seeds", "2"],
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outs[0] == outs[1]
+        names = [line.split("  ")[1] for line in outs[0].splitlines()]
+        assert names == [
+            f"synthetic_small/{f}"
+            for f in (
+                "aggregate.csv",
+                "arms_seed1.csv",
+                "arms_seed2.csv",
+                "exact_shapley.txt",
+                "run_seed1.csv",
+                "run_seed2.csv",
+            )
+        ]
+        assert all(len(line.split("  ")[0]) == 64 for line in outs[0].splitlines())

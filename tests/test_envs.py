@@ -17,7 +17,7 @@ from ksvfair import (
     load_edge_list,
 )
 from ksvfair import envs
-from reference import bfs_cascade_pull
+from reference import bfs_cascade_pull, scalar_gaussian_pull
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -137,7 +137,7 @@ class TestSyntheticPull:
         S, n = (1, 3), 50
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         got = env.pull_mean(S, n, rng_a)
-        draws = env.exact(S) + rng_b.normal(0.0, env._noise_scale(S), size=n)
+        draws = env.exact(S) + rng_b.normal(0.0, env._moment(S)[1], size=n)
         assert got == np.clip(draws, 0.0, 1.0).mean()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -191,6 +191,37 @@ class TestSyntheticPull:
             SyntheticEnv([0.5, 0.5], [0.1, -0.1], budget=2)
         with pytest.raises(ValueError):
             SyntheticEnv([0.5, 0.5], budget=3)
+
+
+class TestScalarPullBits:
+    """``pull`` against the earlier ``np.clip(exact + normal(0, sigma))`` pull."""
+
+    @staticmethod
+    def assert_same_stream(oracle, seed=0):
+        sets = [
+            S for s in range(oracle.query_limit + 1)
+            for S in itertools.combinations(range(oracle.n_arms), s)
+        ]
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for S in sets:
+            got = oracle.pull(S, rng_a)
+            assert type(got) is float
+            assert got == scalar_gaussian_pull(oracle, S, rng_b), S
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("curvature", [0.0, 0.25])
+    @pytest.mark.parametrize("noise", ["per-arm", "shared", "zero"])
+    def test_synthetic_every_coalition(self, curvature, noise):
+        kw = {"shared_noise_std": 0.3} if noise == "shared" else {}
+        stds = np.zeros(8) if noise == "zero" else np.linspace(0.1, 0.6, 8)
+        env = make_synthetic(M=8, K=4, curvature=curvature, noise=stds, allow_extra_query=True, **kw)
+        self.assert_same_stream(env)
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.35])
+    def test_game_oracle_every_coalition(self, noise_std):
+        rng = np.random.default_rng(3)
+        game = additive_game(rng.random(6) / 3, 4)
+        self.assert_same_stream(GameOracle(game, noise_std, budget=3, allow_extra_query=True))
 
 
 class TestCascade:

@@ -21,7 +21,9 @@ from ksvfair import (
     run_ksvfair,
     uniform_baseline,
 )
-from ksvfair.policies import round_robin_coalition
+from ksvfair import policies
+from ksvfair.games import canon
+from ksvfair.policies import _Recorder, round_robin_coalition
 
 
 def small_env(M=5, K=2, noise=0.15, allow_extra_query=False):
@@ -328,6 +330,76 @@ class TestEtcgBaseline:
         counts = rec.counts
         assert counts[1] > 150 and counts[3] > 150
         assert counts[0] <= 2 and counts[2] <= 2 and counts[4] <= 2
+
+
+class SpyEnv(SyntheticEnv):
+    """Records the coalition of every pull and pull_mean, as the baselines play them."""
+
+    played: list
+
+    def pull(self, members, rng):
+        self.played.append(canon(members))
+        return super().pull(members, rng)
+
+    def pull_mean(self, members, n, rng):
+        self.played.append(canon(members))
+        return super().pull_mean(members, n, rng)
+
+
+class TestRecorder:
+    """``RunRecord.selected`` marks exactly the coalition each round played."""
+
+    M, K = 6, 2
+
+    def run(self, algo, monkeypatch):
+        env = SpyEnv(
+            np.linspace(0.2, 0.95, self.M),
+            np.linspace(0.1, 0.4, self.M),
+            budget=self.K,
+            curvature=0.25,
+            allow_extra_query=algo == "muras",
+        )
+        env.played = []
+        # the learners name each round's coalition to one shapley_estimation
+        # (or, in muras' uniform phase, get it back from one muras_round)
+        estimate, uniform_round = policies.shapley_estimation, policies.muras_round
+
+        def spy_estimation(S, *args, **kwargs):
+            env.played.append(tuple(S))
+            return estimate(S, *args, **kwargs)
+
+        def spy_round(*args, **kwargs):
+            est = uniform_round(*args, **kwargs)
+            env.played.append(est.coalition)
+            return est
+
+        monkeypatch.setattr(policies, "shapley_estimation", spy_estimation)
+        monkeypatch.setattr(policies, "muras_round", spy_round)
+        runner = {
+            "ksvfair": run_ksvfair,
+            "muras": muras_run,
+            "uniform": uniform_baseline,
+            "etcg": etcg_baseline,
+        }[algo]
+        cfg = PolicyConfig(T=10**6, M=self.M, K=self.K, R=5, L=3, rounds=60, explore_pulls=4)
+        rec = runner(cfg, env, np.random.default_rng(1), seed=1)
+        return rec, env.played
+
+    @pytest.mark.parametrize("algo", ["ksvfair", "muras", "uniform", "etcg"])
+    def test_selected_marks_played_coalitions(self, algo, monkeypatch):
+        rec, played = self.run(algo, monkeypatch)
+        assert rec.selected.dtype == np.uint8
+        assert rec.selected.shape == (rec.n_rounds, self.M) == (60, self.M)
+        assert len(played) == rec.n_rounds
+        for row, S in zip(rec.selected, played):
+            assert tuple(np.flatnonzero(row)) == S
+        if algo in ("uniform", "etcg"):
+            np.testing.assert_array_equal(rec.selected.sum(axis=0), rec.counts)
+
+    def test_empty_run_shape(self):
+        rec = _Recorder(4).finish("uniform", None, small_cfg(M=4), np.zeros(4), np.zeros(4), np.zeros(4))
+        assert rec.selected.shape == (0, 4) and rec.selected.dtype == np.uint8
+        assert rec.pi.shape == (0, 4)
 
 
 class TestConfidenceCoverage:
