@@ -114,6 +114,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError("key 'seeds' must list at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("key 'seeds' contains duplicates")
+        if min(seeds) < 0:
+            raise ConfigError(f"key 'seeds' must be non-negative, got {min(seeds)}")
         algo_sec = sections.setdefault("algo", {})
         env_sec = sections.setdefault("env", {})
 
@@ -189,6 +191,9 @@ def load_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key, value in (("pistar_sims", cfg.pistar_sims), ("pistar_samples", cfg.pistar_samples)):
+        if value < 1:
+            raise ConfigError(f"key '{key}' must be >= 1, got {value}")
     if cfg.env == "synthetic":
         if len(cfg.means) != cfg.M:
             raise ConfigError(f"key 'means' must list m={cfg.M} values, got {len(cfg.means)}")
@@ -357,6 +362,8 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     cfg = load_config(config_path)
     if seed_offset:
         cfg = replace(cfg, seeds=tuple(s + seed_offset for s in cfg.seeds))
+        if min(cfg.seeds) < 0:
+            raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(cfg.seeds)} negative")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -57,7 +57,9 @@ class ValuationOracle:
             raise ValueError(f"arm index out of range in {S} (M={self.n_arms})")
         return S
 
-    def _check_masks(self, masks) -> np.ndarray:
+    def _check_masks(self, masks, n: int) -> np.ndarray:
+        if n < 1:
+            raise ValueError(f"need n >= 1 pulls per coalition, got {n}")
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.n_arms:
             raise ValueError(
@@ -108,7 +110,7 @@ class _GaussianOracle(ValuationOracle):
         return min(max(mu + rng.normal(0.0, sigma), 0.0), 1.0)
 
     def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
-        mus, sigmas = self._moments(self._check_masks(masks))
+        mus, sigmas = self._moments(self._check_masks(masks, n))
         exact = np.clip(mus, 0.0, 1.0)
         if not sigmas.any():
             return exact
@@ -390,7 +392,7 @@ class CascadeEnv(ValuationOracle):
 
     def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
         """Each row's mean of n successive ``pull`` calls, row by row."""
-        rows = [np.flatnonzero(row) for row in self._check_masks(masks)]
+        rows = [np.flatnonzero(row) for row in self._check_masks(masks, n)]
         return np.array([np.mean([self.pull(S, rng) for _ in range(n)]) for S in rows])
 
     def exact(self, members) -> float:

@@ -3,10 +3,12 @@ and the uniform-random / explore-then-commit controls.
 
 A run is a chain of rounds.  Each round selects a coalition of exactly K
 arms, spends oracle pulls on estimation, and logs the selection
-probabilities it played.  Budget currency is oracle pulls: a run stops
-before any round whose literal pull cost would exceed the remaining
-budget, and optionally at a round cap (both limits are exposed because
-pull budget and round count differ by the per-round estimation cost).
+probabilities it played.  Budget currency is oracle pulls: a round's
+literal pull cost depends only on the config, so ``_round_costs`` fixes
+the schedule before round 1, stopping before the first round that would
+pass the pull budget T or the optional round cap (both limits are exposed
+because pull budget and round count differ by the per-round estimation
+cost).
 """
 
 from __future__ import annotations
@@ -213,20 +215,19 @@ class RunRecord:
 
 class _Recorder:
     """Per-round log of one run.  ``log`` keeps references (callers never
-    mutate a logged policy or coalition); ``finish`` copies them into arrays."""
+    mutate a logged policy or coalition); ``finish`` copies them into arrays
+    and reads the per-arm selection counts off the coalitions."""
 
     def __init__(self, M: int):
         self.M = M
         self.pi_rows: list[np.ndarray] = []
         self.coalitions: list[tuple[int, ...]] = []
-        self.pull_rows: list[int] = []
 
-    def log(self, pi: np.ndarray, S, pulls: int) -> None:
+    def log(self, pi: np.ndarray, S) -> None:
         self.pi_rows.append(pi)
         self.coalitions.append(S)
-        self.pull_rows.append(int(pulls))
 
-    def finish(self, algo, seed, cfg, counts, est_phi, est_raw) -> RunRecord:
+    def finish(self, algo, seed, cfg, costs, est_phi, est_raw) -> RunRecord:
         n = len(self.coalitions)
         selected = np.zeros((n, self.M), dtype=np.uint8)
         rows = np.repeat(np.arange(n), [len(S) for S in self.coalitions])
@@ -237,8 +238,8 @@ class _Recorder:
             config=cfg,
             pi=np.array(self.pi_rows, dtype=float) if self.pi_rows else np.zeros((0, self.M)),
             selected=selected,
-            pulls=np.array(self.pull_rows, dtype=int),
-            counts=np.asarray(counts, dtype=int).copy(),
+            pulls=np.array(costs, dtype=int),
+            counts=selected.sum(axis=0, dtype=int),
             est_phi=np.asarray(est_phi, dtype=float).copy(),
             est_phi_raw=np.asarray(est_raw, dtype=float).copy(),
         )
@@ -252,35 +253,40 @@ def _check_oracle(cfg: PolicyConfig, oracle) -> None:
         )
 
 
-def _round_allowed(used: int, cost: int, t: int, cfg: PolicyConfig) -> bool:
-    if cfg.rounds is not None and t > cfg.rounds:
-        return False
-    return used + cost <= cfg.T
+def _round_costs(cfg: PolicyConfig, head, tail: int) -> list[int]:
+    """Pull cost of every round a run plays: the ``head`` costs in order,
+    then ``tail`` per round, stopping before the first round that would pass
+    the round cap or the pull budget T.  The schedule depends only on the
+    config, so every seed of a run plays the same rounds."""
+    cap = cfg.rounds if cfg.rounds is not None else math.inf
+    costs: list[int] = []
+    left = cfg.T
+    for cost in head:
+        if len(costs) >= cap or cost > left:
+            return costs
+        costs.append(cost)
+        left -= cost
+    return costs + [tail] * int(min(left // tail, cap - len(costs)))
 
 
 def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
     """Run the optimistic merit policy until the pull budget or round cap binds."""
     _check_oracle(cfg, oracle)
-    state = PolicyState(cfg.M)
-    rec = _Recorder(cfg.M)
     warm_cost = pull_cost(cfg.K, 1, 1, cfg.reuse_prefix)
     main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
-    used = 0
+    costs = _round_costs(cfg, [warm_cost] * cfg.warm_rounds, main_cost)
+    state = PolicyState(cfg.M)
+    rec = _Recorder(cfg.M)
     pooled = saturated = 0
-    while True:
-        t = state.t + 1
-        merit = t > cfg.warm_rounds
-        if not _round_allowed(used, main_cost if merit else warm_cost, t, cfg):
-            break
+    for _ in costs:
         # an arm with fewer than two pooled marginals keeps the worst-case
         # radius and caps at 1 by design; only count rounds where none does
-        all_pooled = merit and np.all(state.pool_n >= 2)
-        S, pi, est = ksvfair_round(state, cfg, oracle, rng)
+        all_pooled = state.t >= cfg.warm_rounds and np.all(state.pool_n >= 2)
+        S, pi, _ = ksvfair_round(state, cfg, oracle, rng)
         if all_pooled:
             pooled += 1
             saturated += bool(np.all(state.last_phi_plus >= 1.0))
-        used += est.pulls_consumed
-        rec.log(pi, S, est.pulls_consumed)
+        rec.log(pi, S)
     if saturated:
         log.warning(
             "run_ksvfair (seed %s) played uniform in %d of %d merit rounds with every "
@@ -290,7 +296,7 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
             pooled,
             cfg.radius_mode,
         )
-    return rec.finish("ksvfair", seed, cfg, state.counts, state.mean, state.mean_raw)
+    return rec.finish("ksvfair", seed, cfg, costs, state.mean, state.mean_raw)
 
 
 def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -309,36 +315,24 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             "oracle rejects coalitions of size K+1; build the environment with "
             "allow_extra_query=True for this policy"
         )
-    phase1_rounds = cfg.R
-    phase1_cost_each = muras_pull_cost(cfg.M, cfg.L)
-    if cfg.T < phase1_rounds * phase1_cost_each:
-        raise ValueError(
-            f"budget T={cfg.T} cannot cover the {phase1_rounds} uniform estimation "
-            f"rounds ({phase1_rounds * phase1_cost_each} pulls)"
-        )
-    if cfg.rounds is not None and cfg.rounds < phase1_rounds:
-        raise ValueError(f"round cap {cfg.rounds} is below the {phase1_rounds} uniform rounds")
-
     M, K = cfg.M, cfg.K
+    phase1 = [muras_pull_cost(M, cfg.L)] * cfg.R
+    costs = _round_costs(cfg, phase1, pull_cost(K, cfg.R, cfg.L, cfg.reuse_prefix))
+    if len(costs) < len(phase1):
+        raise ValueError(
+            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover the {cfg.R} uniform "
+            f"estimation rounds ({sum(phase1)} pulls)"
+        )
     rec = _Recorder(M)
     state = PolicyState(M)
-    sel_counts = np.zeros(M, dtype=int)
     uniform = np.full(M, K / M)
-    used = 0
-    for _ in range(phase1_rounds):
+    for _ in costs[: cfg.R]:
         est = muras_round(oracle, M, K, cfg.L, rng)
         state.absorb(est)
-        sel_counts[list(est.coalition)] += 1
-        used += est.pulls_consumed
-        rec.log(uniform, est.coalition, est.pulls_consumed)
+        rec.log(uniform, est.coalition)
 
-    main_cost = pull_cost(K, cfg.R, cfg.L, cfg.reuse_prefix)
-    t = phase1_rounds
     fallbacks = 0
-    while True:
-        t += 1
-        if not _round_allowed(used, main_cost, t, cfg):
-            break
+    for _ in costs[cfg.R :]:
         if np.count_nonzero(state.mean) >= K:
             pi = normalize_to_marginals(state.mean, K).probs
         else:
@@ -347,41 +341,32 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
         S = rrs_sample(pi, K, rng)
         est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng, reuse_prefix=cfg.reuse_prefix)
         state.absorb(est, weight=est.n_perms)
-        sel_counts[list(S)] += 1
-        used += est.pulls_consumed
-        rec.log(pi, S, est.pulls_consumed)
+        rec.log(pi, S)
     if fallbacks:
         log.warning(
             "muras_run (seed %s) fell back to uniform in %d of %d merit rounds: "
             "fewer than K=%d arms had a positive estimate",
             seed,
             fallbacks,
-            t - 1 - phase1_rounds,
+            len(costs) - cfg.R,
             K,
         )
-    return rec.finish("muras", seed, cfg, sel_counts, state.mean, state.mean_raw)
+    return rec.finish("muras", seed, cfg, costs, state.mean, state.mean_raw)
 
 
 def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
     """Select K arms uniformly at random each round; one observation per round."""
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
+    costs = _round_costs(cfg, [], 1)
     rec = _Recorder(M)
-    counts = np.zeros(M, dtype=int)
     uniform = np.full(M, K / M)
-    used = 0
-    t = 0
-    while True:
-        t += 1
-        if not _round_allowed(used, 1, t, cfg):
-            break
+    for _ in costs:
         S = tuple(sorted(rng.choice(M, size=K, replace=False).tolist()))
         oracle.pull(S, rng)
-        counts[list(S)] += 1
-        used += 1
-        rec.log(uniform, S, 1)
+        rec.log(uniform, S)
     nan = np.full(M, np.nan)
-    return rec.finish("uniform", seed, cfg, counts, nan, nan)
+    return rec.finish("uniform", seed, cfg, costs, nan, nan)
 
 
 def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -395,51 +380,33 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
-    explore_rounds = sum(M - k for k in range(K))
-    explore_cost = cfg.explore_pulls * explore_rounds
-    if cfg.T < explore_cost or (cfg.rounds is not None and cfg.rounds < explore_rounds):
+    sweep = [cfg.explore_pulls] * sum(M - k for k in range(K))
+    costs = _round_costs(cfg, sweep, 1)
+    if len(costs) < len(sweep):
         raise ValueError(
             f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover one exploration "
-            f"sweep of {explore_rounds} rounds / {explore_cost} pulls"
+            f"sweep of {len(sweep)} rounds / {sum(sweep)} pulls"
         )
     rec = _Recorder(M)
-    counts = np.zeros(M, dtype=int)
-    used = 0
-    t = 0
     prefix: list[int] = []
-    aborted = False
     for _ in range(K):
         candidates = [a for a in range(M) if a not in prefix]
         best_arm, best_mean = candidates[0], -np.inf
         for cand in candidates:
-            t += 1
-            if not _round_allowed(used, cfg.explore_pulls, t, cfg):
-                aborted = True
-                break
             played = tuple(sorted(prefix + [cand]))
             m = oracle.pull_mean(played, cfg.explore_pulls, rng)
             indicator = np.zeros(M)
             indicator[list(played)] = 1.0
-            counts[list(played)] += 1
-            used += cfg.explore_pulls
-            rec.log(indicator, played, cfg.explore_pulls)
+            rec.log(indicator, played)
             if m > best_mean:
                 best_arm, best_mean = cand, m
-        if aborted:
-            break
         prefix.append(best_arm)
 
-    if not aborted:
-        committed = tuple(sorted(prefix))
-        indicator = np.zeros(M)
-        indicator[list(committed)] = 1.0
-        while True:
-            t += 1
-            if not _round_allowed(used, 1, t, cfg):
-                break
-            oracle.pull(committed, rng)
-            counts[list(committed)] += 1
-            used += 1
-            rec.log(indicator, committed, 1)
+    committed = tuple(sorted(prefix))
+    indicator = np.zeros(M)
+    indicator[list(committed)] = 1.0
+    for _ in costs[len(sweep) :]:
+        oracle.pull(committed, rng)
+        rec.log(indicator, committed)
     nan = np.full(M, np.nan)
-    return rec.finish("etcg", seed, cfg, counts, nan, nan)
+    return rec.finish("etcg", seed, cfg, costs, nan, nan)

@@ -11,6 +11,9 @@ The scalar estimators and sampler are the library's earlier one-tuple-at-a-
 time code, kept so the array versions can be checked against them exactly:
 same estimates, same pull counts and the same generator state afterwards.
 
+The round-by-round stop rule is the runners' earlier ``while`` loop over
+``_round_allowed``, kept so the up-front schedule can be checked against it.
+
 The CSV writers and the scalar Gaussian pull are the library's earlier
 ``csv.writer`` + ``format(x, ".12g")`` writers and ``np.clip`` pull, kept so
 the faster code can be pinned to them byte for byte and bit for bit.
@@ -258,6 +261,28 @@ def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     if any(picked[j] == picked[j + 1] for j in range(K - 1)):
         raise RepeatedPickError(f"arm picked twice in {picked}")
     return picked
+
+
+def _round_allowed(used: int, cost: int, t: int, cfg) -> bool:
+    if cfg.rounds is not None and t > cfg.rounds:
+        return False
+    return used + cost <= cfg.T
+
+
+def loop_round_costs(cfg, head, tail: int) -> list[int]:
+    """Costs of the rounds played one at a time: the ``head`` costs, then
+    ``tail`` per round, until ``_round_allowed`` first refuses a round."""
+    costs: list[int] = []
+    used = 0
+    t = 0
+    while True:
+        t += 1
+        cost = head[t - 1] if t <= len(head) else tail
+        if not _round_allowed(used, cost, t, cfg):
+            break
+        used += cost
+        costs.append(cost)
+    return costs
 
 
 def _fmt(x) -> str:

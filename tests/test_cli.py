@@ -105,6 +105,9 @@ class TestLoadConfig:
             ("radius_mode", "bogus"),
             ("explore_pulls", "0"),
             ("delta1", "1.5"),
+            ("pistar_sims", "0"),
+            ("pistar_samples", "0"),
+            ("seeds", "-1"),
         ],
     )
     def test_invalid_policy_value(self, tmp_path, key, value):
@@ -115,7 +118,8 @@ class TestLoadConfig:
             for line in SMALL_CONFIG.format(algo="ksvfair", rounds=25, seeds="1", out=out).splitlines()
             if not line.startswith(f"{key} =")
         ]
-        lines.insert(lines.index("[run]" if key == "rounds" else "[algo]") + 1, f"{key} = {value}")
+        section = {"rounds": "run", "seeds": "run", "pistar_sims": "env", "pistar_samples": "env"}
+        lines.insert(lines.index(f"[{section.get(key, 'algo')}]") + 1, f"{key} = {value}")
         p = tmp_path / "bad.ini"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError):
@@ -140,6 +144,23 @@ class TestLoadConfig:
     def test_shipped_configs_load(self, monkeypatch, name):
         monkeypatch.chdir(ROOT)
         assert load_config(Path("configs") / name).seeds
+
+    @pytest.mark.parametrize("key", ["pistar_sims", "pistar_samples"])
+    def test_cascade_fair_target_size_checked_at_load(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(ROOT)
+        out = tmp_path / "out"
+        p = tmp_path / "cascade.ini"
+        p.write_text(
+            "[run]\nalgo = ksvfair\nenv = cascade\nt = 500000\nrounds = 12\nseeds = 1\n"
+            f"out_dir = {out}\n"
+            "[algo]\nr = 2\nl = 1\n"
+            "[env]\nm = 8\nk = 2\ngraph_path = data/toy_8.edges\n"
+            f"activation_p = 0.3\n{key} = 0\n"
+        )
+        with pytest.raises(ConfigError, match=f"key '{key}' must be >= 1, got 0"):
+            load_config(p)
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_enumeration_bound_not_arm_count(self, tmp_path):
         from ksvfair.cli import build_env, true_shapley
@@ -207,6 +228,15 @@ class TestRunExperiment:
         cfg = write_config(tmp_path, seeds="1")
         out = run_experiment(cfg, seed_offset=100, out_dir=tmp_path / "shifted")
         assert (out / "run_seed101.csv").exists()
+
+    def test_negative_seed_offset_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "shifted"
+        cfg = write_config(tmp_path, seeds="1,4")
+        with pytest.raises(ConfigError, match="seed-offset -2 makes seed -1 negative"):
+            run_experiment(cfg, seed_offset=-2, out_dir=out)
+        argv = ["run", "--config", str(cfg), "--seed-offset", "-2", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, rounds=12)

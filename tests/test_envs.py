@@ -224,6 +224,31 @@ class TestScalarPullBits:
         self.assert_same_stream(GameOracle(game, noise_std, budget=3, allow_extra_query=True))
 
 
+class TestPullCount:
+    """Every oracle refuses a mean of fewer than one pull, before drawing."""
+
+    ORACLES = {
+        "synthetic-noisy": lambda: make_synthetic(noise=np.full(4, 0.2)),
+        "synthetic-noiseless": lambda: make_synthetic(),
+        "game": lambda: GameOracle(additive_game([0.1, 0.2, 0.3, 0.4], 2), 0.3, budget=2),
+        "cascade": lambda: CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=2),
+    }
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_fewer_than_one_pull_rejected(self, name, n):
+        oracle = self.ORACLES[name]()
+        masks = np.zeros((2, oracle.n_arms), dtype=bool)
+        masks[0, :2] = True
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n >= 1"):
+            oracle.pull_mean_many(masks, n, rng)
+        with pytest.raises(ValueError, match="n >= 1"):
+            oracle.pull_mean((0, 1), n, rng)
+        assert rng.bit_generator.state == before
+
+
 class TestCascade:
     def test_no_spread_returns_seed_fraction(self):
         env = CascadeEnv(path_graph(3), 0.0, budget=2)

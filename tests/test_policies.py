@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksvfair import (
     GameOracle,
@@ -23,7 +25,8 @@ from ksvfair import (
 )
 from ksvfair import policies
 from ksvfair.games import canon
-from ksvfair.policies import _Recorder, round_robin_coalition
+from ksvfair.policies import _Recorder, _round_costs, round_robin_coalition
+from reference import loop_round_costs
 
 
 def small_env(M=5, K=2, noise=0.15, allow_extra_query=False):
@@ -247,6 +250,11 @@ class TestMuras:
         rec = muras_run(fits, oracle, np.random.default_rng(0))
         assert rec.n_rounds == cfg.R and rec.pulls.sum() == fits.T
 
+    def test_round_cap_below_phase1_rejected(self):
+        cfg = PolicyConfig(T=10**9, M=4, K=2, R=6, L=2, rounds=5)
+        with pytest.raises(ValueError, match=r"rounds=5\) cannot cover the 6 uniform estimation"):
+            muras_run(cfg, self.make_oracle(), np.random.default_rng(0))
+
     def test_strict_oracle_rejected(self):
         cfg = PolicyConfig(T=10**9, M=4, K=2, R=2, L=2, rounds=5)
         strict = GameOracle(additive_game([0.1, 0.2, 0.3, 0.4], 2))
@@ -322,6 +330,15 @@ class TestEtcgBaseline:
         with pytest.raises(ValueError, match="exploration"):
             etcg_baseline(cfg, oracle, np.random.default_rng(0))
 
+    def test_budget_and_cap_exactly_covering_the_sweep(self):
+        # 5 + 4 exploration rounds of 4 pulls: the sweep and not one commit round
+        oracle = GameOracle(additive_game([0.05, 0.4, 0.1, 0.3, 0.15], 2))
+        for T, rounds in [(36, None), (10**6, 9), (36, 9)]:
+            cfg = PolicyConfig(T=T, M=5, K=2, R=1, L=1, rounds=rounds, explore_pulls=4)
+            rec = etcg_baseline(cfg, oracle, np.random.default_rng(0))
+            assert rec.n_rounds == 9 and rec.total_pulls == 36
+            assert np.all(rec.pulls == 4)
+
     def test_non_committed_arms_rarely_selected(self):
         w = [0.05, 0.4, 0.1, 0.3, 0.15]
         cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=1, rounds=200, explore_pulls=4)
@@ -393,13 +410,38 @@ class TestRecorder:
         assert len(played) == rec.n_rounds
         for row, S in zip(rec.selected, played):
             assert tuple(np.flatnonzero(row)) == S
-        if algo in ("uniform", "etcg"):
-            np.testing.assert_array_equal(rec.selected.sum(axis=0), rec.counts)
+        np.testing.assert_array_equal(rec.counts, rec.selected.sum(axis=0))
 
     def test_empty_run_shape(self):
-        rec = _Recorder(4).finish("uniform", None, small_cfg(M=4), np.zeros(4), np.zeros(4), np.zeros(4))
+        rec = _Recorder(4).finish("uniform", None, small_cfg(M=4), [], np.zeros(4), np.zeros(4))
         assert rec.selected.shape == (0, 4) and rec.selected.dtype == np.uint8
         assert rec.pi.shape == (0, 4)
+        assert rec.pulls.shape == (0,) and rec.n_rounds == 0
+        np.testing.assert_array_equal(rec.counts, np.zeros(4, dtype=int))
+
+
+class TestRoundCosts:
+    """The up-front schedule against the round-by-round stop rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        T=st.integers(3, 400),
+        cap=st.one_of(st.none(), st.integers(1, 40)),
+        head=st.lists(st.integers(1, 60), max_size=12),
+        tail=st.integers(1, 50),
+    )
+    def test_matches_round_by_round_loop(self, T, cap, head, tail):
+        cfg = PolicyConfig(T=T, M=3, K=2, R=1, L=1, rounds=cap)
+        costs = _round_costs(cfg, head, tail)
+        assert costs == loop_round_costs(cfg, head, tail)
+        assert all(type(c) is int for c in costs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(head=st.lists(st.integers(1, 60), min_size=2, max_size=12), data=st.data())
+    def test_cap_inside_the_head(self, head, data):
+        cap = data.draw(st.integers(1, len(head) - 1))
+        cfg = PolicyConfig(T=10**6, M=3, K=2, R=1, L=1, rounds=cap)
+        assert _round_costs(cfg, head, 1) == loop_round_costs(cfg, head, 1) == head[:cap]
 
 
 class TestConfidenceCoverage:
