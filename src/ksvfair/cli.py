@@ -35,7 +35,15 @@ import numpy as np
 from .envs import CascadeEnv, SyntheticEnv, load_edge_list
 from .games import MAX_EXACT_COALITIONS, ShapleyVector, exact_cost, exact_k_shapley, sampled_k_shapley
 from .metrics import FairnessLedger, fair_policy, merit_to_selection
-from .policies import PolicyConfig, RunRecord, etcg_baseline, muras_run, run_ksvfair, uniform_baseline
+from .policies import (
+    SCHEDULES,
+    PolicyConfig,
+    RunRecord,
+    etcg_baseline,
+    muras_run,
+    run_ksvfair,
+    uniform_baseline,
+)
 
 log = logging.getLogger(__name__)
 
@@ -180,11 +188,12 @@ def load_config(path) -> RunConfig:
         for name, sec in sections.items():
             if sec:
                 raise ConfigError(f"unknown key '{next(iter(sec))}' in section [{name}]")
+        SCHEDULES[algo](policy)  # rejects a budget that cannot cover the fixed phase
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"missing config section {exc}") from exc
-    except ValueError as exc:  # PolicyConfig rejected an [algo]/[run] value
+    except ValueError as exc:  # PolicyConfig or the schedule rejected a value
         raise ConfigError(str(exc)) from exc
     _validate(cfg)
     return cfg
@@ -282,23 +291,34 @@ def _header(fields) -> str:
     return ",".join(_quote(f) for f in fields) + "\r\n"
 
 
-def _run_one(cfg: RunConfig, seed: int) -> RunRecord:
-    oracle = build_env(cfg)
+def _run_one(cfg: RunConfig, oracle, seed: int) -> RunRecord:
     rng = np.random.default_rng(seed)
     return _RUNNERS[cfg.algo](cfg.policy, oracle, rng, seed=seed)
+
+
+def _row_texts(rows: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % row`` for each row of a 2-D array.  A row with the same bit
+    pattern as the one before it reuses that row's text, so only the first
+    of a run of repeated rows is formatted; bits rather than values are
+    compared, so -0.0 after 0.0 is formatted anew."""
+    rows = np.ascontiguousarray(rows)
+    bits = rows.view(f"u{rows.itemsize}")
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    texts = np.array([fmt % tuple(row) for row in rows[new].tolist()], dtype=object)
+    return texts.repeat(np.diff(np.append(np.flatnonzero(new), len(rows)))).tolist()
 
 
 def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLedger:
     ledger = FairnessLedger.from_run(pi_star, record.pi)
     M = record.pi.shape[1]
-    row = "%d,%d,%.12g,%.12g" + ",%.12g" * M + ",%d" * M + "\r\n"
     columns = zip(
         range(1, record.n_rounds + 1),
         record.pulls_cum.tolist(),
         ledger.l1.tolist(),
         ledger.fr_cum.tolist(),
-        record.pi.tolist(),
-        record.selected.tolist(),
+        _row_texts(record.pi, ",%.12g" * M),
+        _row_texts(record.selected, ",%d" * M + "\r\n"),
     )
     with open(path, "w", newline="") as fh:
         fh.write(
@@ -308,7 +328,7 @@ def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLed
                 + [f"sel_{a}" for a in range(M)]
             )
         )
-        fh.writelines(row % (t, pulls, l1, fr, *pi, *sel) for t, pulls, l1, fr, pi, sel in columns)
+        fh.writelines("%d,%d,%.12g,%.12g%s%s" % row for row in columns)
     return ledger
 
 
@@ -372,11 +392,13 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     phi = true_shapley(cfg, oracle)
     pi_star = fair_policy(phi, cfg.K).probs
 
+    # every seed plays the oracle the target was built from: it never mutates
     if workers > 1:
+        n = len(cfg.seeds)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, [cfg] * len(cfg.seeds), cfg.seeds))
+            records = list(pool.map(_run_one, [cfg] * n, [oracle] * n, cfg.seeds))
     else:
-        records = [_run_one(cfg, s) for s in cfg.seeds]
+        records = [_run_one(cfg, oracle, s) for s in cfg.seeds]
 
     ledgers = []
     for seed, record in zip(cfg.seeds, records):

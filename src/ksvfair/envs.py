@@ -354,6 +354,8 @@ class CascadeEnv(ValuationOracle):
             raise ValueError(f"need 1 <= K <= n, got K={budget}, n={graph.n_nodes}")
         if exact_sims < 1:
             raise ValueError("exact_sims must be >= 1")
+        if exact_seed < 0:
+            raise ValueError("exact_seed must be >= 0")
         self.graph = graph
         self.activation_p = float(activation_p)
         self.n_arms = graph.n_nodes
@@ -361,6 +363,12 @@ class CascadeEnv(ValuationOracle):
         self.query_limit = self.budget + (1 if allow_extra_query else 0)
         self.exact_sims = int(exact_sims)
         self.exact_seed = int(exact_seed)
+        # the seed as SeedSequence splits an int: 32-bit words, low first, at least one
+        words, rest = [], self.exact_seed
+        while not words or rest:
+            words.append(rest & 0xFFFFFFFF)
+            rest >>= 32
+        self._seed_words = np.array(words, dtype=np.uint32)
         self._ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
 
     def _spread_counts(self, S, live: np.ndarray) -> np.ndarray:
@@ -387,6 +395,25 @@ class CascadeEnv(ValuationOracle):
             active |= frontier
         return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
 
+    def _mean_spread(self, S: tuple[int, ...], n_sims: int, rng) -> float:
+        """``cascade_exact`` of a checked coalition."""
+        if n_sims < 1:
+            raise ValueError("n_sims must be >= 1")
+        if not S:
+            return 0.0
+        rows = max(1, _CHUNK_DRAWS // max(1, self.graph.n_edges))
+        total = 0
+        for start in range(0, n_sims, rows):
+            # one row of edge coins per world, in draw order
+            live = rng.random((min(rows, n_sims - start), self.graph.n_edges)) < self.activation_p
+            total += int(self._spread_counts(S, live).sum())
+        return total / (self.n_arms * n_sims)
+
+    def _exact_rng(self, S: tuple[int, ...]) -> np.random.Generator:
+        """The generator ``exact`` draws S's worlds from: the stream of
+        ``default_rng((exact_seed, *S))``, seeded from one uint32 array."""
+        return np.random.default_rng(np.concatenate((self._seed_words, np.array(S, dtype=np.uint32))))
+
     def pull(self, members, rng) -> float:
         return cascade_exact(self, members, 1, rng)
 
@@ -397,7 +424,7 @@ class CascadeEnv(ValuationOracle):
 
     def exact(self, members) -> float:
         S = self._checked(members)
-        return cascade_exact(self, S, self.exact_sims, np.random.default_rng((self.exact_seed, *S)))
+        return self._mean_spread(S, self.exact_sims, self._exact_rng(S))
 
 
 def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
@@ -407,15 +434,4 @@ def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
     n_sims successive ``env.pull`` calls (each the n_sims = 1 case) would
     and returns their mean, up to rounding.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    S = env._checked(members)
-    if not S:
-        return 0.0
-    rows = max(1, _CHUNK_DRAWS // max(1, env.graph.n_edges))
-    total = 0
-    for start in range(0, n_sims, rows):
-        # one row of edge coins per world, in draw order
-        live = rng.random((min(rows, n_sims - start), env.graph.n_edges)) < env.activation_p
-        total += int(env._spread_counts(S, live).sum())
-    return total / (env.n_arms * n_sims)
+    return env._mean_spread(env._checked(members), n_sims, rng)

@@ -4,11 +4,12 @@ and the uniform-random / explore-then-commit controls.
 A run is a chain of rounds.  Each round selects a coalition of exactly K
 arms, spends oracle pulls on estimation, and logs the selection
 probabilities it played.  Budget currency is oracle pulls: a round's
-literal pull cost depends only on the config, so ``_round_costs`` fixes
-the schedule before round 1, stopping before the first round that would
-pass the pull budget T or the optional round cap (both limits are exposed
-because pull budget and round count differ by the per-round estimation
-cost).
+literal pull cost depends only on the config, so each runner's schedule
+function (``SCHEDULES``) fixes the rounds before round 1, stopping before
+the first round that would pass the pull budget T or the optional round cap
+(both limits are exposed because pull budget and round count differ by the
+per-round estimation cost).  A config too small for a runner's fixed phase
+is rejected by its schedule, before any pull.
 """
 
 from __future__ import annotations
@@ -232,17 +233,22 @@ class _Recorder:
         selected = np.zeros((n, self.M), dtype=np.uint8)
         rows = np.repeat(np.arange(n), [len(S) for S in self.coalitions])
         selected[rows, np.fromiter(itertools.chain.from_iterable(self.coalitions), np.intp)] = 1
-        return RunRecord(
-            algo=algo,
-            seed=seed,
-            config=cfg,
-            pi=np.array(self.pi_rows, dtype=float) if self.pi_rows else np.zeros((0, self.M)),
-            selected=selected,
-            pulls=np.array(costs, dtype=int),
-            counts=selected.sum(axis=0, dtype=int),
-            est_phi=np.asarray(est_phi, dtype=float).copy(),
-            est_phi_raw=np.asarray(est_raw, dtype=float).copy(),
-        )
+        pi = np.array(self.pi_rows, dtype=float) if self.pi_rows else np.zeros((0, self.M))
+        return _record(algo, seed, cfg, costs, pi, selected, est_phi, est_raw)
+
+
+def _record(algo, seed, cfg, costs, pi, selected, est_phi, est_raw) -> RunRecord:
+    return RunRecord(
+        algo=algo,
+        seed=seed,
+        config=cfg,
+        pi=pi,
+        selected=selected,
+        pulls=np.array(costs, dtype=int),
+        counts=selected.sum(axis=0, dtype=int),
+        est_phi=np.asarray(est_phi, dtype=float).copy(),
+        est_phi_raw=np.asarray(est_raw, dtype=float).copy(),
+    )
 
 
 def _check_oracle(cfg: PolicyConfig, oracle) -> None:
@@ -269,12 +275,50 @@ def _round_costs(cfg: PolicyConfig, head, tail: int) -> list[int]:
     return costs + [tail] * int(min(left // tail, cap - len(costs)))
 
 
+def ksvfair_schedule(cfg: PolicyConfig) -> list[int]:
+    """Round costs of ``run_ksvfair``: ceil(M/K) one-pull-per-member warm-up
+    rounds, then R orderings of L pulls per round."""
+    warm_cost = pull_cost(cfg.K, 1, 1, cfg.reuse_prefix)
+    main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
+    return _round_costs(cfg, [warm_cost] * cfg.warm_rounds, main_cost)
+
+
+def muras_schedule(cfg: PolicyConfig) -> list[int]:
+    """Round costs of ``muras_run``: R uniform estimation rounds, which the
+    budget must cover, then merit rounds of R orderings of L pulls."""
+    phase1 = [muras_pull_cost(cfg.M, cfg.L)] * cfg.R
+    costs = _round_costs(cfg, phase1, pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix))
+    if len(costs) < len(phase1):
+        raise ValueError(
+            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover the {cfg.R} uniform "
+            f"estimation rounds ({sum(phase1)} pulls)"
+        )
+    return costs
+
+
+def uniform_schedule(cfg: PolicyConfig) -> list[int]:
+    """Round costs of ``uniform_baseline``: one pull per round."""
+    return _round_costs(cfg, [], 1)
+
+
+def etcg_schedule(cfg: PolicyConfig) -> list[int]:
+    """Round costs of ``etcg_baseline``: one exploration sweep of
+    ``explore_pulls`` per candidate, which the budget must cover, then one
+    pull per commit round."""
+    sweep = [cfg.explore_pulls] * sum(cfg.M - k for k in range(cfg.K))
+    costs = _round_costs(cfg, sweep, 1)
+    if len(costs) < len(sweep):
+        raise ValueError(
+            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover one exploration "
+            f"sweep of {len(sweep)} rounds / {sum(sweep)} pulls"
+        )
+    return costs
+
+
 def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
     """Run the optimistic merit policy until the pull budget or round cap binds."""
     _check_oracle(cfg, oracle)
-    warm_cost = pull_cost(cfg.K, 1, 1, cfg.reuse_prefix)
-    main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
-    costs = _round_costs(cfg, [warm_cost] * cfg.warm_rounds, main_cost)
+    costs = ksvfair_schedule(cfg)
     state = PolicyState(cfg.M)
     rec = _Recorder(cfg.M)
     pooled = saturated = 0
@@ -316,13 +360,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             "allow_extra_query=True for this policy"
         )
     M, K = cfg.M, cfg.K
-    phase1 = [muras_pull_cost(M, cfg.L)] * cfg.R
-    costs = _round_costs(cfg, phase1, pull_cost(K, cfg.R, cfg.L, cfg.reuse_prefix))
-    if len(costs) < len(phase1):
-        raise ValueError(
-            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover the {cfg.R} uniform "
-            f"estimation rounds ({sum(phase1)} pulls)"
-        )
+    costs = muras_schedule(cfg)
     rec = _Recorder(M)
     state = PolicyState(M)
     uniform = np.full(M, K / M)
@@ -355,18 +393,22 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
 
 
 def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
-    """Select K arms uniformly at random each round; one observation per round."""
+    """Select K arms uniformly at random each round; one observation per round.
+
+    The policy never reads a reward, so every round is drawn up front: one
+    independent shuffle of the arms per round, whose first K are that
+    round's coalition, then one batched call pulls each coalition once.
+    """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
-    costs = _round_costs(cfg, [], 1)
-    rec = _Recorder(M)
-    uniform = np.full(M, K / M)
-    for _ in costs:
-        S = tuple(sorted(rng.choice(M, size=K, replace=False).tolist()))
-        oracle.pull(S, rng)
-        rec.log(uniform, S)
+    costs = uniform_schedule(cfg)
+    n = len(costs)
+    arms = rng.permuted(np.tile(np.arange(M), (n, 1)), axis=1)[:, :K]
+    selected = np.zeros((n, M), dtype=np.uint8)
+    np.put_along_axis(selected, arms, 1, axis=1)
+    oracle.pull_mean_many(selected.view(bool), 1, rng)
     nan = np.full(M, np.nan)
-    return rec.finish("uniform", seed, cfg, costs, nan, nan)
+    return _record("uniform", seed, cfg, costs, np.full((n, M), K / M), selected, nan, nan)
 
 
 def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -380,13 +422,7 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
-    sweep = [cfg.explore_pulls] * sum(M - k for k in range(K))
-    costs = _round_costs(cfg, sweep, 1)
-    if len(costs) < len(sweep):
-        raise ValueError(
-            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover one exploration "
-            f"sweep of {len(sweep)} rounds / {sum(sweep)} pulls"
-        )
+    costs = etcg_schedule(cfg)
     rec = _Recorder(M)
     prefix: list[int] = []
     for _ in range(K):
@@ -405,8 +441,17 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     committed = tuple(sorted(prefix))
     indicator = np.zeros(M)
     indicator[list(committed)] = 1.0
-    for _ in costs[len(sweep) :]:
+    for _ in costs[len(rec.coalitions) :]:  # the rounds after the sweep
         oracle.pull(committed, rng)
         rec.log(indicator, committed)
     nan = np.full(M, np.nan)
     return rec.finish("etcg", seed, cfg, costs, nan, nan)
+
+
+# each runner's round schedule, by algorithm name, for checking a config
+SCHEDULES = {
+    "ksvfair": ksvfair_schedule,
+    "muras": muras_schedule,
+    "uniform": uniform_schedule,
+    "etcg": etcg_schedule,
+}

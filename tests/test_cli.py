@@ -247,6 +247,23 @@ class TestRunExperiment:
         for name in ("run_seed1.csv", "run_seed2.csv", "aggregate.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_one_environment_per_run(self, tmp_path, monkeypatch, threads):
+        # each build is logged with its process id, so a forked worker's shows too
+        built = tmp_path / "built.txt"
+        build = cli.build_env
+
+        def logged(cfg):
+            with open(built, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "build_env", logged)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv("KSV_THREADS", threads)
+        run_experiment(write_config(tmp_path, rounds=6, seeds="1,2,3"), out_dir=tmp_path / "o")
+        assert built.read_text().split() == [str(os.getpid())]
+
     def test_non_integer_thread_cap_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSV_THREADS", "two")
         with pytest.raises(ConfigError, match="KSV_THREADS.*'two'"):
@@ -356,12 +373,39 @@ class TestMainEntry:
         bad.write_text("[run]\nalgo = nope\n")
         assert main(["run", "--config", str(bad)]) == 2
 
-    def test_runtime_error_exit_one(self, tmp_path):
-        # budget passes validation but cannot cover the uniform phase
+    def test_runtime_error_exit_one(self, tmp_path, capsys):
+        # two finished runs whose round grids differ cannot be joined
+        a = run_experiment(write_config(tmp_path, rounds=8, name="a.ini"))
+        b = run_experiment(write_config(tmp_path, algo="uniform", rounds=9, name="b.ini"))
+        assert main(["compare", str(a), str(b), "--out-prefix", str(tmp_path / "cmp")]) == 1
+        assert "round grid does not match" in capsys.readouterr().err
+        assert not (tmp_path / "cmp.csv").exists()
+
+    @pytest.mark.parametrize(
+        "algo,budget,message",
+        [
+            # muras: R = 4 uniform rounds of 2 L M = 20 pulls
+            ("muras", ("t = 1000000", "t = 50"), r"T=50, rounds=30\) cannot cover the 4 uniform"),
+            ("muras", ("rounds = 30", "rounds = 3"), r"rounds=3\) cannot cover the 4 uniform"),
+            # etcg: one sweep of 5 + 4 rounds of explore_pulls = 20
+            ("etcg", ("t = 1000000", "t = 179"), "cannot cover one exploration sweep of 9 rounds / 180"),
+            ("etcg", ("rounds = 30", "rounds = 8"), r"rounds=8\) cannot cover one exploration"),
+        ],
+        ids=["muras-t", "muras-rounds", "etcg-t", "etcg-rounds"],
+    )
+    def test_unfit_schedule_exit_two_before_any_work(self, tmp_path, monkeypatch, algo, budget, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("fair target built for a config whose schedule cannot fit")
+
+        monkeypatch.setattr(cli, "true_shapley", fail)
+        out = tmp_path / "o"
         cfg = tmp_path / "c.ini"
-        text = SMALL_CONFIG.format(algo="muras", rounds=30, seeds="1", out=tmp_path / "o")
-        cfg.write_text(text.replace("t = 1000000", "t = 50"))
-        assert main(["run", "--config", cfg.as_posix()]) == 1
+        text = SMALL_CONFIG.format(algo=algo, rounds=30, seeds="1", out=out)
+        cfg.write_text(text.replace(*budget))
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert main(["run", "--config", cfg.as_posix()]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_console_script_invocation(self, tmp_path):
         cfg = write_config(tmp_path, rounds=8)
@@ -412,6 +456,26 @@ def special_record(M, rng):
     )
 
 
+def rows_record(pi, selected):
+    pi = np.asarray(pi, dtype=float)
+    n, M = pi.shape
+    return RunRecord(
+        algo="uniform",
+        seed=0,
+        config=PolicyConfig(T=10**6, M=M, K=1, R=1, L=1),
+        pi=pi,
+        selected=np.asarray(selected, dtype=np.uint8).reshape(n, M),
+        pulls=np.ones(n, dtype=int),
+        counts=np.zeros(M, dtype=int),
+        est_phi=np.zeros(M),
+        est_phi_raw=np.zeros(M),
+    )
+
+
+def nan_with_payload(payload):
+    return np.array([payload], dtype=np.uint64).view(float)[0]
+
+
 class TestWriterBytes:
     """The row-template writers against the csv.writer + format(x, ".12g") ones."""
 
@@ -429,6 +493,36 @@ class TestWriterBytes:
             new = (tmp_path / f"new_{name}.csv").read_bytes()
             assert new == (tmp_path / f"old_{name}.csv").read_bytes()
         assert b"nan" in (tmp_path / "new_arms.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "pi,selected",
+        [
+            # a run of identical rows, then a new row, then a run of it
+            ([[0.25, 0.75]] * 4 + [[0.5, 0.5]] * 3, [[1, 0]] * 5 + [[0, 1]] * 2),
+            # alternating rows
+            ([[0.1, 0.9], [0.9, 0.1]] * 3, [[1, 0], [0, 1], [0, 1], [1, 0], [1, 0], [0, 1]]),
+            # equal as floats, different bits: the text differs ("-0") or not ("nan")
+            (
+                [[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]
+                + [[nan_with_payload(0x7FF8000000000000 | p), 0.5] for p in (0, 1, 1, 2)]
+                + [[-np.nan, 0.5]],
+                [[0, 1]] * 9,
+            ),
+            # M = 1
+            ([[1.0]] * 3 + [[0.5]], [[1]] * 4),
+            # an empty record
+            (np.zeros((0, 3)), np.zeros((0, 3))),
+        ],
+        ids=["runs", "alternating", "bits", "one-arm", "empty"],
+    )
+    def test_repeated_rows(self, tmp_path, pi, selected):
+        record = rows_record(pi, selected)
+        pi_star = np.linspace(0.0, 1.0, record.pi.shape[1])
+        write_round_csv(tmp_path / "new.csv", record, pi_star)
+        csv_round_table(tmp_path / "old.csv", record, pi_star)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert len(new.splitlines()) == record.n_rounds + 1
 
     def test_special_values_spelled_as_format(self, tmp_path):
         record = special_record(len(SPECIALS), np.random.default_rng(0))

@@ -299,6 +299,24 @@ class TestCascade:
         assert a == b
         assert env1.exact((0, 2)) == a  # recomputed from the same per-coalition seed
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+    def test_exact_stream_is_the_tuple_seeded_one(self, seed):
+        env = CascadeEnv(path_graph(40), 0.3, budget=6, exact_sims=3, exact_seed=seed)
+        rng = np.random.default_rng(seed % 1000)
+        coalitions = [(), (0,), (39,)] + [
+            tuple(sorted(rng.choice(40, size=k, replace=False).tolist())) for k in range(2, 7)
+        ]
+        for S in coalitions:
+            state = np.random.default_rng((seed, *S)).bit_generator.state
+            assert env._exact_rng(S).bit_generator.state == state
+            if S:
+                tuple_seeded = cascade_exact(env, S, 3, np.random.default_rng((seed, *S)))
+                assert env.exact(S) == tuple_seeded
+
+    def test_negative_exact_seed_rejected(self):
+        with pytest.raises(ValueError, match="exact_seed"):
+            CascadeEnv(path_graph(3), 0.3, budget=1, exact_seed=-1)
+
     def test_invalid_seed_node(self):
         env = CascadeEnv(path_graph(3), 0.3, budget=2)
         with pytest.raises(ValueError):

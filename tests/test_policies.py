@@ -1,8 +1,10 @@
 """Policy round mechanics, confidence radii, budget ledgers, determinism."""
 
+import itertools
 import logging
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -308,6 +310,49 @@ class TestUniformBaseline:
         band = 3 * math.sqrt(0.4 * 0.6 / 4000)
         assert np.all(np.abs(freq - 0.4) < band)
 
+    def test_every_subset_equally_likely(self):
+        # each of the C(5, 2) = 10 pairs has frequency 1/10; the band is 4.5
+        # binomial standard deviations, so a fair draw leaves it with
+        # probability about 7e-5 over the 10 pairs
+        n = 20_000
+        cfg = PolicyConfig(T=10**9, M=5, K=2, R=1, L=1, rounds=n)
+        rec = uniform_baseline(cfg, small_env(), np.random.default_rng(2))
+        pairs = Counter(tuple(np.flatnonzero(row).tolist()) for row in rec.selected)
+        assert sorted(pairs) == list(itertools.combinations(range(5), 2))
+        band = 4.5 * math.sqrt(0.1 * 0.9 / n)
+        assert all(abs(c / n - 0.1) < band for c in pairs.values())
+
+    def test_rows_hold_k_distinct_arms(self):
+        # a repeated arm in a drawn row would leave fewer than K marks in it
+        cfg = PolicyConfig(T=10**9, M=7, K=3, R=1, L=1, rounds=500)
+        rec = uniform_baseline(cfg, small_env(M=7, K=3), np.random.default_rng(3))
+        assert rec.selected.shape == (cfg.rounds, cfg.M)
+        assert set(np.unique(rec.selected)) == {0, 1}
+        assert np.all(rec.selected.sum(axis=1) == cfg.K)
+
+    def test_one_batched_pull_per_run(self, monkeypatch):
+        calls = []
+        batched = SyntheticEnv.pull_mean_many
+
+        def spy(env, masks, n, rng):
+            calls.append((np.array(masks, dtype=bool), n))
+            return batched(env, masks, n, rng)
+
+        monkeypatch.setattr(SyntheticEnv, "pull_mean_many", spy)
+        monkeypatch.setattr(SyntheticEnv, "pull", None)  # no scalar pull is left
+        cfg = small_cfg(rounds=40)
+        rec = uniform_baseline(cfg, small_env(), np.random.default_rng(4))
+        [(masks, n)] = calls
+        assert n == 1
+        np.testing.assert_array_equal(masks, rec.selected.astype(bool))
+
+    def test_same_seed_same_record(self):
+        cfg = small_cfg(rounds=300)
+        a = uniform_baseline(cfg, small_env(), np.random.default_rng(5), seed=5)
+        b = uniform_baseline(cfg, small_env(), np.random.default_rng(5), seed=5)
+        for field in ("pi", "selected", "pulls", "counts", "est_phi"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
 
 class TestEtcgBaseline:
     def test_commits_to_top_k_on_noiseless_additive(self):
@@ -350,17 +395,32 @@ class TestEtcgBaseline:
 
 
 class SpyEnv(SyntheticEnv):
-    """Records the coalition of every pull and pull_mean, as the baselines play them."""
+    """Records the coalition of every outermost pull and pull_mean, and of each
+    row of an outermost pull_mean_many, as the baselines play them; a call
+    made inside another recorded call (pull_mean is a one-row pull_mean_many)
+    is not recorded again."""
 
     played: list
+    depth = 0
+
+    def spy(self, coalitions, call, *args, **kwargs):
+        if self.depth == 0:
+            self.played.extend(coalitions)
+        self.depth += 1
+        try:
+            return call(*args, **kwargs)
+        finally:
+            self.depth -= 1
 
     def pull(self, members, rng):
-        self.played.append(canon(members))
-        return super().pull(members, rng)
+        return self.spy([canon(members)], super().pull, members, rng)
 
     def pull_mean(self, members, n, rng):
-        self.played.append(canon(members))
-        return super().pull_mean(members, n, rng)
+        return self.spy([canon(members)], super().pull_mean, members, n, rng)
+
+    def pull_mean_many(self, masks, n, rng):
+        rows = [tuple(np.flatnonzero(row).tolist()) for row in masks]
+        return self.spy(rows, super().pull_mean_many, masks, n, rng)
 
 
 class TestRecorder:
@@ -382,11 +442,10 @@ class TestRecorder:
         estimate, uniform_round = policies.shapley_estimation, policies.muras_round
 
         def spy_estimation(S, *args, **kwargs):
-            env.played.append(tuple(S))
-            return estimate(S, *args, **kwargs)
+            return env.spy([tuple(S)], estimate, S, *args, **kwargs)
 
         def spy_round(*args, **kwargs):
-            est = uniform_round(*args, **kwargs)
+            est = env.spy([], uniform_round, *args, **kwargs)
             env.played.append(est.coalition)
             return est
 
