@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import logging
 import os
@@ -253,16 +254,17 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
     """Ground-truth values from the environment's exact backdoor.
 
     Enumerates when ``exact_cost(M, K)`` is within ``MAX_EXACT_COALITIONS``,
-    otherwise uses the uniform-coalition Monte-Carlo estimator.  On cascade
+    otherwise uses the uniform-coalition Monte-Carlo estimator.  Enumeration
+    values each coalition exactly once, so its game keeps no memo; only the
+    sampled estimator, which redraws coalitions, values a memoized game.  On cascade
     environments even the enumerated values rest on simulated coalition
     worths, so they are tagged as estimates with a conservative per-arm
     standard error: each value is a fixed combination of independent
     coalition estimates whose signed weights total 1 on each side, giving
     se <= 1 / sqrt(2 * pistar_sims).
     """
-    game = oracle.restricted_game()
     if exact_cost(cfg.M, cfg.K) <= MAX_EXACT_COALITIONS:
-        phi = exact_k_shapley(game)
+        phi = exact_k_shapley(oracle.restricted_game(memoize=False))
         if cfg.env == "cascade":
             se = 1.0 / np.sqrt(2 * cfg.pistar_sims)
             return ShapleyVector(
@@ -273,7 +275,7 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
             )
         return phi
     rng = np.random.default_rng(0)
-    return sampled_k_shapley(game.value, cfg.M, cfg.K, cfg.pistar_samples, rng)
+    return sampled_k_shapley(oracle.restricted_game().value, cfg.M, cfg.K, cfg.pistar_samples, rng)
 
 
 # Every table is written from a per-row % template: integers as %d, reals as
@@ -378,7 +380,17 @@ def _worker_count(n_seeds: int) -> int:
 
 
 def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
-    """Execute the configured runs and write all CSVs; returns the output dir."""
+    """Execute the configured runs and write all CSVs; returns the output dir.
+
+    Files appear seed by seed, in seed order: each seed's ``run_seed*.csv``
+    and ``arms_seed*.csv`` are written as soon as its record exists, and the
+    record is then dropped, keeping only its ``FairnessLedger`` for
+    ``aggregate.csv``.  Run serially, at most one record is in memory, so a
+    run's memory does not grow with its seed count; with worker processes,
+    the records that finish ahead of their turn also wait in memory.  A seed
+    that raises stops the run: the earlier seeds' files stay, and no
+    ``aggregate.csv`` is written.
+    """
     cfg = load_config(config_path)
     if seed_offset:
         cfg = replace(cfg, seeds=tuple(s + seed_offset for s in cfg.seeds))
@@ -393,17 +405,14 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     pi_star = fair_policy(phi, cfg.K).probs
 
     # every seed plays the oracle the target was built from: it never mutates
-    if workers > 1:
-        n = len(cfg.seeds)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, [cfg] * n, [oracle] * n, cfg.seeds))
-    else:
-        records = [_run_one(cfg, oracle, s) for s in cfg.seeds]
-
-    ledgers = []
-    for seed, record in zip(cfg.seeds, records):
-        ledgers.append(write_round_csv(out / f"run_seed{seed}.csv", record, pi_star))
-        write_arms_csv(out / f"arms_seed{seed}.csv", record, phi.values)
+    n = len(cfg.seeds)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        records = (pool.map if pool else map)(_run_one, [cfg] * n, [oracle] * n, cfg.seeds)
+        ledgers = []
+        for record in records:
+            ledgers.append(write_round_csv(out / f"run_seed{record.seed}.csv", record, pi_star))
+            write_arms_csv(out / f"arms_seed{record.seed}.csv", record, phi.values)
+            del record  # freed before the next seed's record is made
     write_aggregate_csv(out / "aggregate.csv", cfg.algo, ledgers)
     return out
 

@@ -78,9 +78,14 @@ class ValuationOracle:
         mask[0, list(self._checked(members))] = True
         return float(self.pull_mean_many(mask, n, rng)[0])
 
-    def restricted_game(self) -> RestrictedGame:
-        """The noiseless game over ``exact``, memoized, for fair-target computation."""
-        return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S))
+    def restricted_game(self, *, memoize: bool = True) -> RestrictedGame:
+        """The noiseless game over ``exact``, for fair-target computation.
+
+        Memoized by default, for callers that revisit coalitions: the
+        sampled fair target and the axiom checks.  The enumerated fair target
+        values each coalition once and passes ``memoize=False``.
+        """
+        return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S), memoize=memoize)
 
 
 class _GaussianOracle(ValuationOracle):
@@ -335,7 +340,7 @@ class CascadeEnv(ValuationOracle):
     error at most 1 / (2 sqrt(exact_sims)); its RNG is seeded by the
     coalition itself, so the estimate does not depend on query order and is
     recomputed identically on every call.  ``restricted_game`` memoizes it
-    for the fair target.
+    for the sampled fair target.
     """
 
     def __init__(

@@ -38,10 +38,11 @@ class RestrictedGame:
     """Deterministic valuation defined only on coalitions of size <= budget.
 
     ``valuation`` maps a sorted tuple of arm indices to a real number and
-    must satisfy valuation(()) == 0.  Values are memoized per instance,
-    keyed by the canonical encoding, because the axiom checks and the
-    reference oracles revisit subsets heavily.  Instances are immutable
-    after construction apart from the memo, which only ever fills in.
+    must satisfy valuation(()) == 0.  Unless built with ``memoize=False``,
+    values are memoized per instance, keyed by the canonical encoding,
+    because the axiom checks and the reference oracles revisit subsets
+    heavily.  Instances are immutable after construction apart from the
+    memo, which only ever fills in.
     """
 
     def __init__(self, n_arms: int, budget: int, valuation, *, memoize: bool = True):

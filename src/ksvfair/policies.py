@@ -14,7 +14,6 @@ is rejected by its schedule, before any pull.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -215,26 +214,29 @@ class RunRecord:
 
 
 class _Recorder:
-    """Per-round log of one run.  ``log`` keeps references (callers never
-    mutate a logged policy or coalition); ``finish`` copies them into arrays
-    and reads the per-arm selection counts off the coalitions."""
+    """Per-round log of one run, built at its final size.  The runner's
+    schedule fixes every round before round 1, so the ``(rounds, M)``
+    ``pi`` and ``selected`` arrays are allocated once from ``costs`` and
+    each ``log`` writes its rows in place; ``finish`` wraps them, uncopied,
+    in the ``RunRecord`` and reads the per-arm selection counts off them."""
 
-    def __init__(self, M: int):
-        self.M = M
-        self.pi_rows: list[np.ndarray] = []
-        self.coalitions: list[tuple[int, ...]] = []
+    def __init__(self, M: int, costs: list[int]):
+        self.costs = costs
+        self.pi = np.empty((len(costs), M))
+        self.selected = np.zeros((len(costs), M), dtype=np.uint8)
+        self.n = 0
 
-    def log(self, pi: np.ndarray, S) -> None:
-        self.pi_rows.append(pi)
-        self.coalitions.append(S)
+    def log(self, pi: np.ndarray, S, repeat: int = 1) -> None:
+        """Log ``repeat`` rounds (one by default) that played ``pi`` and ``S``."""
+        rows = slice(self.n, self.n + repeat)
+        self.pi[rows] = pi
+        self.selected[rows, list(S)] = 1
+        self.n += repeat
 
-    def finish(self, algo, seed, cfg, costs, est_phi, est_raw) -> RunRecord:
-        n = len(self.coalitions)
-        selected = np.zeros((n, self.M), dtype=np.uint8)
-        rows = np.repeat(np.arange(n), [len(S) for S in self.coalitions])
-        selected[rows, np.fromiter(itertools.chain.from_iterable(self.coalitions), np.intp)] = 1
-        pi = np.array(self.pi_rows, dtype=float) if self.pi_rows else np.zeros((0, self.M))
-        return _record(algo, seed, cfg, costs, pi, selected, est_phi, est_raw)
+    def finish(self, algo, seed, cfg, est_phi, est_raw) -> RunRecord:
+        if self.n != len(self.costs):
+            raise RuntimeError(f"{algo} logged {self.n} of its {len(self.costs)} scheduled rounds")
+        return _record(algo, seed, cfg, self.costs, self.pi, self.selected, est_phi, est_raw)
 
 
 def _record(algo, seed, cfg, costs, pi, selected, est_phi, est_raw) -> RunRecord:
@@ -320,7 +322,7 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
     _check_oracle(cfg, oracle)
     costs = ksvfair_schedule(cfg)
     state = PolicyState(cfg.M)
-    rec = _Recorder(cfg.M)
+    rec = _Recorder(cfg.M, costs)
     pooled = saturated = 0
     for _ in costs:
         # an arm with fewer than two pooled marginals keeps the worst-case
@@ -340,7 +342,7 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
             pooled,
             cfg.radius_mode,
         )
-    return rec.finish("ksvfair", seed, cfg, costs, state.mean, state.mean_raw)
+    return rec.finish("ksvfair", seed, cfg, state.mean, state.mean_raw)
 
 
 def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -361,7 +363,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
         )
     M, K = cfg.M, cfg.K
     costs = muras_schedule(cfg)
-    rec = _Recorder(M)
+    rec = _Recorder(M, costs)
     state = PolicyState(M)
     uniform = np.full(M, K / M)
     for _ in costs[: cfg.R]:
@@ -389,7 +391,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             len(costs) - cfg.R,
             K,
         )
-    return rec.finish("muras", seed, cfg, costs, state.mean, state.mean_raw)
+    return rec.finish("muras", seed, cfg, state.mean, state.mean_raw)
 
 
 def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -423,7 +425,7 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
     costs = etcg_schedule(cfg)
-    rec = _Recorder(M)
+    rec = _Recorder(M, costs)
     prefix: list[int] = []
     for _ in range(K):
         candidates = [a for a in range(M) if a not in prefix]
@@ -441,11 +443,12 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     committed = tuple(sorted(prefix))
     indicator = np.zeros(M)
     indicator[list(committed)] = 1.0
-    for _ in costs[len(rec.coalitions) :]:  # the rounds after the sweep
+    commit_rounds = len(costs) - rec.n  # the rounds after the sweep
+    for _ in range(commit_rounds):
         oracle.pull(committed, rng)
-        rec.log(indicator, committed)
+    rec.log(indicator, committed, repeat=commit_rounds)
     nan = np.full(M, np.nan)
-    return rec.finish("etcg", seed, cfg, costs, nan, nan)
+    return rec.finish("etcg", seed, cfg, nan, nan)
 
 
 # each runner's round schedule, by algorithm name, for checking a config

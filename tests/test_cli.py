@@ -5,14 +5,16 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ksvfair import FairnessLedger, PolicyConfig, RunRecord, cli
+from ksvfair import FairnessLedger, PolicyConfig, RunRecord, cli, exact_k_shapley
 from ksvfair.cli import (
     EXIT_CONFIG,
+    EXIT_RUNTIME,
     ConfigError,
     compare_runs,
     load_config,
@@ -22,6 +24,7 @@ from ksvfair.cli import (
     write_arms_csv,
     write_round_csv,
 )
+from ksvfair.games import exact_cost
 from reference import csv_aggregate_table, csv_arms_table, csv_compare_tables, csv_round_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +62,16 @@ def write_config(tmp_path, algo="ksvfair", rounds=25, seeds="1,2", name="cfg.ini
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+_run_one = cli._run_one
+
+
+def _run_one_failing_at_seed_two(cfg, oracle, seed):
+    # module level, so a worker process can unpickle it by name
+    if seed == 2:
+        raise RuntimeError("seed 2 failed")
+    return _run_one(cfg, oracle, seed)
 
 
 class TestLoadConfig:
@@ -264,6 +277,40 @@ class TestRunExperiment:
         run_experiment(write_config(tmp_path, rounds=6, seeds="1,2,3"), out_dir=tmp_path / "o")
         assert built.read_text().split() == [str(os.getpid())]
 
+    def test_one_record_in_memory_at_a_time(self, tmp_path, monkeypatch):
+        # a finalizer drops each record's seed from `live` when the record is
+        # freed, so a record still held when the next one is made shows as two
+        live, held = set(), []
+
+        def tracked(cfg, oracle, seed):
+            record = _run_one(cfg, oracle, seed)
+            live.add(seed)
+            held.append(sorted(live))
+            weakref.finalize(record, live.discard, seed)
+            return record
+
+        monkeypatch.setattr(cli, "_run_one", tracked)
+        monkeypatch.setenv("KSV_THREADS", "1")
+        out = run_experiment(write_config(tmp_path, rounds=6, seeds="1,2,3"), out_dir=tmp_path / "o")
+        assert held == [[1], [2], [3]]
+        assert not live
+        assert (out / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_seed_keeps_earlier_files_and_no_aggregate(self, tmp_path, monkeypatch, capsys, threads):
+        cfg = write_config(tmp_path, rounds=6, seeds="1,2,3")
+        full = run_experiment(cfg, out_dir=tmp_path / "full")
+        monkeypatch.setattr(cli, "_run_one", _run_one_failing_at_seed_two)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv("KSV_THREADS", threads)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+        assert "seed 2 failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["arms_seed1.csv", "run_seed1.csv"]
+        # the files that exist are the ones a full run writes
+        for name in ("arms_seed1.csv", "run_seed1.csv"):
+            assert (out / name).read_bytes() == (full / name).read_bytes()
+
     def test_non_integer_thread_cap_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KSV_THREADS", "two")
         with pytest.raises(ConfigError, match="KSV_THREADS.*'two'"):
@@ -310,6 +357,48 @@ class TestRunExperiment:
         phi = true_shapley(cfg, build_env(cfg))
         assert phi.kind == "estimated"
         assert phi.stderr is not None and np.all(phi.stderr > 0)
+
+
+CASCADE_TOY = (
+    "[run]\nalgo = ksvfair\nenv = cascade\nt = 500000\nrounds = 5\nseeds = 1\n"
+    "[algo]\nr = 2\nl = 1\n"
+    "[env]\nm = 8\nk = 2\ngraph_path = data/toy_8.edges\n"
+    "activation_p = 0.3\npistar_sims = 50\n"
+)
+
+
+class TestTrueShapley:
+    @pytest.mark.parametrize("env", ["synthetic", "cascade"])
+    def test_one_valuation_per_coalition(self, tmp_path, monkeypatch, env):
+        if env == "synthetic":
+            path = write_config(tmp_path)
+        else:
+            monkeypatch.chdir(ROOT)
+            path = tmp_path / "cascade.ini"
+            path.write_text(CASCADE_TOY)
+        cfg = load_config(path)
+        oracle = cli.build_env(cfg)
+        expected = exact_k_shapley(oracle.restricted_game()).values
+        exact = oracle.exact
+        valued, games = [], []
+
+        def counted(S):
+            valued.append(tuple(S))
+            return exact(S)
+
+        def enumerate_values(game):
+            games.append(game)
+            return exact_k_shapley(game)
+
+        monkeypatch.setattr(oracle, "exact", counted)
+        monkeypatch.setattr(cli, "exact_k_shapley", enumerate_values)
+        phi = cli.true_shapley(cfg, oracle)
+        # every coalition of 1..K arms once, plus the constructor's check of ()
+        assert len(valued) == exact_cost(cfg.M, cfg.K) + 1
+        assert len(set(valued)) == len(valued) and valued[0] == ()
+        [game] = games
+        assert game._memo is None
+        assert phi.values.tobytes() == expected.tobytes()
 
 
 class TestAggregate:

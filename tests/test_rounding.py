@@ -107,6 +107,27 @@ class TestNormalizeToMarginals:
         assert np.all(mv.probs >= 0.0)
         assert np.all(mv.probs <= 1.0 + 1e-12)
 
+    def test_drift_stays_within_four_ulp_and_never_repeats_a_pick(self):
+        # water-filling leaves the sum a few ulp off K for a few percent of
+        # inputs (one float add cannot cancel the summation error), and
+        # rrs_sample stretches its last cut to K by that much; pin the size
+        # of that drift and that no draw picks an arm twice because of it
+        rng = np.random.default_rng(2026)
+        worst, tried = 0.0, 0
+        while tried < 20_000:
+            M = int(rng.integers(2, 21))
+            K = int(rng.integers(1, M + 1))
+            raw = rng.random(M) ** 3  # skewed, so some entries cap at 1
+            raw[rng.random(M) < 0.2] = 0.0
+            if np.count_nonzero(raw) < K:
+                continue
+            tried += 1
+            probs = normalize_to_marginals(raw, K).probs
+            worst = max(worst, abs(float(probs.sum()) - K) / np.spacing(float(K)))
+            S = rrs_sample(probs, K, rng)  # raises RepeatedPickError on a repeat
+            assert len(S) == K
+        assert worst <= 4
+
 
 class _FixedRng:
     """Identity permutation and a fixed offset, to place the cut points by hand."""
