@@ -319,6 +319,29 @@ def load_edge_list(path) -> Graph:
     )
 
 
+def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each node's component in the graph with edges (u[i], v[i]), labelled by
+    the component's smallest node id.
+
+    Min-label hooking plus pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 1982): every pass hooks the larger label of each edge whose
+    ends disagree onto the smaller, then moves each node's label two steps
+    further along its chain of labels.  A label only decreases and always
+    names a node of its own component, so the loop ends, with one label per
+    component: the smallest node's own id, which it can never drop below.
+    The pass count follows the logarithm of the component size rather than
+    its diameter: a 10^5-node path takes 11 passes, numbered in order, in
+    reverse or at random.
+    """
+    label = np.arange(n_nodes)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        label = label[label[label]]
+
+
 # Uniform draws per chunk of cascade_exact's worlds: rows of n_edges
 # doubles, so one chunk's temporaries stay near 2 MB whatever n_sims is.
 _CHUNK_DRAWS = 1 << 18
@@ -334,7 +357,8 @@ class CascadeEnv(ValuationOracle):
     most once, from whichever end activates first, so a cascade has the
     same law as bond percolation (Kempe, Kleinberg and Tardos, KDD 2003):
     a pull draws one coin per edge, in ``graph.edges`` order, and counts
-    the nodes reachable from the seeds over the live edges.  ``pull`` is the
+    the nodes of the live-edge components that hold a seed, found by
+    component labelling over all of a batch's worlds at once.  ``pull`` is the
     one-world case of ``cascade_exact``.  ``exact`` is a Monte-Carlo
     estimate (the true spread is intractable) with per-coalition standard
     error at most 1 / (2 sqrt(exact_sims)); its RNG is seeded by the
@@ -361,6 +385,10 @@ class CascadeEnv(ValuationOracle):
             raise ValueError("exact_sims must be >= 1")
         if exact_seed < 0:
             raise ValueError("exact_seed must be >= 0")
+        ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+        # batched worlds share one id range, so a stray endpoint would join two worlds
+        if ends.size and (ends.min() < 0 or ends.max() >= graph.n_nodes):
+            raise ValueError(f"edge endpoints must lie in [0, {graph.n_nodes})")
         self.graph = graph
         self.activation_p = float(activation_p)
         self.n_arms = graph.n_nodes
@@ -374,31 +402,22 @@ class CascadeEnv(ValuationOracle):
             words.append(rest & 0xFFFFFFFF)
             rest >>= 32
         self._seed_words = np.array(words, dtype=np.uint32)
-        self._ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+        self._ends = ends
 
     def _spread_counts(self, S, live: np.ndarray) -> np.ndarray:
         """Nodes reachable from S over each world's live edges (one row of live).
 
-        Worlds are swept together as one graph on nodes w * n + v, one
-        frontier level per pass.
+        Worlds are labelled together as one graph on nodes w * n + v
+        (``_component_labels``); the nodes S reaches in a world are the
+        components holding one of its seeds.
         """
         n_worlds, n = live.shape[0], self.n_arms
         world, edge = np.divmod(np.flatnonzero(live), live.shape[1])
         u, v = self._ends[:, edge] + world * n
-        # each live edge as two arcs, u -> v and v -> u
-        src = np.concatenate((u, v))
-        dst = np.concatenate((v, u))
-        active = np.zeros(n_worlds * n, dtype=bool)
-        active[(np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel()] = True
-        frontier = active
-        while True:
-            reached = np.zeros_like(active)
-            reached[dst[frontier[src]]] = True
-            frontier = np.greater(reached, active, out=reached)  # reached and not yet active
-            if not frontier.any():
-                break
-            active |= frontier
-        return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
+        label = _component_labels(n_worlds * n, u, v)
+        reached = np.zeros(n_worlds * n, dtype=bool)
+        reached[label[(np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel()]] = True
+        return np.count_nonzero(reached[label].reshape(n_worlds, n), axis=1)
 
     def _mean_spread(self, S: tuple[int, ...], n_sims: int, rng) -> float:
         """``cascade_exact`` of a checked coalition."""

@@ -5,7 +5,8 @@ oracle goes through the Moebius transform and the carrier decomposition,
 the definitional oracle averages within-coalition values over every
 budget-sized coalition, the prefix oracle brute-forces orderings, and the
 BFS cascade oracle tries each neighbour in turn instead of drawing live
-edges.  Keep them slow and obvious.
+edges, and the live-edge walk follows one world's live edges node by node.
+Keep them slow and obvious.
 
 The scalar estimators and sampler are the library's earlier one-tuple-at-a-
 time code, kept so the array versions can be checked against them exactly:
@@ -17,6 +18,9 @@ The round-by-round stop rule is the runners' earlier ``while`` loop over
 The CSV writers and the scalar Gaussian pull are the library's earlier
 ``csv.writer`` + ``format(x, ".12g")`` writers and ``np.clip`` pull, kept so
 the faster code can be pinned to them byte for byte and bit for bit.
+
+The frontier sweep is the library's earlier level-by-level cascade kernel,
+kept so the component-labelling kernel can be pinned to it count for count.
 
 The collapsed oracle counts enclosing coalitions instead of enumerating
 them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
@@ -145,6 +149,46 @@ def bfs_cascade_pull(graph, p: float, S, rng) -> float:
         n_active += len(new)
         frontier = new
     return n_active / graph.n_nodes
+
+
+def live_edge_spread(graph, live_row, S) -> int:
+    """Nodes reachable from S in one world, walking the live edges of
+    ``graph.edges`` (``live_row[i]`` says whether edge i is live)."""
+    adjacency: list[list[int]] = [[] for _ in range(graph.n_nodes)]
+    for (u, v), is_live in zip(graph.edges, live_row):
+        if is_live:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    seen = set(S)
+    stack = list(seen)
+    while stack:
+        for nbr in adjacency[stack.pop()]:
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen)
+
+
+def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:
+    """The earlier ``CascadeEnv._spread_counts``: worlds swept together as one
+    graph on nodes w * n + v, one frontier level per pass."""
+    n_worlds, n = live.shape[0], env.n_arms
+    world, edge = np.divmod(np.flatnonzero(live), live.shape[1])
+    u, v = env._ends[:, edge] + world * n
+    # each live edge as two arcs, u -> v and v -> u
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    active = np.zeros(n_worlds * n, dtype=bool)
+    active[(np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel()] = True
+    frontier = active
+    while True:
+        reached = np.zeros_like(active)
+        reached[dst[frontier[src]]] = True
+        frontier = np.greater(reached, active, out=reached)  # reached and not yet active
+        if not frontier.any():
+            break
+        active |= frontier
+    return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
 
 
 def random_table_game(M: int, K: int, rng):

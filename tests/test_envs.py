@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ksvfair import (
     CascadeEnv,
@@ -17,7 +19,12 @@ from ksvfair import (
     load_edge_list,
 )
 from ksvfair import envs
-from reference import bfs_cascade_pull, scalar_gaussian_pull
+from reference import (
+    bfs_cascade_pull,
+    frontier_spread_counts,
+    live_edge_spread,
+    scalar_gaussian_pull,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -322,6 +329,12 @@ class TestCascade:
         with pytest.raises(ValueError):
             env.pull((0, 7), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 4)), ((0, 1), (1, 3)), ((-1, 1),)])
+    def test_edge_endpoint_outside_graph_rejected(self, edges):
+        # in a batch, world 0's node 4 would be world 1's node 1
+        with pytest.raises(ValueError, match="edge endpoints"):
+            CascadeEnv(Graph(n_nodes=3, edges=edges), 0.3, budget=1)
+
 
 class TestLiveEdgePulls:
     """Live-edge pulls against the per-neighbour BFS oracle and against themselves."""
@@ -372,6 +385,84 @@ class TestLiveEdgePulls:
         out = env.pull_mean_many(masks, n, rng_rows)
         assert out.tolist() == [np.mean([env.pull(S, rng_seq) for _ in range(n)]) for S in sets]
         assert rng_rows.bit_generator.state == rng_seq.bit_generator.state
+
+
+@st.composite
+def small_live_worlds(draw):
+    """A small graph, a few worlds of live edges over it, and a seed set."""
+    shape = draw(st.sampled_from(["path", "reversed path", "star", "components"]))
+    n = draw(st.integers(1, 12))
+    if shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "reversed path":
+        edges = [(i + 1, i) for i in reversed(range(n - 1))]
+    elif shape == "star":
+        centre = draw(st.integers(0, n - 1))
+        edges = [(centre, i) for i in range(n) if i != centre]
+    else:
+        # consecutive blocks, each a path numbered in random order
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        edges = []
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            block = draw(st.permutations(range(lo, hi)))
+            edges += list(zip(block[:-1], block[1:]))
+    graph = Graph(n_nodes=n, edges=tuple(edges))
+    n_worlds = draw(st.integers(1, 4))
+    fill = draw(st.sampled_from(["random", "none", "all"]))
+    if fill == "random":
+        cells = st.lists(st.booleans(), min_size=len(edges), max_size=len(edges))
+        live = np.array(draw(st.lists(cells, min_size=n_worlds, max_size=n_worlds)), dtype=bool)
+    else:
+        live = np.full((n_worlds, len(edges)), fill == "all")
+    S = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))))
+    return graph, live, S
+
+
+class TestSpreadKernel:
+    """The component-labelling kernel against the frontier sweep it replaced
+    and against a node-by-node walk of each world's live edges."""
+
+    @staticmethod
+    def assert_counts_equal_references(env, S, live):
+        counts = env._spread_counts(S, live)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == frontier_spread_counts(env, S, live).tolist()
+        assert counts.tolist() == [live_edge_spread(env.graph, row, S) for row in live]
+
+    @pytest.mark.parametrize("chunk", [1, 32, 75])
+    def test_community_worlds_in_chunks(self, chunk):
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, 0.1, budget=20)
+        live = np.random.default_rng(61).random((200, g.n_edges)) < 0.1
+        coalitions = [(0,), (3, 97, 400), tuple(range(0, 534, 27))]
+        for S in coalitions:
+            for start in range(0, len(live), chunk):
+                self.assert_counts_equal_references(env, S, live[start : start + chunk])
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_live_worlds())
+    # a seed whose only edge is dead, beside a live path it is not on
+    @example((Graph(4, ((0, 1), (1, 2), (3, 2))), np.array([[True, True, False]]), (3,)))
+    # a star's leaf as the seed: its one edge dead in world 0, live in world 1
+    @example((Graph(4, ((1, 0), (1, 2), (1, 3))), np.array([[False] * 3, [True, False, False]]), (0,)))
+    def test_small_graphs(self, case):
+        graph, live, S = case
+        self.assert_counts_equal_references(CascadeEnv(graph, 0.5, budget=1), S, live)
+
+    @pytest.mark.parametrize("numbering", ["forward", "backward", "random"])
+    def test_long_path_labels_are_component_minima(self, numbering):
+        # a pass count growing with the path length would take 10^5 passes here
+        n = 100_000
+        order = {
+            "forward": np.arange(n),
+            "backward": np.arange(n)[::-1],
+            "random": np.random.default_rng(71).permutation(n),
+        }[numbering]
+        # the path twice, as two worlds of one batch: nodes v and n + v
+        u = np.concatenate((order[:-1], order[:-1] + n))
+        v = np.concatenate((order[1:], order[1:] + n))
+        labels = envs._component_labels(2 * n, u, v)
+        assert labels.tolist() == [0] * n + [n] * n
 
 
 class TestLoadEdgeList(object):
