@@ -311,6 +311,21 @@ def _row_texts(rows: np.ndarray, fmt: str) -> list[str]:
     return texts.repeat(np.diff(np.append(np.flatnonzero(new), len(rows)))).tolist()
 
 
+def _bit_texts(bits: np.ndarray) -> list[str]:
+    r"""``(",%d" * M + "\r\n") % row`` for each row of an (n, M) array of 0s
+    and 1s, spelled as one byte buffer: ``","`` and ``"0" + bit`` per entry,
+    then ``"\r\n"``, decoded once and cut into rows."""
+    n, M = bits.shape
+    width = 2 * M + 2
+    buf = np.empty((n, width), dtype=np.uint8)
+    buf[:, :-2:2] = ord(",")
+    np.add(bits, ord("0"), out=buf[:, 1:-2:2], casting="unsafe")
+    buf[:, -2] = ord("\r")
+    buf[:, -1] = ord("\n")
+    text = buf.tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, n * width, width)]
+
+
 def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLedger:
     ledger = FairnessLedger.from_run(pi_star, record.pi)
     M = record.pi.shape[1]
@@ -320,7 +335,7 @@ def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLed
         ledger.l1.tolist(),
         ledger.fr_cum.tolist(),
         _row_texts(record.pi, ",%.12g" * M),
-        _row_texts(record.selected, ",%d" * M + "\r\n"),
+        _bit_texts(record.selected),
     )
     with open(path, "w", newline="") as fh:
         fh.write(

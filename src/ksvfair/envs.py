@@ -134,6 +134,12 @@ class SyntheticEnv(_GaussianOracle):
     g(x) = x / total.  Coalition noise is the RMS of the member noise
     levels (independent per-arm noise observed only in aggregate), or a
     fixed global level when ``shared_noise_std`` is given.
+
+    ``means``, ``noise_stds`` and the squared noise levels are read-only
+    copies of the caller's arrays, so no later write reaches a value.  The scalar path
+    (``exact``, ``pull`` and ``_moment``) adds the members' entries as
+    Python floats, left to right in ascending arm order; the batched
+    ``_moments`` sums the arrays.
     """
 
     def __init__(
@@ -146,11 +152,11 @@ class SyntheticEnv(_GaussianOracle):
         shared_noise_std: float | None = None,
         allow_extra_query: bool = False,
     ):
-        self.means = np.asarray(means, dtype=float)
+        self.means = np.array(means, dtype=float)
         M = len(self.means)
         if noise_stds is None:
             noise_stds = np.zeros(M)
-        self.noise_stds = np.asarray(noise_stds, dtype=float)
+        self.noise_stds = np.array(noise_stds, dtype=float)
         if len(self.noise_stds) != M:
             raise ValueError("means and noise_stds must have the same length")
         if np.any(self.means <= 0) or np.any(self.means > 1):
@@ -170,12 +176,25 @@ class SyntheticEnv(_GaussianOracle):
         # g's denominator, the transformed total: the same for every coalition
         self._denom = -np.expm1(-self.curvature * total) if self.curvature else total
         self._noise_sq = self.noise_stds**2
+        for arr in (self.means, self.noise_stds, self._noise_sq):
+            arr.setflags(write=False)
+        self._mean_list = self.means.tolist()
+        self._noise_sq_list = self._noise_sq.tolist()
 
     def exact(self, members) -> float:
-        return self._mean(list(self._checked(members)))
+        return self._mean(self._checked(members))
 
-    def _mean(self, idx: list[int]) -> float:
-        return float(self._transform(self.means[idx].sum())) if idx else 0.0
+    @staticmethod
+    def _sum(values: list[float], S) -> float:
+        # left to right, as numpy's sum adds fewer than eight entries;
+        # builtin sum is compensated from Python 3.12 on
+        x = 0.0
+        for i in S:
+            x += values[i]
+        return x
+
+    def _mean(self, S) -> float:
+        return float(self._transform(self._sum(self._mean_list, S))) if S else 0.0
 
     def _transform(self, x):
         c = self.curvature
@@ -184,20 +203,26 @@ class SyntheticEnv(_GaussianOracle):
         return -np.expm1(-c * x) / self._denom
 
     def _moment(self, S) -> tuple[float, float]:
-        idx = list(S)
-        if not idx:
+        """Exact mean and noise scale of one checked coalition, in Python floats.
+
+        Both sums add the members left to right, so for fewer than eight
+        members they are bitwise numpy's ``means[S].sum()`` and
+        ``noise_stds[S]**2`` mean; larger coalitions may differ from numpy
+        by a few ulp.
+        """
+        if not S:
             return 0.0, 0.0
         if self.shared_noise_std is not None:
-            return self._mean(idx), float(self.shared_noise_std)
+            return self._mean(S), float(self.shared_noise_std)
         # sum / count is how np.mean divides, so this is bitwise its value
-        return self._mean(idx), math.sqrt(self._noise_sq[idx].sum() / len(idx))
+        return self._mean(S), math.sqrt(self._sum(self._noise_sq_list, S) / len(S))
 
     def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row exact means and noise scales, summed per row by ``np.add.reduceat``.
 
         Each row's members are taken in ascending arm order, but reduceat
-        does not add them left to right as ``exact`` does, so for
-        coalitions of three or more arms a noiseless batched value can
+        does not add them left to right as the scalar ``_moment`` does, so
+        for coalitions of three or more arms a noiseless batched value can
         differ from ``exact`` by a few ulp (at most 3 on the shipped 20-arm
         game); coalitions of one or two arms agree bitwise.
         """

@@ -613,6 +613,25 @@ class TestWriterBytes:
         assert new == (tmp_path / "old.csv").read_bytes()
         assert len(new.splitlines()) == record.n_rounds + 1
 
+    @pytest.mark.parametrize(
+        "n,M,fill",
+        [(0, 3, "random"), (4, 1, "random"), (5, 4, "zeros"), (5, 4, "ones"), (6, 534, "random")],
+        ids=["no-rows", "one-arm", "all-zeros", "all-ones", "534-arms"],
+    )
+    def test_selection_columns_as_bytes(self, tmp_path, n, M, fill):
+        rng = np.random.default_rng(M)
+        selected = {
+            "random": rng.integers(0, 2, size=(n, M)),
+            "zeros": np.zeros((n, M)),
+            "ones": np.ones((n, M)),
+        }[fill].astype(np.uint8)
+        texts = cli._bit_texts(selected)
+        assert texts == cli._row_texts(selected, ",%d" * M + "\r\n")
+        record = rows_record(rng.random((n, M)), selected)
+        write_round_csv(tmp_path / "new.csv", record, np.full(M, 1 / M))
+        csv_round_table(tmp_path / "old.csv", record, np.full(M, 1 / M))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_special_values_spelled_as_format(self, tmp_path):
         record = special_record(len(SPECIALS), np.random.default_rng(0))
         record.pi[0] = SPECIALS

@@ -19,14 +19,17 @@ from ksvfair import (
     load_edge_list,
 )
 from ksvfair import envs
+from ksvfair.cli import load_config
 from reference import (
+    _gaussian_moment,
     bfs_cascade_pull,
     frontier_spread_counts,
     live_edge_spread,
     scalar_gaussian_pull,
 )
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def make_synthetic(M=4, K=2, curvature=1.0, noise=None, **kw):
@@ -81,6 +84,21 @@ class TestSyntheticExact:
         env.exact((0, 1, 2))  # size K+1 allowed
         with pytest.raises(ValueError):
             env.exact((0, 1, 2, 3))
+
+    def test_caller_arrays_copied(self):
+        means, stds = np.linspace(0.2, 0.95, 4), np.full(4, 0.2)
+        env = SyntheticEnv(means, stds, budget=2)
+        before = env.exact((0, 1)), env._moment((0, 1))
+        means[0], stds[0] = 0.9, 0.0
+        assert (env.exact((0, 1)), env._moment((0, 1))) == before
+        mus, sigmas = env._moments(np.array([[True, True, False, False]]))
+        assert (mus[0], sigmas[0]) == before[1]
+
+    @pytest.mark.parametrize("name", ["means", "noise_stds", "_noise_sq"])
+    def test_arrays_read_only(self, name):
+        env = make_synthetic(noise=np.full(4, 0.2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(env, name)[0] = 0.5
 
     @pytest.mark.parametrize("curvature", [0.0, 0.5, 1.0, 3.0])
     def test_monotone_and_submodular_exhaustive(self, curvature):
@@ -229,6 +247,49 @@ class TestScalarPullBits:
         rng = np.random.default_rng(3)
         game = additive_game(rng.random(6) / 3, 4)
         self.assert_same_stream(GameOracle(game, noise_std, budget=3, allow_extra_query=True))
+
+
+class TestScalarSumBits:
+    """The Python-float ``_moment`` against numpy's sums in ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("curvature", [0.0, 0.25])
+    @pytest.mark.parametrize("noise", ["per-arm", "shared"])
+    def test_shipped_game_every_coalition(self, curvature, noise):
+        # all 60,459 nonempty coalitions of up to K + 1 = 6 of the 20 arms
+        cfg = load_config(ROOT / "configs" / "synthetic_ksvfair.ini")
+        kw = {"shared_noise_std": 0.3} if noise == "shared" else {}
+        env = SyntheticEnv(
+            cfg.means, cfg.noise_stds, budget=cfg.K, curvature=curvature, allow_extra_query=True, **kw
+        )
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        n_sets = 0
+        for size in range(1, env.query_limit + 1):
+            for S in itertools.combinations(range(env.n_arms), size):
+                mu, sigma = _gaussian_moment(env, S)
+                assert env._moment(S) == (mu, sigma), S
+                assert env.exact(S) == mu, S
+                assert env.pull(S, rng_a) == scalar_gaussian_pull(env, S, rng_b), S
+                n_sets += 1
+        assert n_sets == 60_459
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_large_coalitions_add_left_to_right(self):
+        # numpy's sum adds eight or more entries in blocks, so these may differ by an ulp or so
+        rng = np.random.default_rng(11)
+        M = 30
+        means = rng.uniform(0.05, 1.0, M)
+        env = SyntheticEnv(means, rng.uniform(0.0, 0.5, M), budget=12, curvature=0.0)
+        differ = 0
+        for _ in range(2000):
+            S = tuple(sorted(rng.choice(M, size=int(rng.integers(8, 13)), replace=False).tolist()))
+            x = q = 0.0
+            for i in S:
+                x += float(means[i])
+                q += float(env._noise_sq[i])
+            assert env._moment(S) == (x / env._denom, math.sqrt(q / len(S))), S
+            np.testing.assert_array_max_ulp(x, means[list(S)].sum(), maxulp=4)
+            differ += x != means[list(S)].sum()
+        assert differ > 0
 
 
 class TestPullCount:
