@@ -28,7 +28,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +67,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's config.  ``policy`` holds and checks the policy knobs, this
+    class checks the run's own values and that the budget covers the
+    runner's fixed phase, and the environment ``build_env`` makes checks the
+    env values."""
+
     algo: str
     env: str
     policy: PolicyConfig
     seeds: tuple[int, ...]
-    out_dir: str
+    out_dir: str = "results"
     means: tuple[float, ...] = ()
     noise_stds: tuple[float, ...] = ()
     curvature: float = 1.0
@@ -79,6 +84,24 @@ class RunConfig:
     activation_p: float = 0.1
     pistar_sims: int = 10_000
     pistar_samples: int = 4_000
+
+    def __post_init__(self):
+        if self.algo not in ALGOS:
+            raise ValueError(f"key 'algo' must be one of {ALGOS}, got {self.algo!r}")
+        if self.env not in ENVS:
+            raise ValueError(f"key 'env' must be one of {ENVS}, got {self.env!r}")
+        if not self.seeds:
+            raise ValueError("key 'seeds' must list at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("key 'seeds' contains duplicates")
+        if min(self.seeds) < 0:
+            raise ValueError(f"key 'seeds' must be non-negative, got {min(self.seeds)}")
+        for key in ("pistar_sims", "pistar_samples"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"key '{key}' must be >= 1, got {getattr(self, key)}")
+        if self.env == "cascade" and not self.graph_path:
+            raise ValueError("key 'graph_path' is required for the cascade environment")
+        SCHEDULES[self.algo](self.policy)  # rejects a budget too small for the fixed phase
 
     @property
     def M(self) -> int:
@@ -89,165 +112,115 @@ class RunConfig:
         return self.policy.K
 
 
-def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': expected comma-separated numbers, got {raw!r}") from exc
+def _list_of(parse):
+    """Parser of a comma-separated list of ``parse`` values."""
+    return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _parse_ints(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': expected comma-separated integers, got {raw!r}") from exc
+def _boolean(raw: str) -> bool:
+    val = raw.strip().lower()
+    if val not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError("expected a boolean")
+    return val in ("true", "1", "yes", "on")
+
+
+def _round_cap(raw: str) -> int | None:
+    return int(raw) or None  # 0 means no cap
+
+
+# Every INI key: {section: {key: (field, parser)}}.  A field of PolicyConfig
+# goes to RunConfig.policy, any other to RunConfig.  A key left out takes its
+# field's default; a field without a default makes its key required.
+_KEYS = {
+    "run": {
+        "algo": ("algo", str),
+        "env": ("env", str),
+        "t": ("T", int),
+        "rounds": ("rounds", _round_cap),
+        "seeds": ("seeds", _list_of(int)),
+        "out_dir": ("out_dir", str),
+    },
+    "algo": {
+        "r": ("R", int),
+        "l": ("L", int),
+        "delta1": ("delta1", float),
+        "delta2": ("delta2", float),
+        "radius_mode": ("radius_mode", str),
+        "reuse_prefix": ("reuse_prefix", _boolean),
+        "explore_pulls": ("explore_pulls", int),
+    },
+    "env": {
+        "m": ("M", int),
+        "k": ("K", int),
+        "means": ("means", _list_of(float)),
+        "noise_stds": ("noise_stds", _list_of(float)),
+        "lambda": ("curvature", float),
+        "graph_path": ("graph_path", str),
+        "activation_p": ("activation_p", float),
+        "pistar_sims": ("pistar_sims", int),
+        "pistar_samples": ("pistar_samples", int),
+    },
+}
 
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    # each key read is popped, so whatever is left was not read
-    sections = {name: dict(parser[name]) for name in parser.sections()}
+    values = {}
+    for section in parser.sections():
+        keys = _KEYS.get(section, {})
+        for key, raw in parser[section].items():
+            if key not in keys:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            field, parse = keys[key]
+            try:
+                values[field] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"key '{key}': cannot read {raw!r} ({exc})") from exc
+    defaults = {f.name: f.default for cls in (PolicyConfig, RunConfig) for f in fields(cls)}
+    for section, keys in _KEYS.items():
+        for key, (field, _) in keys.items():
+            if field not in values and defaults[field] is MISSING:
+                raise ConfigError(f"missing required key '{key}' in section [{section}]")
+    policy_fields = {f.name for f in fields(PolicyConfig)}
     try:
-        run = sections["run"]
-        algo = run.pop("algo", "")
-        env = run.pop("env", "")
-        if algo not in ALGOS:
-            raise ConfigError(f"key 'algo' must be one of {ALGOS}, got {algo!r}")
-        if env not in ENVS:
-            raise ConfigError(f"key 'env' must be one of {ENVS}, got {env!r}")
-        seeds = _parse_ints(run.pop("seeds", ""), "seeds")
-        if not seeds:
-            raise ConfigError("key 'seeds' must list at least one seed")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("key 'seeds' contains duplicates")
-        if min(seeds) < 0:
-            raise ConfigError(f"key 'seeds' must be non-negative, got {min(seeds)}")
-        algo_sec = sections.setdefault("algo", {})
-        env_sec = sections.setdefault("env", {})
-
-        def geti(sec, key, default=None):
-            raw = sec.pop(key, None)
-            if raw is None:
-                if default is None:
-                    raise ConfigError(f"missing required key '{key}'")
-                return default
-            try:
-                return int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"key '{key}': expected integer, got {raw!r}") from exc
-
-        def getf(sec, key, default):
-            raw = sec.pop(key, None)
-            if raw is None:
-                return default
-            try:
-                return float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"key '{key}': expected number, got {raw!r}") from exc
-
-        def getb(sec, key, default):
-            raw = sec.pop(key, None)
-            if raw is None:
-                return default
-            val = raw.strip().lower()
-            if val in ("true", "1", "yes", "on"):
-                return True
-            if val in ("false", "0", "no", "off"):
-                return False
-            raise ConfigError(f"key '{key}': expected boolean, got {raw!r}")
-
-        policy = PolicyConfig(
-            T=geti(run, "t"),
-            M=geti(env_sec, "m"),
-            K=geti(env_sec, "k"),
-            R=geti(algo_sec, "r", 50),
-            L=geti(algo_sec, "l", 20),
-            delta1=getf(algo_sec, "delta1", 0.05),
-            delta2=getf(algo_sec, "delta2", 0.05),
-            rounds=geti(run, "rounds", 0) or None,
-            radius_mode=algo_sec.pop("radius_mode", "adaptive"),
-            reuse_prefix=getb(algo_sec, "reuse_prefix", False),
-            explore_pulls=geti(algo_sec, "explore_pulls", 20),
-        )
-        cfg = RunConfig(
-            algo=algo,
-            env=env,
-            policy=policy,
-            seeds=seeds,
-            out_dir=run.pop("out_dir", "results"),
-            means=_parse_floats(env_sec.pop("means", ""), "means"),
-            noise_stds=_parse_floats(env_sec.pop("noise_stds", ""), "noise_stds"),
-            curvature=getf(env_sec, "lambda", 1.0),
-            graph_path=env_sec.pop("graph_path", ""),
-            activation_p=getf(env_sec, "activation_p", 0.1),
-            pistar_sims=geti(env_sec, "pistar_sims", 10_000),
-            pistar_samples=geti(env_sec, "pistar_samples", 4_000),
-        )
-        for name, sec in sections.items():
-            if sec:
-                raise ConfigError(f"unknown key '{next(iter(sec))}' in section [{name}]")
-        SCHEDULES[algo](policy)  # rejects a budget that cannot cover the fixed phase
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"missing config section {exc}") from exc
-    except ValueError as exc:  # PolicyConfig or the schedule rejected a value
+        policy = PolicyConfig(**{k: v for k, v in values.items() if k in policy_fields})
+        return RunConfig(policy=policy, **{k: v for k, v in values.items() if k not in policy_fields})
+    except ValueError as exc:  # PolicyConfig, RunConfig or the schedule rejected a value
         raise ConfigError(str(exc)) from exc
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    for key, value in (("pistar_sims", cfg.pistar_sims), ("pistar_samples", cfg.pistar_samples)):
-        if value < 1:
-            raise ConfigError(f"key '{key}' must be >= 1, got {value}")
-    if cfg.env == "synthetic":
-        if len(cfg.means) != cfg.M:
-            raise ConfigError(f"key 'means' must list m={cfg.M} values, got {len(cfg.means)}")
-        if cfg.noise_stds and len(cfg.noise_stds) != cfg.M:
-            raise ConfigError(
-                f"key 'noise_stds' must list m={cfg.M} values, got {len(cfg.noise_stds)}"
-            )
-        if any(not 0.0 < x <= 1.0 for x in cfg.means):
-            raise ConfigError("key 'means': values must lie in (0, 1]")
-        if any(x < 0 for x in cfg.noise_stds):
-            raise ConfigError("key 'noise_stds': values must be nonnegative")
-        if cfg.curvature < 0:
-            raise ConfigError("key 'lambda' must be nonnegative")
-    else:
-        if not cfg.graph_path:
-            raise ConfigError("key 'graph_path' is required for the cascade environment")
-        if not Path(cfg.graph_path).is_file():
-            raise ConfigError(f"key 'graph_path': file not found: {cfg.graph_path}")
-        if not 0.0 <= cfg.activation_p <= 1.0:
-            raise ConfigError("key 'activation_p' must lie in [0, 1]")
 
 
 def build_env(cfg: RunConfig):
+    """The run's environment.  Its constructor checks the env values, and a
+    value it rejects, an unreadable graph, or an arm count other than ``m``
+    is a ``ConfigError``."""
     allow_extra = cfg.algo == "muras" and cfg.K < cfg.M
-    if cfg.env == "synthetic":
-        return SyntheticEnv(
-            cfg.means,
-            cfg.noise_stds if cfg.noise_stds else None,
-            budget=cfg.K,
-            curvature=cfg.curvature,
-            allow_extra_query=allow_extra,
-        )
-    graph = load_edge_list(cfg.graph_path)
-    if graph.n_nodes != cfg.M:
-        raise ConfigError(
-            f"key 'm': graph has {graph.n_nodes} nodes but config says m={cfg.M}"
-        )
-    return CascadeEnv(
-        graph,
-        cfg.activation_p,
-        budget=cfg.K,
-        exact_sims=cfg.pistar_sims,
-        allow_extra_query=allow_extra,
-    )
+    try:
+        if cfg.env == "synthetic":
+            env = SyntheticEnv(
+                cfg.means,
+                cfg.noise_stds if cfg.noise_stds else None,
+                budget=cfg.K,
+                curvature=cfg.curvature,
+                allow_extra_query=allow_extra,
+            )
+        else:
+            env = CascadeEnv(
+                load_edge_list(cfg.graph_path),
+                cfg.activation_p,
+                budget=cfg.K,
+                exact_sims=cfg.pistar_sims,
+                allow_extra_query=allow_extra,
+            )
+    except OSError as exc:
+        raise ConfigError(f"key 'graph_path': {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.env} environment: {exc}") from exc
+    if env.n_arms != cfg.M:
+        arms = "values in 'means'" if cfg.env == "synthetic" else f"nodes in {cfg.graph_path}"
+        raise ConfigError(f"key 'm': config says m={cfg.M}, but there are {env.n_arms} {arms}")
+    return env
 
 
 def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
@@ -408,14 +381,15 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     """
     cfg = load_config(config_path)
     if seed_offset:
-        cfg = replace(cfg, seeds=tuple(s + seed_offset for s in cfg.seeds))
-        if min(cfg.seeds) < 0:
-            raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(cfg.seeds)} negative")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+        seeds = tuple(s + seed_offset for s in cfg.seeds)
+        if min(seeds) < 0:
+            raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(seeds)} negative")
+        cfg = replace(cfg, seeds=seeds)
     workers = _worker_count(len(cfg.seeds))
     oracle = build_env(cfg)
+    # every config error is raised above, before the output directory exists
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     phi = true_shapley(cfg, oracle)
     pi_star = fair_policy(phi, cfg.K).probs
 

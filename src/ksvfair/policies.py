@@ -1,15 +1,20 @@
 """Bandit policies: optimistic merit sampling, uniform-phase merit sampling,
 and the uniform-random / explore-then-commit controls.
 
-A run is a chain of rounds.  Each round selects a coalition of exactly K
-arms, spends oracle pulls on estimation, and logs the selection
-probabilities it played.  Budget currency is oracle pulls: a round's
-literal pull cost depends only on the config, so each runner's schedule
-function (``SCHEDULES``) fixes the rounds before round 1, stopping before
-the first round that would pass the pull budget T or the optional round cap
-(both limits are exposed because pull budget and round count differ by the
+A run is a chain of rounds.  Each round selects a coalition, spends oracle
+pulls on estimation, and logs the selection probabilities it played.  Every
+round of the learners and of the uniform baseline selects exactly K arms.
+etcg's exploration sweep does not: each sweep round plays the committed
+prefix plus one candidate, 1 to K arms, and logs that set's indicator, so
+its ``pi`` row sums to the set's size rather than to K; its commit rounds
+play K arms.  Budget currency is oracle pulls: a round's literal pull cost
+depends only on the config, so each runner's schedule function
+(``SCHEDULES``) fixes the rounds before round 1, stopping before the first
+round that would pass the pull budget T or the optional round cap (both
+limits are exposed because pull budget and round count differ by the
 per-round estimation cost).  A config too small for a runner's fixed phase
-is rejected by its schedule, before any pull.
+(ksvfair's warm-up, muras' uniform rounds, etcg's sweep) is rejected by
+its schedule, before any pull.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ class PolicyConfig:
     T: int
     M: int
     K: int
-    R: int
-    L: int
+    R: int = 50
+    L: int = 20
     delta1: float = 0.05
     delta2: float = 0.05
     rounds: int | None = None
@@ -261,20 +266,21 @@ def _check_oracle(cfg: PolicyConfig, oracle) -> None:
         )
 
 
-def _round_costs(cfg: PolicyConfig, head, tail: int) -> list[int]:
+def _round_costs(cfg: PolicyConfig, head, tail: int, phase: str) -> list[int]:
     """Pull cost of every round a run plays: the ``head`` costs in order,
     then ``tail`` per round, stopping before the first round that would pass
-    the round cap or the pull budget T.  The schedule depends only on the
-    config, so every seed of a run plays the same rounds."""
+    the round cap or the pull budget T.  The head is the runner's fixed
+    ``phase``: a budget or cap that cannot cover all of it is a
+    ``ValueError``.  The schedule depends only on the config, so every seed
+    of a run plays the same rounds."""
     cap = cfg.rounds if cfg.rounds is not None else math.inf
-    costs: list[int] = []
-    left = cfg.T
-    for cost in head:
-        if len(costs) >= cap or cost > left:
-            return costs
-        costs.append(cost)
-        left -= cost
-    return costs + [tail] * int(min(left // tail, cap - len(costs)))
+    used = sum(head)
+    if len(head) > cap or used > cfg.T:
+        raise ValueError(
+            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover the {len(head)} "
+            f"{phase} rounds ({used} pulls)"
+        )
+    return list(head) + [tail] * int(min((cfg.T - used) // tail, cap - len(head)))
 
 
 def ksvfair_schedule(cfg: PolicyConfig) -> list[int]:
@@ -282,39 +288,27 @@ def ksvfair_schedule(cfg: PolicyConfig) -> list[int]:
     rounds, then R orderings of L pulls per round."""
     warm_cost = pull_cost(cfg.K, 1, 1, cfg.reuse_prefix)
     main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
-    return _round_costs(cfg, [warm_cost] * cfg.warm_rounds, main_cost)
+    return _round_costs(cfg, [warm_cost] * cfg.warm_rounds, main_cost, "warm-up")
 
 
 def muras_schedule(cfg: PolicyConfig) -> list[int]:
-    """Round costs of ``muras_run``: R uniform estimation rounds, which the
-    budget must cover, then merit rounds of R orderings of L pulls."""
+    """Round costs of ``muras_run``: R uniform estimation rounds, then merit
+    rounds of R orderings of L pulls."""
     phase1 = [muras_pull_cost(cfg.M, cfg.L)] * cfg.R
-    costs = _round_costs(cfg, phase1, pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix))
-    if len(costs) < len(phase1):
-        raise ValueError(
-            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover the {cfg.R} uniform "
-            f"estimation rounds ({sum(phase1)} pulls)"
-        )
-    return costs
+    main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
+    return _round_costs(cfg, phase1, main_cost, "uniform estimation")
 
 
 def uniform_schedule(cfg: PolicyConfig) -> list[int]:
-    """Round costs of ``uniform_baseline``: one pull per round."""
-    return _round_costs(cfg, [], 1)
+    """Round costs of ``uniform_baseline``: one pull per round, no fixed phase."""
+    return _round_costs(cfg, [], 1, "")
 
 
 def etcg_schedule(cfg: PolicyConfig) -> list[int]:
     """Round costs of ``etcg_baseline``: one exploration sweep of
-    ``explore_pulls`` per candidate, which the budget must cover, then one
-    pull per commit round."""
+    ``explore_pulls`` per candidate, then one pull per commit round."""
     sweep = [cfg.explore_pulls] * sum(cfg.M - k for k in range(cfg.K))
-    costs = _round_costs(cfg, sweep, 1)
-    if len(costs) < len(sweep):
-        raise ValueError(
-            f"budget (T={cfg.T}, rounds={cfg.rounds}) cannot cover one exploration "
-            f"sweep of {len(sweep)} rounds / {sum(sweep)} pulls"
-        )
-    return costs
+    return _round_costs(cfg, sweep, 1, "exploration sweep")
 
 
 def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -420,7 +414,8 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     prefix with ``explore_pulls`` pulls; after sweeping the candidates the
     best joins the prefix.  Once K arms are committed the set is played
     forever.  Probabilities are logged as the played set's indicator, so
-    the policy is deliberately degenerate.
+    the policy is deliberately degenerate, and a sweep round's ``pi`` sums
+    to its set's size (prefix + 1, from 1 to K), not to K.
     """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K

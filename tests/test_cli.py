@@ -16,6 +16,7 @@ from ksvfair.cli import (
     EXIT_CONFIG,
     EXIT_RUNTIME,
     ConfigError,
+    build_env,
     compare_runs,
     load_config,
     main,
@@ -93,21 +94,29 @@ class TestLoadConfig:
             load_config(p)
 
     def test_means_length_mismatch(self, tmp_path):
+        # the environment checks its values: build_env rejects them, before any output
+        out = tmp_path / "out"
         p = tmp_path / "bad.ini"
-        text = SMALL_CONFIG.format(algo="ksvfair", rounds=5, seeds="1", out="o")
+        text = SMALL_CONFIG.format(algo="ksvfair", rounds=5, seeds="1", out=out)
         p.write_text(text.replace("0.2,0.35,0.5,0.7,0.9", "0.2,0.35"))
         with pytest.raises(ConfigError, match="means"):
-            load_config(p)
+            build_env(load_config(p))
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_graph_path_validated(self, tmp_path):
+        out = tmp_path / "out"
         p = tmp_path / "c.ini"
         p.write_text(
             "[run]\nalgo = ksvfair\nenv = cascade\nt = 1000\nseeds = 1\n"
+            f"out_dir = {out}\n"
             "[algo]\nr = 2\nl = 1\n"
             "[env]\nm = 8\nk = 2\ngraph_path = missing.edges\n"
         )
         with pytest.raises(ConfigError, match="graph_path"):
-            load_config(p)
+            build_env(load_config(p))
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key,value",
@@ -477,8 +486,8 @@ class TestMainEntry:
             ("muras", ("t = 1000000", "t = 50"), r"T=50, rounds=30\) cannot cover the 4 uniform"),
             ("muras", ("rounds = 30", "rounds = 3"), r"rounds=3\) cannot cover the 4 uniform"),
             # etcg: one sweep of 5 + 4 rounds of explore_pulls = 20
-            ("etcg", ("t = 1000000", "t = 179"), "cannot cover one exploration sweep of 9 rounds / 180"),
-            ("etcg", ("rounds = 30", "rounds = 8"), r"rounds=8\) cannot cover one exploration"),
+            ("etcg", ("t = 1000000", "t = 179"), r"cannot cover the 9 exploration sweep rounds \(180 pulls\)"),
+            ("etcg", ("rounds = 30", "rounds = 8"), r"rounds=8\) cannot cover the 9 exploration sweep"),
         ],
         ids=["muras-t", "muras-rounds", "etcg-t", "etcg-rounds"],
     )
@@ -507,6 +516,59 @@ class TestMainEntry:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestConfigErrorsBeforeOutput:
+    """A config the environment or the runner's schedule rejects exits 2
+    before the output directory exists and before the fair target is built."""
+
+    def exit_code(self, monkeypatch, config, out):
+        def fail(*args, **kwargs):
+            raise AssertionError("fair target built for a rejected config")
+
+        monkeypatch.setattr(cli, "true_shapley", fail)
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_cascade_m_other_than_graph_nodes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        p = tmp_path / "c.ini"
+        p.write_text((ROOT / "configs" / "cascade_tiny.ini").read_text().replace("m = 8", "m = 9"))
+        with pytest.raises(ConfigError, match=r"key 'm'.* m=9"):
+            build_env(load_config(p))
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("M,K,T", [(5, 5, 6), (2, 2, 3), (6, 4, 5)])
+    def test_ksvfair_budget_below_one_warm_up_round(self, tmp_path, monkeypatch, M, K, T):
+        p = tmp_path / "c.ini"
+        p.write_text(
+            f"[run]\nalgo = ksvfair\nenv = synthetic\nt = {T}\nseeds = 1\n"
+            "[algo]\nr = 2\nl = 2\n"
+            f"[env]\nm = {M}\nk = {K}\nmeans = {','.join(['0.5'] * M)}\n"
+        )
+        with pytest.raises(ConfigError, match=rf"\(T={T}, rounds=None\) cannot cover the .* warm-up"):
+            load_config(p)
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+
+    def test_cascade_budget_below_one_warm_up_round(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        text = (ROOT / "configs" / "cascade_tiny.ini").read_text()
+        p = tmp_path / "c.ini"
+        p.write_text(text.replace("k = 2", "k = 8").replace("t = 500000", "t = 9"))
+        with pytest.raises(ConfigError, match=r"cannot cover the 1 warm-up rounds \(16 pulls\)"):
+            load_config(p)
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+
+
+class TestDependencies:
+    def test_library_imports_numpy_only(self):
+        # scipy and networkx may be installed, but the package does not declare them
+        code = "import sys, ksvfair, ksvfair.cli; print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # values whose %.12g / format(x, ".12g") text is easy to get wrong

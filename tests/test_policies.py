@@ -497,7 +497,8 @@ class TestRecorder:
 
 
 class TestRoundCosts:
-    """The up-front schedule against the round-by-round stop rule."""
+    """The up-front schedule against the round-by-round stop rule: it raises
+    exactly when the loop would stop inside the head, the fixed phase."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -508,8 +509,14 @@ class TestRoundCosts:
     )
     def test_matches_round_by_round_loop(self, T, cap, head, tail):
         cfg = PolicyConfig(T=T, M=3, K=2, R=1, L=1, rounds=cap)
-        costs = _round_costs(cfg, head, tail)
-        assert costs == loop_round_costs(cfg, head, tail)
+        expected = loop_round_costs(cfg, head, tail)
+        if len(expected) < len(head):
+            message = rf"\(T={T}, rounds={cap}\) cannot cover the {len(head)} test rounds \({sum(head)} pulls\)"
+            with pytest.raises(ValueError, match=message):
+                _round_costs(cfg, head, tail, "test")
+            return
+        costs = _round_costs(cfg, head, tail, "test")
+        assert costs == expected
         assert all(type(c) is int for c in costs)
 
     @settings(max_examples=100, deadline=None)
@@ -517,7 +524,9 @@ class TestRoundCosts:
     def test_cap_inside_the_head(self, head, data):
         cap = data.draw(st.integers(1, len(head) - 1))
         cfg = PolicyConfig(T=10**6, M=3, K=2, R=1, L=1, rounds=cap)
-        assert _round_costs(cfg, head, 1) == loop_round_costs(cfg, head, 1) == head[:cap]
+        assert loop_round_costs(cfg, head, 1) == head[:cap]
+        with pytest.raises(ValueError, match=rf"rounds={cap}\) cannot cover the {len(head)} test rounds"):
+            _round_costs(cfg, head, 1, "test")
 
 
 class TestConfidenceCoverage:
