@@ -14,8 +14,9 @@ Configs are flat INI text: a ``[run]`` block (algo, env, budget, seeds,
 output), an ``[algo]`` block (estimation and policy knobs) and an
 ``[env]`` block (environment parameters); lists are comma-separated, and
 an unknown key is a config error.  Every run is fully determined by
-(config, seed); reruns are byte-identical.  The ``KSV_THREADS``
-environment variable caps how many seeds run in parallel workers.
+(config, seed); reruns are byte-identical.  Seeds run in parallel worker
+processes, one per CPU the process may run on (``taskset -c 0-3 ksvfair run
+...`` caps them at four); with one CPU they run serially, in-process.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ def build_env(cfg: RunConfig):
                 allow_extra_query=allow_extra,
             )
     except OSError as exc:
-        raise ConfigError(f"key 'graph_path': {exc}") from exc
+        relative = not Path(cfg.graph_path).is_absolute()
+        where = f", read from the current directory {Path.cwd()}" if relative else ""
+        raise ConfigError(f"key 'graph_path': {exc}{where}") from exc
     except ValueError as exc:
         raise ConfigError(f"{cfg.env} environment: {exc}") from exc
     if env.n_arms != cfg.M:
@@ -356,15 +359,10 @@ def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
 
 
 def _worker_count(n_seeds: int) -> int:
-    workers = min(n_seeds, os.cpu_count() or 1)
-    cap = os.environ.get("KSV_THREADS", "")
-    if cap.strip():
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ConfigError(f"KSV_THREADS must be an integer, got {cap!r}") from None
-        workers = min(workers, max(1, limit))
-    return workers
+    """One worker per seed, at most one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_seeds, len(os.sched_getaffinity(0)))
+    return min(n_seeds, os.cpu_count() or 1)  # no affinity call on this platform
 
 
 def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
@@ -373,11 +371,11 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     Files appear seed by seed, in seed order: each seed's ``run_seed*.csv``
     and ``arms_seed*.csv`` are written as soon as its record exists, and the
     record is then dropped, keeping only its ``FairnessLedger`` for
-    ``aggregate.csv``.  Run serially, at most one record is in memory, so a
-    run's memory does not grow with its seed count; with worker processes,
-    the records that finish ahead of their turn also wait in memory.  A seed
-    that raises stops the run: the earlier seeds' files stay, and no
-    ``aggregate.csv`` is written.
+    ``aggregate.csv``.  Run serially, on one CPU, at most one record is in
+    memory, so a run's memory does not grow with its seed count; with worker
+    processes, the records that finish ahead of their turn also wait in
+    memory.  A seed that raises stops the run: the earlier seeds' files
+    stay, and no ``aggregate.csv`` is written.
     """
     cfg = load_config(config_path)
     if seed_offset:
@@ -385,7 +383,6 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
         if min(seeds) < 0:
             raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(seeds)} negative")
         cfg = replace(cfg, seeds=seeds)
-    workers = _worker_count(len(cfg.seeds))
     oracle = build_env(cfg)
     # every config error is raised above, before the output directory exists
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -395,6 +392,7 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
 
     # every seed plays the oracle the target was built from: it never mutates
     n = len(cfg.seeds)
+    workers = _worker_count(n)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         records = (pool.map if pool else map)(_run_one, [cfg] * n, [oracle] * n, cfg.seeds)
         ledgers = []

@@ -393,7 +393,8 @@ def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) ->
 
     The policy never reads a reward, so every round is drawn up front: one
     independent shuffle of the arms per round, whose first K are that
-    round's coalition, then one batched call pulls each coalition once.
+    round's coalition.  The schedule charges each round its one pull, but
+    no reward is simulated, since none would be read.
     """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
@@ -402,7 +403,6 @@ def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) ->
     arms = rng.permuted(np.tile(np.arange(M), (n, 1)), axis=1)[:, :K]
     selected = np.zeros((n, M), dtype=np.uint8)
     np.put_along_axis(selected, arms, 1, axis=1)
-    oracle.pull_mean_many(selected.view(bool), 1, rng)
     nan = np.full(M, np.nan)
     return _record("uniform", seed, cfg, costs, np.full((n, M), K / M), selected, nan, nan)
 

@@ -3,6 +3,7 @@
 import csv
 import logging
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -262,15 +263,15 @@ class TestRunExperiment:
 
     def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, rounds=12)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         serial = run_experiment(cfg, out_dir=tmp_path / "serial")
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("KSV_THREADS", "2")
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
         parallel = run_experiment(cfg, out_dir=tmp_path / "parallel")
         for name in ("run_seed1.csv", "run_seed2.csv", "aggregate.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_one_environment_per_run(self, tmp_path, monkeypatch, threads):
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_one_environment_per_run(self, tmp_path, monkeypatch, cpus):
         # each build is logged with its process id, so a forked worker's shows too
         built = tmp_path / "built.txt"
         build = cli.build_env
@@ -281,8 +282,7 @@ class TestRunExperiment:
             return build(cfg)
 
         monkeypatch.setattr(cli, "build_env", logged)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("KSV_THREADS", threads)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
         run_experiment(write_config(tmp_path, rounds=6, seeds="1,2,3"), out_dir=tmp_path / "o")
         assert built.read_text().split() == [str(os.getpid())]
 
@@ -299,19 +299,18 @@ class TestRunExperiment:
             return record
 
         monkeypatch.setattr(cli, "_run_one", tracked)
-        monkeypatch.setenv("KSV_THREADS", "1")
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
         out = run_experiment(write_config(tmp_path, rounds=6, seeds="1,2,3"), out_dir=tmp_path / "o")
         assert held == [[1], [2], [3]]
         assert not live
         assert (out / "aggregate.csv").exists()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failed_seed_keeps_earlier_files_and_no_aggregate(self, tmp_path, monkeypatch, capsys, threads):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_seed_keeps_earlier_files_and_no_aggregate(self, tmp_path, monkeypatch, capsys, cpus):
         cfg = write_config(tmp_path, rounds=6, seeds="1,2,3")
         full = run_experiment(cfg, out_dir=tmp_path / "full")
         monkeypatch.setattr(cli, "_run_one", _run_one_failing_at_seed_two)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        monkeypatch.setenv("KSV_THREADS", threads)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
         assert "seed 2 failed" in capsys.readouterr().err
@@ -320,19 +319,33 @@ class TestRunExperiment:
         for name in ("arms_seed1.csv", "run_seed1.csv"):
             assert (out / name).read_bytes() == (full / name).read_bytes()
 
-    def test_non_integer_thread_cap_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KSV_THREADS", "two")
-        with pytest.raises(ConfigError, match="KSV_THREADS.*'two'"):
-            run_experiment(write_config(tmp_path, rounds=5))
+    def test_one_cpu_opens_no_pool(self, tmp_path, monkeypatch):
+        # seeds then run in this process, where a caller's monkeypatches and tracers see them
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool opened on one CPU")
 
-    def test_thread_cap_checked_before_fair_target(self, tmp_path, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("fair target built before KSV_THREADS was checked")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3})
+        out = run_experiment(write_config(tmp_path, rounds=5, seeds="1,2,3"), out_dir=tmp_path / "o")
+        assert (out / "aggregate.csv").exists()
 
-        monkeypatch.setattr(cli, "true_shapley", fail)
-        monkeypatch.setenv("KSV_THREADS", "x")
-        with pytest.raises(ConfigError, match="KSV_THREADS"):
-            run_experiment(write_config(tmp_path, rounds=5))
+    def test_three_seeds_on_four_cpus_use_three_workers(self, tmp_path, monkeypatch):
+        sizes, pool = [], cli.ProcessPoolExecutor
+
+        def sized(workers):
+            sizes.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", sized)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        run_experiment(write_config(tmp_path, rounds=5, seeds="1,2,3"), out_dir=tmp_path / "o")
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 3), (2, 2), (None, 1)])
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, cpus, workers):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert cli._worker_count(3) == workers
 
     def test_all_algorithms_run(self, tmp_path):
         for algo in ("muras", "uniform", "etcg"):
@@ -560,6 +573,17 @@ class TestConfigErrorsBeforeOutput:
             load_config(p)
         assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
 
+    def test_relative_graph_path_read_from_current_directory(self, tmp_path, monkeypatch, capsys):
+        # the shipped config names data/toy_8.edges, relative to the checkout root
+        monkeypatch.chdir(tmp_path)
+        config = ROOT / "configs" / "cascade_tiny.ini"
+        assert self.exit_code(monkeypatch, config, tmp_path / "o") == EXIT_CONFIG
+        message = f"'data/toy_8.edges', read from the current directory {Path.cwd()}"
+        assert message in capsys.readouterr().err
+        assert main(["exact-shapley", "--config", str(config)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDependencies:
     def test_library_imports_numpy_only(self):
@@ -569,6 +593,17 @@ class TestDependencies:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_library_reads_no_environment_variable(self):
+        # a run is fixed by its config, its seeds and the CPUs it may use
+        pattern = re.compile(r"\b(environb?|getenvb?)\b")
+        readers = [
+            f"{path.name}:{n}"
+            for path in sorted((SRC / "ksvfair").rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert readers == []
 
 
 # values whose %.12g / format(x, ".12g") text is easy to get wrong

@@ -330,21 +330,13 @@ class TestUniformBaseline:
         assert set(np.unique(rec.selected)) == {0, 1}
         assert np.all(rec.selected.sum(axis=1) == cfg.K)
 
-    def test_one_batched_pull_per_run(self, monkeypatch):
-        calls = []
-        batched = SyntheticEnv.pull_mean_many
-
-        def spy(env, masks, n, rng):
-            calls.append((np.array(masks, dtype=bool), n))
-            return batched(env, masks, n, rng)
-
-        monkeypatch.setattr(SyntheticEnv, "pull_mean_many", spy)
-        monkeypatch.setattr(SyntheticEnv, "pull", None)  # no scalar pull is left
+    def test_makes_no_pull(self, monkeypatch):
+        # no reward is read, so none is simulated; the schedule still charges one per round
+        for pull in ("pull", "pull_mean", "pull_mean_many"):
+            monkeypatch.setattr(SyntheticEnv, pull, None)
         cfg = small_cfg(rounds=40)
         rec = uniform_baseline(cfg, small_env(), np.random.default_rng(4))
-        [(masks, n)] = calls
-        assert n == 1
-        np.testing.assert_array_equal(masks, rec.selected.astype(bool))
+        np.testing.assert_array_equal(rec.pulls, np.ones(40))
 
     def test_same_seed_same_record(self):
         cfg = small_cfg(rounds=300)
@@ -459,6 +451,9 @@ class TestRecorder:
         }[algo]
         cfg = PolicyConfig(T=10**6, M=self.M, K=self.K, R=5, L=3, rounds=60, explore_pulls=4)
         rec = runner(cfg, env, np.random.default_rng(1), seed=1)
+        if algo == "uniform":  # plays without pulling: its coalitions are the first K of each shuffle
+            shuffles = np.random.default_rng(1).permuted(np.tile(np.arange(self.M), (60, 1)), axis=1)
+            return rec, [tuple(sorted(row[: self.K].tolist())) for row in shuffles]
         return rec, env.played
 
     @pytest.mark.parametrize("algo", ["ksvfair", "muras", "uniform", "etcg"])
