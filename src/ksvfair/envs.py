@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import RestrictedGame, canon
+from .games import RestrictedGame, checked_coalition
 
 log = logging.getLogger(__name__)
 
@@ -26,16 +26,22 @@ log = logging.getLogger(__name__)
 class ValuationOracle:
     """Interface shared by all environments.
 
-    Subclasses implement ``exact``, ``pull`` and ``pull_mean_many``.
-    ``budget`` is the selection budget K.  ``query_limit`` is the largest
+    Subclasses implement ``exact``, ``pull`` and ``pull_mean_many``.  The
+    constructor owns the dimensions: ``n_arms`` is M and ``budget`` the
+    selection budget K, with 1 <= K <= M.  ``query_limit`` is the largest
     coalition a query may name: equal to K in strict mode, K + 1 when the
     environment was built with ``allow_extra_query`` (needed by estimators
-    that probe one arm beyond a full coalition).
+    that probe one arm beyond a full coalition).  Every query goes through
+    ``games.checked_coalition``, which raises ``CoalitionSizeError`` above
+    the query limit.
     """
 
-    n_arms: int
-    budget: int
-    query_limit: int
+    def __init__(self, n_arms: int, budget: int, *, allow_extra_query: bool = False):
+        if not 1 <= budget <= n_arms:
+            raise ValueError(f"need 1 <= K <= M, got K={budget}, M={n_arms}")
+        self.n_arms = int(n_arms)
+        self.budget = int(budget)
+        self.query_limit = self.budget + (1 if allow_extra_query else 0)
 
     def exact(self, members) -> float:
         raise NotImplementedError
@@ -48,14 +54,7 @@ class ValuationOracle:
         raise NotImplementedError
 
     def _checked(self, members) -> tuple[int, ...]:
-        S = canon(members)
-        if len(S) > self.query_limit:
-            raise ValueError(
-                f"coalition of size {len(S)} exceeds query limit {self.query_limit}"
-            )
-        if S and (S[0] < 0 or S[-1] >= self.n_arms):
-            raise ValueError(f"arm index out of range in {S} (M={self.n_arms})")
-        return S
+        return checked_coalition(members, self.n_arms, self.query_limit, "query limit")
 
     def _check_masks(self, masks, n: int) -> np.ndarray:
         if n < 1:
@@ -65,11 +64,8 @@ class ValuationOracle:
             raise ValueError(
                 f"expected an (n_sets, {self.n_arms}) membership matrix, got shape {masks.shape}"
             )
-        sizes = masks.sum(axis=1)
-        if (sizes > self.query_limit).any():
-            raise ValueError(
-                f"coalition of size {int(sizes.max())} exceeds query limit {self.query_limit}"
-            )
+        if len(masks):  # every row is within the limit if the largest is
+            self._checked(np.flatnonzero(masks[masks.sum(axis=1).argmax()]))
         return masks
 
     def pull_mean(self, members, n: int, rng) -> float:
@@ -159,17 +155,15 @@ class SyntheticEnv(_GaussianOracle):
         self.noise_stds = np.array(noise_stds, dtype=float)
         if len(self.noise_stds) != M:
             raise ValueError("means and noise_stds must have the same length")
-        if np.any(self.means <= 0) or np.any(self.means > 1):
+        # written so that a NaN fails each check
+        if not np.all((self.means > 0) & (self.means <= 1)):
             raise ValueError("arm means must lie in (0, 1]")
-        if np.any(self.noise_stds < 0):
-            raise ValueError("noise levels must be nonnegative")
-        if curvature < 0:
-            raise ValueError("curvature must be nonnegative")
-        if not 1 <= budget <= M:
-            raise ValueError(f"need 1 <= K <= M, got K={budget}, M={M}")
-        self.n_arms = M
-        self.budget = int(budget)
-        self.query_limit = self.budget + (1 if allow_extra_query else 0)
+        levels = np.append(self.noise_stds, [] if shared_noise_std is None else shared_noise_std)
+        if not np.all((levels >= 0) & (levels < np.inf)):
+            raise ValueError("noise levels must be finite and nonnegative")
+        if not 0 <= curvature < math.inf:
+            raise ValueError("curvature must be finite and nonnegative")
+        super().__init__(M, budget, allow_extra_query=allow_extra_query)
         self.curvature = float(curvature)
         self.shared_noise_std = shared_noise_std
         total = float(self.means.sum())
@@ -258,23 +252,22 @@ class GameOracle(_GaussianOracle):
         budget: int | None = None,
         allow_extra_query: bool = False,
     ):
-        self.game = game
-        self.n_arms = game.n_arms
-        self.budget = int(budget) if budget is not None else game.budget
-        self.query_limit = self.budget + (1 if allow_extra_query else 0)
+        budget = game.budget if budget is None else budget
+        super().__init__(game.n_arms, budget, allow_extra_query=allow_extra_query)
         if self.query_limit > game.budget:
             raise ValueError(
                 f"query limit {self.query_limit} exceeds the wrapped game's budget {game.budget}"
             )
-        if noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 <= noise_std < math.inf:
+            raise ValueError("noise_std must be finite and nonnegative")
+        self.game = game
         self.noise_std = float(noise_std)
 
     def exact(self, members) -> float:
-        return self.game.value(members)
+        return self.game.value(self._checked(members))
 
     def _moment(self, S) -> tuple[float, float]:
-        return self.exact(S), (self.noise_std if S else 0.0)
+        return self.game.value(S), (self.noise_std if S else 0.0)
 
 
 @dataclass(frozen=True)
@@ -404,8 +397,7 @@ class CascadeEnv(ValuationOracle):
     ):
         if not 0.0 <= activation_p <= 1.0:
             raise ValueError("activation probability must lie in [0, 1]")
-        if not 1 <= budget <= graph.n_nodes:
-            raise ValueError(f"need 1 <= K <= n, got K={budget}, n={graph.n_nodes}")
+        super().__init__(graph.n_nodes, budget, allow_extra_query=allow_extra_query)
         if exact_sims < 1:
             raise ValueError("exact_sims must be >= 1")
         if exact_seed < 0:
@@ -416,9 +408,6 @@ class CascadeEnv(ValuationOracle):
             raise ValueError(f"edge endpoints must lie in [0, {graph.n_nodes})")
         self.graph = graph
         self.activation_p = float(activation_p)
-        self.n_arms = graph.n_nodes
-        self.budget = int(budget)
-        self.query_limit = self.budget + (1 if allow_extra_query else 0)
         self.exact_sims = int(exact_sims)
         self.exact_seed = int(exact_seed)
         # the seed as SeedSequence splits an int: 32-bit words, low first, at least one
@@ -444,20 +433,6 @@ class CascadeEnv(ValuationOracle):
         reached[label[(np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel()]] = True
         return np.count_nonzero(reached[label].reshape(n_worlds, n), axis=1)
 
-    def _mean_spread(self, S: tuple[int, ...], n_sims: int, rng) -> float:
-        """``cascade_exact`` of a checked coalition."""
-        if n_sims < 1:
-            raise ValueError("n_sims must be >= 1")
-        if not S:
-            return 0.0
-        rows = max(1, _CHUNK_DRAWS // max(1, self.graph.n_edges))
-        total = 0
-        for start in range(0, n_sims, rows):
-            # one row of edge coins per world, in draw order
-            live = rng.random((min(rows, n_sims - start), self.graph.n_edges)) < self.activation_p
-            total += int(self._spread_counts(S, live).sum())
-        return total / (self.n_arms * n_sims)
-
     def _exact_rng(self, S: tuple[int, ...]) -> np.random.Generator:
         """The generator ``exact`` draws S's worlds from: the stream of
         ``default_rng((exact_seed, *S))``, seeded from one uint32 array."""
@@ -473,7 +448,7 @@ class CascadeEnv(ValuationOracle):
 
     def exact(self, members) -> float:
         S = self._checked(members)
-        return self._mean_spread(S, self.exact_sims, self._exact_rng(S))
+        return cascade_exact(self, S, self.exact_sims, self._exact_rng(S))
 
 
 def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
@@ -483,4 +458,16 @@ def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
     n_sims successive ``env.pull`` calls (each the n_sims = 1 case) would
     and returns their mean, up to rounding.
     """
-    return env._mean_spread(env._checked(members), n_sims, rng)
+    S = env._checked(members)
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
+    if not S:
+        return 0.0
+    n_edges = env.graph.n_edges
+    rows = max(1, _CHUNK_DRAWS // max(1, n_edges))
+    total = 0
+    for start in range(0, n_sims, rows):
+        # one row of edge coins per world, in draw order
+        live = rng.random((min(rows, n_sims - start), n_edges)) < env.activation_p
+        total += int(env._spread_counts(S, live).sum())
+    return total / (env.n_arms * n_sims)

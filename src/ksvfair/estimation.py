@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .games import checked_coalition
+
 
 @dataclass(frozen=True, eq=False)
 class RoundEstimates:
@@ -82,16 +84,16 @@ def shapley_estimation(
 
     All prefixes go to the oracle as one membership matrix, ordering by
     ordering: without- then with-member row per position, or the k + 1
-    prefixes of the chain with ``reuse_prefix``.
+    prefixes of the chain with ``reuse_prefix``.  A coalition the oracle
+    would reject raises before any draw.
     """
     members = [int(a) for a in S]
     k, M = len(members), oracle.n_arms
     if k == 0:
         raise ValueError("cannot estimate an empty coalition")
-    if len(set(members)) != k:
-        raise ValueError(f"duplicate members in {members}")
-    if min(members) < 0 or max(members) >= M:
-        raise ValueError(f"arm index out of range in {members} (M={M})")
+    coalition = checked_coalition(members, M, oracle.query_limit, "query limit")
+    arms = np.array(coalition, dtype=np.intp)
+    # the caller's order, not the sorted one, decides which arm each permuted index names
     members = np.array(members, dtype=np.intp)
     if R < 1 or L < 1:
         raise ValueError("R and L must be >= 1")
@@ -100,7 +102,7 @@ def shapley_estimation(
     else:
         orders = np.asarray(permutations, dtype=np.intp)
         if orders.ndim != 2 or orders.shape[1] != k or not np.array_equal(
-            np.sort(orders, axis=1), np.broadcast_to(np.sort(members), orders.shape)
+            np.sort(orders, axis=1), np.broadcast_to(arms, orders.shape)
         ):
             raise ValueError("supplied permutations must reorder S exactly")
         R = len(orders)
@@ -120,9 +122,8 @@ def shapley_estimation(
     outside = np.ones(M, dtype=bool)
     outside[members] = False
     est[outside] = sq[outside] = np.nan
-    arms = np.sort(members)
     pulls = pull_cost(k, R, L, reuse_prefix)
-    return RoundEstimates(est, sq, arms, R, pulls, coalition=tuple(arms.tolist()))
+    return RoundEstimates(est, sq, arms, R, pulls, coalition=coalition)
 
 
 def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:

@@ -23,7 +23,7 @@ MAX_EXACT_COALITIONS = 263_949
 
 
 class CoalitionSizeError(ValueError):
-    """Valuation queried on a coalition larger than the game's budget."""
+    """Coalition larger than the budget or query limit it is checked against."""
 
 
 def canon(members) -> Coalition:
@@ -31,6 +31,17 @@ def canon(members) -> Coalition:
     S = tuple(sorted(map(int, members)))
     if len(set(S)) != len(S):
         raise ValueError(f"duplicate members in coalition {S}")
+    return S
+
+
+def checked_coalition(members, n_arms: int, limit: int, limit_name: str) -> Coalition:
+    """``canon(members)``, checked to name arms of 0..n_arms-1 only and at
+    most ``limit`` of them; ``limit_name`` names the limit in the error."""
+    S = canon(members)
+    if S and (S[0] < 0 or S[-1] >= n_arms):
+        raise ValueError(f"arm index out of range in {S} (M={n_arms})")
+    if len(S) > limit:
+        raise CoalitionSizeError(f"coalition of size {len(S)} exceeds {limit_name} {limit}")
     return S
 
 
@@ -57,13 +68,7 @@ class RestrictedGame:
             raise ValueError(f"valuation of the empty coalition must be 0, got {v0}")
 
     def value(self, members) -> float:
-        S = canon(members)
-        if S and (S[0] < 0 or S[-1] >= self.n_arms):
-            raise ValueError(f"arm index out of range in {S} (M={self.n_arms})")
-        if len(S) > self.budget:
-            raise CoalitionSizeError(
-                f"coalition of size {len(S)} exceeds budget K={self.budget}"
-            )
+        S = checked_coalition(members, self.n_arms, self.budget, "budget")
         if not S:
             return 0.0
         if self._memo is None:
@@ -104,11 +109,7 @@ def marginal_contribution(game: RestrictedGame, arm: int, members) -> float:
     S = canon(members)
     if arm in S:
         raise ValueError(f"arm {arm} already in coalition {S}")
-    if len(S) > game.budget - 1:
-        raise CoalitionSizeError(
-            f"coalition of size {len(S)} leaves no room for arm under budget {game.budget}"
-        )
-    return game.value(S + (arm,)) - game.value(S)
+    return game.value(S + (arm,)) - game.value(S)  # a full S raises CoalitionSizeError
 
 
 def exact_cost(M: int, K: int) -> int:
@@ -230,9 +231,7 @@ def sampled_k_shapley(
 
 def carrier_game(n_arms: int, budget: int, base, alpha: float) -> RestrictedGame:
     """Game worth alpha exactly on feasible supersets of ``base``, else 0."""
-    D = canon(base)
-    if len(D) > budget:
-        raise ValueError(f"carrier coalition of size {len(D)} exceeds budget {budget}")
+    D = checked_coalition(base, n_arms, budget, "budget")
     if not D:
         raise ValueError("carrier coalition must be nonempty")
     Dset = frozenset(D)

@@ -96,9 +96,9 @@ class PolicyState:
 
     Keeps two running means per arm: one over non-negatively clipped round
     estimates (drives the selection probabilities, keeping them in [0, 1])
-    and one over raw estimates (reporting only).  Pooled sums of the
-    per-ordering marginals and their squares back the variance-adaptive
-    radius.
+    and one over raw estimates (for inspection; no output reads it).
+    Pooled sums of the per-ordering marginals and their squares back the
+    variance-adaptive radius.
     """
 
     def __init__(self, M: int):
@@ -195,15 +195,12 @@ def ksvfair_round(state: PolicyState, cfg: PolicyConfig, oracle, rng):
 class RunRecord:
     """Full log of one policy run: one row per round plus final summaries."""
 
-    algo: str
     seed: int | None
-    config: PolicyConfig
     pi: np.ndarray
     selected: np.ndarray
     pulls: np.ndarray
     counts: np.ndarray
     est_phi: np.ndarray
-    est_phi_raw: np.ndarray
 
     @property
     def n_rounds(self) -> int:
@@ -238,31 +235,36 @@ class _Recorder:
         self.selected[rows, list(S)] = 1
         self.n += repeat
 
-    def finish(self, algo, seed, cfg, est_phi, est_raw) -> RunRecord:
+    def finish(self, seed, est_phi) -> RunRecord:
         if self.n != len(self.costs):
-            raise RuntimeError(f"{algo} logged {self.n} of its {len(self.costs)} scheduled rounds")
-        return _record(algo, seed, cfg, self.costs, self.pi, self.selected, est_phi, est_raw)
+            raise RuntimeError(f"run logged {self.n} of its {len(self.costs)} scheduled rounds")
+        return _record(seed, self.costs, self.pi, self.selected, est_phi)
 
 
-def _record(algo, seed, cfg, costs, pi, selected, est_phi, est_raw) -> RunRecord:
+def _record(seed, costs, pi, selected, est_phi) -> RunRecord:
     return RunRecord(
-        algo=algo,
         seed=seed,
-        config=cfg,
         pi=pi,
         selected=selected,
         pulls=np.array(costs, dtype=int),
         counts=selected.sum(axis=0, dtype=int),
         est_phi=np.asarray(est_phi, dtype=float).copy(),
-        est_phi_raw=np.asarray(est_raw, dtype=float).copy(),
     )
 
 
-def _check_oracle(cfg: PolicyConfig, oracle) -> None:
+def _check_oracle(cfg: PolicyConfig, oracle, query_limit: int | None = None) -> None:
+    """Reject an oracle whose dimensions differ from the config's, or whose
+    query limit is below ``query_limit`` (K by default)."""
     if oracle.n_arms != cfg.M or oracle.budget != cfg.K:
         raise ValueError(
             f"oracle dims (M={oracle.n_arms}, K={oracle.budget}) do not match "
             f"config (M={cfg.M}, K={cfg.K})"
+        )
+    need = query_limit or cfg.K
+    if oracle.query_limit < need:
+        raise ValueError(
+            f"oracle rejects coalitions of size {need}; build the environment "
+            "with allow_extra_query=True for this policy"
         )
 
 
@@ -336,7 +338,7 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
             pooled,
             cfg.radius_mode,
         )
-    return rec.finish("ksvfair", seed, cfg, state.mean, state.mean_raw)
+    return rec.finish(seed, state.mean)
 
 
 def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -349,12 +351,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
     exact marginals, and keeps refreshing the selected arms' estimates;
     each refresh contributes its R ordering samples to the running mean.
     """
-    _check_oracle(cfg, oracle)
-    if cfg.K < cfg.M and oracle.query_limit < cfg.K + 1:
-        raise ValueError(
-            "oracle rejects coalitions of size K+1; build the environment with "
-            "allow_extra_query=True for this policy"
-        )
+    _check_oracle(cfg, oracle, query_limit=min(cfg.K + 1, cfg.M))
     M, K = cfg.M, cfg.K
     costs = muras_schedule(cfg)
     rec = _Recorder(M, costs)
@@ -385,7 +382,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             len(costs) - cfg.R,
             K,
         )
-    return rec.finish("muras", seed, cfg, state.mean, state.mean_raw)
+    return rec.finish(seed, state.mean)
 
 
 def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -403,8 +400,7 @@ def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) ->
     arms = rng.permuted(np.tile(np.arange(M), (n, 1)), axis=1)[:, :K]
     selected = np.zeros((n, M), dtype=np.uint8)
     np.put_along_axis(selected, arms, 1, axis=1)
-    nan = np.full(M, np.nan)
-    return _record("uniform", seed, cfg, costs, np.full((n, M), K / M), selected, nan, nan)
+    return _record(seed, costs, np.full((n, M), K / M), selected, np.full(M, np.nan))
 
 
 def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -442,8 +438,7 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     for _ in range(commit_rounds):
         oracle.pull(committed, rng)
     rec.log(indicator, committed, repeat=commit_rounds)
-    nan = np.full(M, np.nan)
-    return rec.finish("etcg", seed, cfg, nan, nan)
+    return rec.finish(seed, np.full(M, np.nan))
 
 
 # each runner's round schedule, by algorithm name, for checking a config

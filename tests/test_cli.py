@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksvfair import FairnessLedger, PolicyConfig, RunRecord, cli, exact_k_shapley
+from ksvfair import FairnessLedger, RunRecord, cli, exact_k_shapley
 from ksvfair.cli import (
     EXIT_CONFIG,
     EXIT_RUNTIME,
@@ -573,6 +573,26 @@ class TestConfigErrorsBeforeOutput:
             load_config(p)
         assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("means = 0.2,", "means = nan,"),
+            ("noise_stds = 0.1,", "noise_stds = nan,"),
+            ("noise_stds = 0.1,", "noise_stds = inf,"),
+            ("lambda = 0.25", "lambda = nan"),
+            ("lambda = 0.25", "lambda = inf"),
+        ],
+        ids=["nan-mean", "nan-noise", "inf-noise", "nan-lambda", "inf-lambda"],
+    )
+    def test_non_finite_env_value(self, tmp_path, monkeypatch, old, new):
+        text = (ROOT / "configs" / "synthetic_small.ini").read_text()
+        assert old in text
+        p = tmp_path / "c.ini"
+        p.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match="synthetic environment"):
+            build_env(load_config(p))
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+
     def test_relative_graph_path_read_from_current_directory(self, tmp_path, monkeypatch, capsys):
         # the shipped config names data/toy_8.edges, relative to the checkout root
         monkeypatch.chdir(tmp_path)
@@ -630,15 +650,12 @@ def special_record(M, rng):
     counts = rng.integers(0, 3, size=M)
     counts[0] = 0  # an arm never selected has a NaN merit ratio
     return RunRecord(
-        algo="uniform",
         seed=0,
-        config=PolicyConfig(T=10**6, M=M, K=1, R=1, L=1),
         pi=pi,
         selected=rng.integers(0, 2, size=(n, M)).astype(np.uint8),
         pulls=rng.integers(1, 10**6, size=n),
         counts=counts,
         est_phi=rng.choice(SPECIALS, size=M),
-        est_phi_raw=np.zeros(M),
     )
 
 
@@ -646,15 +663,12 @@ def rows_record(pi, selected):
     pi = np.asarray(pi, dtype=float)
     n, M = pi.shape
     return RunRecord(
-        algo="uniform",
         seed=0,
-        config=PolicyConfig(T=10**6, M=M, K=1, R=1, L=1),
         pi=pi,
         selected=np.asarray(selected, dtype=np.uint8).reshape(n, M),
         pulls=np.ones(n, dtype=int),
         counts=np.zeros(M, dtype=int),
         est_phi=np.zeros(M),
-        est_phi_raw=np.zeros(M),
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ksvfair import (
     CascadeEnv,
+    CoalitionSizeError,
     GameOracle,
     Graph,
     SyntheticEnv,
@@ -216,6 +217,9 @@ class TestSyntheticPull:
             SyntheticEnv([0.5, 0.5], [0.1, -0.1], budget=2)
         with pytest.raises(ValueError):
             SyntheticEnv([0.5, 0.5], budget=3)
+        for shared in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise levels"):
+                SyntheticEnv([0.5, 0.5], budget=2, shared_noise_std=shared)
 
 
 class TestScalarPullBits:
@@ -314,6 +318,65 @@ class TestPullCount:
             oracle.pull_mean_many(masks, n, rng)
         with pytest.raises(ValueError, match="n >= 1"):
             oracle.pull_mean((0, 1), n, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestOracleContract:
+    """Every oracle on the 8-node toy graph's arm count: 1 <= K <= M at
+    construction, and every query checked against the query limit, the arm
+    range and duplicates before any draw.  A membership matrix cannot name a
+    duplicate, and its out-of-range arm is a column past M."""
+
+    M = 8
+    ORACLES = {
+        "synthetic": lambda K: SyntheticEnv(np.linspace(0.2, 0.95, 8), np.full(8, 0.2), budget=K),
+        "game": lambda K: GameOracle(additive_game(np.linspace(0.05, 0.4, 8), 8), 0.2, budget=K),
+        "cascade": lambda K: CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=K),
+    }
+
+    @staticmethod
+    def queries(oracle, rng):
+        """``exact``, ``pull`` and ``pull_mean`` of one coalition."""
+        return [oracle.exact, lambda S: oracle.pull(S, rng), lambda S: oracle.pull_mean(S, 3, rng)]
+
+    @pytest.mark.parametrize("K", [0, -2, 9])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_budget_outside_one_to_m_rejected(self, name, K):
+        with pytest.raises(ValueError, match=r"need 1 <= K <= M"):
+            self.ORACLES[name](K)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_over_limit_coalition_rejected(self, name):
+        oracle = self.ORACLES[name](2)
+        assert (oracle.n_arms, oracle.budget, oracle.query_limit) == (self.M, 2, 2)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for query in self.queries(oracle, rng):
+            with pytest.raises(CoalitionSizeError, match="exceeds query limit 2"):
+                query((0, 1, 2))
+        masks = np.zeros((2, self.M), dtype=bool)
+        masks[0, :2] = masks[1, :3] = True
+        with pytest.raises(CoalitionSizeError, match="exceeds query limit 2"):
+            oracle.pull_mean_many(masks, 3, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("S", [(0, 8), (-1, 2), (1, 1)], ids=["past-m", "negative", "duplicate"])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_invalid_member_rejected(self, name, S):
+        oracle = self.ORACLES[name](2)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for query in self.queries(oracle, rng):
+            with pytest.raises(ValueError, match="out of range|duplicate"):
+                query(S)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_membership_column_past_m_rejected(self, name):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"\(n_sets, 8\)"):
+            self.ORACLES[name](2).pull_mean_many(np.ones((1, self.M + 1), dtype=bool), 3, rng)
         assert rng.bit_generator.state == before
 
 
@@ -594,6 +657,11 @@ class TestGameOracle:
         rng = np.random.default_rng(0)
         assert oracle.query_limit == 3
         oracle.pull((0, 1, 2), rng)
+
+    @pytest.mark.parametrize("noise_std", [-0.1, math.nan, math.inf])
+    def test_noise_std_must_be_finite_and_nonnegative(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            GameOracle(additive_game([0.1, 0.2, 0.3, 0.4], 3), noise_std)
 
     def test_slack_beyond_game_budget_rejected(self):
         game = additive_game([0.2, 0.3, 0.5], 2)

@@ -8,6 +8,7 @@ import pytest
 
 from ksvfair import (
     CascadeEnv,
+    CoalitionSizeError,
     GameOracle,
     PolicyState,
     RoundEstimates,
@@ -109,6 +110,14 @@ class TestShapleyEstimation:
         oracle = submodular_oracle()
         with pytest.raises(ValueError):
             shapley_estimation((), oracle, 1, 1, np.random.default_rng(0))
+
+    def test_over_limit_coalition_rejected_before_any_draw(self):
+        oracle = submodular_oracle(M=4, K=2, noise=0.3)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(CoalitionSizeError, match="exceeds query limit 2"):
+            shapley_estimation((2, 0, 1), oracle, 3, 2, rng)
+        assert rng.bit_generator.state == before
 
     def test_bad_permutations_rejected(self):
         oracle = submodular_oracle()

@@ -467,7 +467,7 @@ class TestRecorder:
         np.testing.assert_array_equal(rec.counts, rec.selected.sum(axis=0))
 
     def test_empty_run_shape(self):
-        rec = _Recorder(4, []).finish("uniform", None, small_cfg(M=4), np.zeros(4), np.zeros(4))
+        rec = _Recorder(4, []).finish(None, np.zeros(4))
         assert rec.selected.shape == (0, 4) and rec.selected.dtype == np.uint8
         assert rec.pi.shape == (0, 4)
         assert rec.pulls.shape == (0,) and rec.n_rounds == 0
@@ -478,7 +478,7 @@ class TestRecorder:
         rec = _Recorder(4, [1, 1, 1])
         rec.log(np.array([0.5, 0.5, 0.5, 0.5]), (0, 2))
         rec.log(np.array([1.0, 0.0, 0.0, 1.0]), (0, 3), repeat=2)
-        out = rec.finish("etcg", None, small_cfg(M=4), np.zeros(4), np.zeros(4))
+        out = rec.finish(None, np.zeros(4))
         assert out.pi is rec.pi and out.selected is rec.selected
         np.testing.assert_array_equal(out.pi, [[0.5] * 4, [1, 0, 0, 1], [1, 0, 0, 1]])
         np.testing.assert_array_equal(out.selected, [[1, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1]])
@@ -488,7 +488,7 @@ class TestRecorder:
         rec = _Recorder(4, [1, 1])
         rec.log(np.array([0.5, 0.5, 0.5, 0.5]), (0, 2))
         with pytest.raises(RuntimeError, match="logged 1 of its 2 scheduled rounds"):
-            rec.finish("ksvfair", None, small_cfg(M=4), np.zeros(4), np.zeros(4))
+            rec.finish(None, np.zeros(4))
 
 
 class TestRoundCosts:
