@@ -100,6 +100,11 @@ class RunConfig:
         for key in ("pistar_sims", "pistar_samples"):
             if getattr(self, key) < 1:
                 raise ValueError(f"key '{key}' must be >= 1, got {getattr(self, key)}")
+        if exact_cost(self.M, self.K) > MAX_EXACT_COALITIONS and self.pistar_samples * self.K < self.M:
+            raise ValueError(
+                f"key 'pistar_samples': the sampled fair target draws {self.pistar_samples} "
+                f"coalitions of k={self.K} arms, which cannot cover m={self.M} arms"
+            )
         if self.env == "cascade" and not self.graph_path:
             raise ValueError("key 'graph_path' is required for the cascade environment")
         SCHEDULES[self.algo](self.policy)  # rejects a budget too small for the fixed phase
@@ -116,13 +121,6 @@ class RunConfig:
 def _list_of(parse):
     """Parser of a comma-separated list of ``parse`` values."""
     return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _boolean(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
-        raise ValueError("expected a boolean")
-    return val in ("true", "1", "yes", "on")
 
 
 def _round_cap(raw: str) -> int | None:
@@ -147,7 +145,6 @@ _KEYS = {
         "delta1": ("delta1", float),
         "delta2": ("delta2", float),
         "radius_mode": ("radius_mode", str),
-        "reuse_prefix": ("reuse_prefix", _boolean),
         "explore_pulls": ("explore_pulls", int),
     },
     "env": {
@@ -230,17 +227,16 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
     """Ground-truth values from the environment's exact backdoor.
 
     Enumerates when ``exact_cost(M, K)`` is within ``MAX_EXACT_COALITIONS``,
-    otherwise uses the uniform-coalition Monte-Carlo estimator.  Enumeration
-    values each coalition exactly once, so its game keeps no memo; only the
-    sampled estimator, which redraws coalitions, values a memoized game.  On cascade
-    environments even the enumerated values rest on simulated coalition
-    worths, so they are tagged as estimates with a conservative per-arm
-    standard error: each value is a fixed combination of independent
-    coalition estimates whose signed weights total 1 on each side, giving
-    se <= 1 / sqrt(2 * pistar_sims).
+    otherwise uses the uniform-coalition Monte-Carlo estimator.  Either path
+    values each distinct coalition once.  On cascade environments even the
+    enumerated values rest on simulated coalition worths, so they are
+    tagged as estimates with a conservative per-arm standard error: each
+    value is a fixed combination of independent coalition estimates whose
+    signed weights total 1 on each side, giving se <= 1 / sqrt(2 * pistar_sims).
     """
+    game = oracle.restricted_game()
     if exact_cost(cfg.M, cfg.K) <= MAX_EXACT_COALITIONS:
-        phi = exact_k_shapley(oracle.restricted_game(memoize=False))
+        phi = exact_k_shapley(game)
         if cfg.env == "cascade":
             se = 1.0 / np.sqrt(2 * cfg.pistar_sims)
             return ShapleyVector(
@@ -251,7 +247,7 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
             )
         return phi
     rng = np.random.default_rng(0)
-    return sampled_k_shapley(oracle.restricted_game().value, cfg.M, cfg.K, cfg.pistar_samples, rng)
+    return sampled_k_shapley(game.value, cfg.M, cfg.K, cfg.pistar_samples, rng)
 
 
 # Every table is written from a per-row % template: integers as %d, reals as

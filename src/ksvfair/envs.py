@@ -74,14 +74,9 @@ class ValuationOracle:
         mask[0, list(self._checked(members))] = True
         return float(self.pull_mean_many(mask, n, rng)[0])
 
-    def restricted_game(self, *, memoize: bool = True) -> RestrictedGame:
-        """The noiseless game over ``exact``, for fair-target computation.
-
-        Memoized by default, for callers that revisit coalitions: the
-        sampled fair target and the axiom checks.  The enumerated fair target
-        values each coalition once and passes ``memoize=False``.
-        """
-        return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S), memoize=memoize)
+    def restricted_game(self) -> RestrictedGame:
+        """The noiseless game over ``exact``, for fair-target computation."""
+        return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S))
 
 
 class _GaussianOracle(ValuationOracle):
@@ -381,8 +376,7 @@ class CascadeEnv(ValuationOracle):
     estimate (the true spread is intractable) with per-coalition standard
     error at most 1 / (2 sqrt(exact_sims)); its RNG is seeded by the
     coalition itself, so the estimate does not depend on query order and is
-    recomputed identically on every call.  ``restricted_game`` memoizes it
-    for the sampled fair target.
+    recomputed identically on every call.
     """
 
     def __init__(

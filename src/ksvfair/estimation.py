@@ -37,15 +37,11 @@ class RoundEstimates:
     coalition: tuple[int, ...] | None = None
 
 
-def pull_cost(k: int, R: int, L: int, reuse_prefix: bool = False) -> int:
-    """Literal pulls of one ``shapley_estimation`` call on a k-arm coalition:
-    R * k * 2 * L, or R * (k + 1) * L with ``reuse_prefix``."""
-    return R * (k + 1) * L if reuse_prefix else R * k * 2 * L
-
-
-def muras_pull_cost(M: int, L: int) -> int:
-    """Literal pulls of one ``muras_round`` on M arms: 2 * L * M."""
-    return 2 * L * M
+def pull_cost(n_marginals: int, L: int) -> int:
+    """Literal pulls of an estimation call: every marginal is the difference
+    of two fresh L-pull means.  A ``shapley_estimation`` call on a k-arm
+    coalition estimates R * k marginals, a ``muras_round`` on M arms M."""
+    return 2 * L * n_marginals
 
 
 def _prefix_chains(orders: np.ndarray, M: int) -> np.ndarray:
@@ -67,7 +63,6 @@ def shapley_estimation(
     L: int,
     rng,
     *,
-    reuse_prefix: bool = False,
     permutations=None,
 ) -> RoundEstimates:
     """Estimate within-coalition marginals for every member of S.
@@ -78,14 +73,11 @@ def shapley_estimation(
     values of the prefix with and without the member are estimated as
     means of L fresh pulls each, and the differences are averaged over
     orderings.  Pull accounting is literal (``pull_cost``), every prefix
-    value drawn independently.  With ``reuse_prefix`` the with-member value
-    is carried over as the next prefix value; this halves cost but
-    correlates consecutive marginals, so it is off by default.
+    value drawn independently.
 
     All prefixes go to the oracle as one membership matrix, ordering by
-    ordering: without- then with-member row per position, or the k + 1
-    prefixes of the chain with ``reuse_prefix``.  A coalition the oracle
-    would reject raises before any draw.
+    ordering: without- then with-member row per position.  A coalition the
+    oracle would reject raises before any draw.
     """
     members = [int(a) for a in S]
     k, M = len(members), oracle.n_arms
@@ -108,13 +100,9 @@ def shapley_estimation(
         R = len(orders)
 
     chains = _prefix_chains(orders, M)
-    if reuse_prefix:
-        means = oracle.pull_mean_many(chains.reshape(-1, M), L, rng).reshape(R, k + 1)
-        d = means[:, 1:] - means[:, :-1]
-    else:
-        masks = np.stack((chains[:, :-1], chains[:, 1:]), axis=2).reshape(-1, M)
-        pairs = oracle.pull_mean_many(masks, L, rng).reshape(R, k, 2)
-        d = pairs[..., 1] - pairs[..., 0]
+    masks = np.stack((chains[:, :-1], chains[:, 1:]), axis=2).reshape(-1, M)
+    pairs = oracle.pull_mean_many(masks, L, rng).reshape(R, k, 2)
+    d = pairs[..., 1] - pairs[..., 0]
     # bincount adds each arm's terms in ordering order, like a running sum
     flat = orders.ravel()
     est = np.bincount(flat, weights=(d / R).ravel(), minlength=M)
@@ -122,8 +110,7 @@ def shapley_estimation(
     outside = np.ones(M, dtype=bool)
     outside[members] = False
     est[outside] = sq[outside] = np.nan
-    pulls = pull_cost(k, R, L, reuse_prefix)
-    return RoundEstimates(est, sq, arms, R, pulls, coalition=coalition)
+    return RoundEstimates(est, sq, arms, R, pull_cost(R * k, L), coalition=coalition)
 
 
 def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
@@ -155,4 +142,4 @@ def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
     est = np.empty(M)
     est[np.concatenate((in_order, outside))] = means[:, 1] - means[:, 0]
     coalition = tuple(np.flatnonzero(inside).tolist())
-    return RoundEstimates(est, est * est, np.arange(M), 1, muras_pull_cost(M, L), coalition)
+    return RoundEstimates(est, est * est, np.arange(M), 1, pull_cost(M, L), coalition)

@@ -49,35 +49,23 @@ class RestrictedGame:
     """Deterministic valuation defined only on coalitions of size <= budget.
 
     ``valuation`` maps a sorted tuple of arm indices to a real number and
-    must satisfy valuation(()) == 0.  Unless built with ``memoize=False``,
-    values are memoized per instance, keyed by the canonical encoding,
-    because the axiom checks and the reference oracles revisit subsets
-    heavily.  Instances are immutable after construction apart from the
-    memo, which only ever fills in.
+    must satisfy valuation(()) == 0.  The game keeps no state: every
+    ``value`` call checks the coalition and asks the valuation again.
     """
 
-    def __init__(self, n_arms: int, budget: int, valuation, *, memoize: bool = True):
+    def __init__(self, n_arms: int, budget: int, valuation):
         if not 1 <= budget <= n_arms:
             raise ValueError(f"need 1 <= budget <= n_arms, got K={budget}, M={n_arms}")
         self.n_arms = int(n_arms)
         self.budget = int(budget)
         self._valuation = valuation
-        self._memo: dict[Coalition, float] | None = {} if memoize else None
         v0 = float(valuation(()))
         if abs(v0) > 1e-12:
             raise ValueError(f"valuation of the empty coalition must be 0, got {v0}")
 
     def value(self, members) -> float:
         S = checked_coalition(members, self.n_arms, self.budget, "budget")
-        if not S:
-            return 0.0
-        if self._memo is None:
-            return float(self._valuation(S))
-        v = self._memo.get(S)
-        if v is None:
-            v = float(self._valuation(S))
-            self._memo[S] = v
-        return v
+        return float(self._valuation(S)) if S else 0.0
 
 
 @dataclass(frozen=True)
@@ -199,7 +187,8 @@ def sampled_k_shapley(
     Conditioned on membership the coalition is uniform among those
     containing the arm, so per-arm sample means are unbiased.  Arms
     receive about n_samples * K / M samples each; stderr reports the
-    per-arm standard error of the mean.
+    per-arm standard error of the mean.  Samples revisit prefixes, so each
+    distinct prefix is valued once and its worth kept for the call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -207,6 +196,7 @@ def sampled_k_shapley(
     sums = np.zeros(M)
     sqs = np.zeros(M)
     hits = np.zeros(M, dtype=int)
+    worth: dict[Coalition, float] = {}
     for _ in range(n_samples):
         coalition = rng.choice(M, size=K, replace=False)
         order = coalition[rng.permutation(K)]
@@ -214,7 +204,10 @@ def sampled_k_shapley(
         prefix: list[int] = []
         for a in order:
             prefix.append(int(a))
-            cur = float(valuation(tuple(sorted(prefix))))
+            S = tuple(sorted(prefix))
+            cur = worth.get(S)
+            if cur is None:
+                cur = worth[S] = float(valuation(S))
             d = cur - prev
             sums[a] += d
             sqs[a] += d * d
@@ -294,15 +287,21 @@ def mix_games(g1: RestrictedGame, g2: RestrictedGame, p: float) -> RestrictedGam
     )
 
 
+def _linearity_gap(g1: RestrictedGame, g2: RestrictedGame, p: float, values1) -> float:
+    """Largest gap between the exact values of the mixture p*g1 + (1-p)*g2
+    and p * values1 + (1-p) * (exact values of g2)."""
+    lhs = exact_k_shapley(mix_games(g1, g2, p)).values
+    rhs = p * values1 + (1 - p) * exact_k_shapley(g2).values
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def check_linearity(
     g1: RestrictedGame, g2: RestrictedGame, p: float, tol: float
 ) -> bool:
     """True iff the exact values of the mixture equal the mixed exact values."""
     if (g1.n_arms, g1.budget) != (g2.n_arms, g2.budget):
         raise ValueError("games must share arm count and budget")
-    lhs = exact_k_shapley(mix_games(g1, g2, p)).values
-    rhs = p * exact_k_shapley(g1).values + (1 - p) * exact_k_shapley(g2).values
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return _linearity_gap(g1, g2, p, exact_k_shapley(g1).values) <= tol
 
 
 def _iter_subsets(pool: list[int], max_size: int):
@@ -368,8 +367,9 @@ def verify_axioms(
 
     Symmetry and null-player checks scan all detected symmetric pairs and
     null players (exhaustive subset enumeration, so keep M small).  The
-    efficiency identity is evaluated directly.  Linearity is checked via
-    ``check_linearity`` against ``linearity_partner``; when no partner is
+    efficiency identity is evaluated directly.  Linearity is checked as in
+    ``check_linearity``, against ``linearity_partner`` and with ``phi``
+    standing in for the game's own exact values; when no partner is
     supplied the zero game is used, which reduces to homogeneity.
     """
     vals = phi.values
@@ -382,10 +382,7 @@ def verify_axioms(
     eff_gap = k_efficiency_gap(game, phi)
     if linearity_partner is None:
         linearity_partner = RestrictedGame(game.n_arms, game.budget, lambda S: 0.0)
-    p = mixture_weight
-    lhs = exact_k_shapley(mix_games(game, linearity_partner, p)).values
-    rhs = p * vals + (1 - p) * exact_k_shapley(linearity_partner).values
-    lin_gap = float(np.max(np.abs(lhs - rhs)))
+    lin_gap = _linearity_gap(game, linearity_partner, mixture_weight, vals)
     return AxiomReport(
         symmetry_ok=sym_gap <= tol,
         linearity_ok=lin_gap <= tol,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import RoundEstimates, muras_pull_cost, muras_round, pull_cost, shapley_estimation
+from .estimation import RoundEstimates, muras_round, pull_cost, shapley_estimation
 from .rounding import normalize_to_marginals, rrs_sample
 
 log = logging.getLogger(__name__)
@@ -44,7 +44,6 @@ class PolicyConfig:
     delta2: float = 0.05
     rounds: int | None = None
     radius_mode: str = "adaptive"
-    reuse_prefix: bool = False
     explore_pulls: int = 20
 
     def __post_init__(self):
@@ -179,13 +178,13 @@ def ksvfair_round(state: PolicyState, cfg: PolicyConfig, oracle, rng):
     t = state.t + 1
     if t < cfg.warm_rounds + 1:
         S = round_robin_coalition(t, cfg.M, cfg.K)
-        est = shapley_estimation(S, oracle, 1, 1, rng, reuse_prefix=cfg.reuse_prefix)
+        est = shapley_estimation(S, oracle, 1, 1, rng)
         pi = np.zeros(cfg.M)
         pi[list(S)] = 1.0
     else:
         pi, _ = _optimistic_policy(state, cfg)
         S = rrs_sample(pi, cfg.K, rng)
-        est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng, reuse_prefix=cfg.reuse_prefix)
+        est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng)
     state.absorb(est)
     state.t = t
     return S, pi, est
@@ -286,19 +285,17 @@ def _round_costs(cfg: PolicyConfig, head, tail: int, phase: str) -> list[int]:
 
 
 def ksvfair_schedule(cfg: PolicyConfig) -> list[int]:
-    """Round costs of ``run_ksvfair``: ceil(M/K) one-pull-per-member warm-up
-    rounds, then R orderings of L pulls per round."""
-    warm_cost = pull_cost(cfg.K, 1, 1, cfg.reuse_prefix)
-    main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
-    return _round_costs(cfg, [warm_cost] * cfg.warm_rounds, main_cost, "warm-up")
+    """Round costs of ``run_ksvfair``: ceil(M/K) warm-up rounds of one
+    ordering at one pull per mean, then R orderings of L pulls per mean."""
+    warm = [pull_cost(cfg.K, 1)] * cfg.warm_rounds
+    return _round_costs(cfg, warm, pull_cost(cfg.R * cfg.K, cfg.L), "warm-up")
 
 
 def muras_schedule(cfg: PolicyConfig) -> list[int]:
     """Round costs of ``muras_run``: R uniform estimation rounds, then merit
     rounds of R orderings of L pulls."""
-    phase1 = [muras_pull_cost(cfg.M, cfg.L)] * cfg.R
-    main_cost = pull_cost(cfg.K, cfg.R, cfg.L, cfg.reuse_prefix)
-    return _round_costs(cfg, phase1, main_cost, "uniform estimation")
+    phase1 = [pull_cost(cfg.M, cfg.L)] * cfg.R
+    return _round_costs(cfg, phase1, pull_cost(cfg.R * cfg.K, cfg.L), "uniform estimation")
 
 
 def uniform_schedule(cfg: PolicyConfig) -> list[int]:
@@ -370,7 +367,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
             pi = uniform  # degenerate estimates; fall back rather than abort
             fallbacks += 1
         S = rrs_sample(pi, K, rng)
-        est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng, reuse_prefix=cfg.reuse_prefix)
+        est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng)
         state.absorb(est, weight=est.n_perms)
         rec.log(pi, S)
     if fallbacks:

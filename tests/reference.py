@@ -210,7 +210,7 @@ def _set_masks(sets, M: int) -> np.ndarray:
     return masks
 
 
-def scalar_shapley_estimation(S, oracle, R, L, rng, *, reuse_prefix=False, permutations=None):
+def scalar_shapley_estimation(S, oracle, R, L, rng, *, permutations=None):
     """Permutation-sampling estimate built prefix by prefix as sorted tuples.
 
     Returns ``estimates`` and ``squares`` as dicts over the members of S.
@@ -226,8 +226,7 @@ def scalar_shapley_estimation(S, oracle, R, L, rng, *, reuse_prefix=False, permu
     for perm in perms:
         prefix: list[int] = []
         for a in perm:
-            if not reuse_prefix or not prefix:
-                sets.append(tuple(sorted(prefix)))
+            sets.append(tuple(sorted(prefix)))
             sets.append(tuple(sorted(prefix + [a])))
             prefix.append(a)
     means = oracle.pull_mean_many(_set_masks(sets, oracle.n_arms), L, rng)
@@ -236,23 +235,12 @@ def scalar_shapley_estimation(S, oracle, R, L, rng, *, reuse_prefix=False, permu
     sq = {a: 0.0 for a in members}
     idx = 0
     for perm in perms:
-        prev = None
         for a in perm:
-            if not reuse_prefix or prev is None:
-                base = means[idx]
-                idx += 1
-            else:
-                base = prev
-            with_a = means[idx]
-            idx += 1
-            d = with_a - base
+            d = means[idx + 1] - means[idx]
+            idx += 2
             est[a] += d / R
             sq[a] += d * d / R
-            prev = with_a
-    if reuse_prefix:
-        pulls = R * (len(members) + 1) * L
-    else:
-        pulls = R * len(members) * 2 * L
+    pulls = R * len(members) * 2 * L
     return SimpleNamespace(estimates=est, squares=sq, n_perms=R, pulls_consumed=pulls)
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from ksvfair.cli import (
     EXIT_CONFIG,
     EXIT_RUNTIME,
     ConfigError,
+    PolicyConfig,
+    RunConfig,
     build_env,
     compare_runs,
     load_config,
@@ -152,7 +155,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "section,key",
-        [("run", "round"), ("algo", "radius_mod"), ("env", "max_exact_arms")],
+        [("run", "round"), ("algo", "radius_mod"), ("algo", "reuse_prefix"), ("env", "max_exact_arms")],
     )
     def test_unknown_key_rejected(self, tmp_path, section, key):
         text = SMALL_CONFIG.format(algo="ksvfair", rounds=5, seeds="1", out=tmp_path / "out")
@@ -184,6 +187,33 @@ class TestLoadConfig:
             load_config(p)
         assert main(["run", "--config", str(p)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_readme_config_block_matches_key_table(self):
+        # README's ini block lists every key of cli._KEYS, each with its
+        # field's default or marked "(required)" when the field has none
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        defaults = {f.name: f.default for cls in (PolicyConfig, RunConfig) for f in fields(cls)}
+        shown, section = {}, None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+                shown[section] = {}
+            elif line and not line[0].isspace() and not line.startswith(";"):
+                key, rest = (part.strip() for part in line.split("=", 1))
+                value, _, comment = (part.strip() for part in rest.partition(";"))
+                shown[section][key] = (value, comment)
+        assert {sec: set(keys) for sec, keys in shown.items()} == {
+            sec: set(keys) for sec, keys in cli._KEYS.items()
+        }
+        for sec, keys in cli._KEYS.items():
+            for key, (field, parse) in keys.items():
+                value, comment = shown[sec][key]
+                if defaults[field] is MISSING:
+                    assert "(required)" in comment, key
+                else:
+                    assert "(required)" not in comment, key
+                    assert parse(value) == defaults[field], key
 
     def test_enumeration_bound_not_arm_count(self, tmp_path):
         from ksvfair.cli import build_env, true_shapley
@@ -418,8 +448,7 @@ class TestTrueShapley:
         # every coalition of 1..K arms once, plus the constructor's check of ()
         assert len(valued) == exact_cost(cfg.M, cfg.K) + 1
         assert len(set(valued)) == len(valued) and valued[0] == ()
-        [game] = games
-        assert game._memo is None
+        assert len(games) == 1
         assert phi.values.tobytes() == expected.tobytes()
 
 
@@ -591,6 +620,19 @@ class TestConfigErrorsBeforeOutput:
         p.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match="synthetic environment"):
             build_env(load_config(p))
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+
+    def test_uncoverable_sampled_target(self, tmp_path, monkeypatch):
+        # 534 arms are past the enumeration bound at k = 20, and 10 samples
+        # of 20 arms name at most 200 of them; 27 samples could name 540
+        monkeypatch.chdir(ROOT)
+        text = (ROOT / "configs" / "cascade_community.ini").read_text().replace("seeds = 1,2,3", "seeds = 1")
+        p = tmp_path / "c.ini"
+        p.write_text(text.replace("pistar_samples = 2000", "pistar_samples = 27"))
+        assert load_config(p).pistar_samples == 27
+        p.write_text(text.replace("pistar_samples = 2000", "pistar_samples = 10"))
+        with pytest.raises(ConfigError, match=r"key 'pistar_samples': .* 10 coalitions of k=20 .* m=534"):
+            load_config(p)
         assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
 
     def test_relative_graph_path_read_from_current_directory(self, tmp_path, monkeypatch, capsys):

@@ -85,18 +85,6 @@ class TestShapleyEstimation:
         est = shapley_estimation((0, 1), oracle, 3, 2, np.random.default_rng(0))
         assert est.pulls_consumed == 3 * 2 * 2 * 2
 
-    def test_pull_accounting_reuse_prefix(self):
-        oracle = GameOracle(additive_game([0.2, 0.3, 0.5], 3))
-        est = shapley_estimation((0, 1), oracle, 3, 2, np.random.default_rng(0), reuse_prefix=True)
-        assert est.pulls_consumed == 3 * (2 + 1) * 2
-
-    def test_reuse_prefix_same_mean_on_noiseless(self):
-        oracle = submodular_oracle()
-        S = (0, 1, 2)
-        a = shapley_estimation(S, oracle, 6, 1, np.random.default_rng(3))
-        b = shapley_estimation(S, oracle, 6, 1, np.random.default_rng(3), reuse_prefix=True)
-        for arm in S:
-            assert a.estimates[arm] == pytest.approx(b.estimates[arm], abs=1e-12)
 
     def test_deterministic_given_seed(self):
         oracle = submodular_oracle(noise=0.3)
@@ -168,10 +156,10 @@ class TestArrayMatchesScalar:
     """The array estimators reproduce the scalar reference bit for bit."""
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["drawn", "supplied"])
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    @pytest.mark.parametrize("reuse", [False, True], ids=["paired", "reuse"])
+    # "paired": every marginal is a (without, with) pair of fresh means
+    @pytest.mark.parametrize("k", [1, 3, 8], ids=lambda k: f"paired-{k}")
     @pytest.mark.parametrize("kind", KINDS)
-    def test_shapley_estimation(self, kind, reuse, k, supplied):
+    def test_shapley_estimation(self, kind, k, supplied):
         oracle = noisy_oracle(kind, max(k, 3))
         S = COALITIONS[k]
         perms = None
@@ -180,9 +168,8 @@ class TestArrayMatchesScalar:
             perms = [tuple(draw.permutation(S).tolist()) for _ in range(5)]
         for seed in range(3):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            kw = dict(reuse_prefix=reuse, permutations=perms)
-            new = shapley_estimation(S, oracle, 4, 3, rng_new, **kw)
-            old = scalar_shapley_estimation(S, oracle, 4, 3, rng_old, **kw)
+            new = shapley_estimation(S, oracle, 4, 3, rng_new, permutations=perms)
+            old = scalar_shapley_estimation(S, oracle, 4, 3, rng_old, permutations=perms)
             assert_same_round(new, old, rng_new, rng_old, 8)
             assert new.coalition == tuple(sorted(S))
 

@@ -76,19 +76,6 @@ class TestRestrictedGame:
         with pytest.raises(ValueError):
             RestrictedGame(3, 4, lambda S: 0.0)
 
-    def test_memoization_counts_queries_once(self):
-        calls = []
-
-        def worth(S):
-            calls.append(S)
-            return 0.1 * len(S)
-
-        g = RestrictedGame(4, 2, worth)
-        g.value((0, 1))
-        g.value((1, 0))
-        g.value((0, 1))
-        assert calls.count((0, 1)) == 1
-
 
 class TestMarginalContribution:
     def test_additive_marginal_is_weight(self):
@@ -172,7 +159,7 @@ class TestExactValues:
             exact_k_shapley(additive_game(np.full(40, 0.1), 9))
         # the bound counts valuations: 6 + 15 + 20 coalitions of 1..3 of 6 arms
         calls = []
-        g = RestrictedGame(6, 3, lambda S: calls.append(S) or 0.1 * len(S), memoize=False)
+        g = RestrictedGame(6, 3, lambda S: calls.append(S) or 0.1 * len(S))
         assert exact_cost(6, 3) == 41
         with pytest.raises(ValueError, match="guard"):
             exact_k_shapley(g, max_coalitions=40)
@@ -201,7 +188,7 @@ class TestExactValues:
             calls.append(S)
             return table.value(S)
 
-        g = RestrictedGame(M, K, worth, memoize=False)
+        g = RestrictedGame(M, K, worth)
         calls.clear()  # construction checks the empty coalition
         exact_k_shapley(g)
         assert len(calls) == sum(math.comb(M, s) for s in range(1, K + 1))
@@ -369,6 +356,25 @@ class TestSampledValues:
         est = sampled_k_shapley(g.value, 5, 2, 20_000, np.random.default_rng(0))
         assert est.kind == "estimated"
         np.testing.assert_allclose(est.values, exact, atol=4 * np.max(est.stderr) + 5e-3)
+
+    def test_each_distinct_prefix_valued_once(self):
+        table = random_table_game(6, 3, np.random.default_rng(4))
+        calls = []
+
+        def counted(S):
+            calls.append(S)
+            return table.value(S)
+
+        est = sampled_k_shapley(counted, 6, 3, 200, np.random.default_rng(5))
+        # replay the draws: one coalition, then one ordering of it, per sample
+        rng, prefixes = np.random.default_rng(5), set()
+        for _ in range(200):
+            order = rng.choice(6, size=3, replace=False)[rng.permutation(3)]
+            prefixes.update(tuple(sorted(order[:j].tolist())) for j in range(1, 4))
+        assert sorted(calls) == sorted(prefixes)
+        ref = sampled_k_shapley(table.value, 6, 3, 200, np.random.default_rng(5))
+        assert est.values.tobytes() == ref.values.tobytes()
+        assert est.stderr.tobytes() == ref.stderr.tobytes()
 
     def test_sampled_estimator_additive_zero_variance(self):
         w = [0.2, 0.3, 0.5]

@@ -191,13 +191,6 @@ class TestRunKsvfair:
         with pytest.raises(ValueError):
             run_ksvfair(cfg, small_env(M=5), np.random.default_rng(0))
 
-    def test_reuse_prefix_pull_costs(self):
-        cfg = small_cfg(rounds=8, reuse_prefix=True)
-        rec = run_ksvfair(cfg, small_env(), np.random.default_rng(9))
-        warm = cfg.warm_rounds
-        assert np.all(rec.pulls[:warm] == cfg.K + 1)
-        assert np.all(rec.pulls[warm:] == cfg.R * (cfg.K + 1) * cfg.L)
-
     def test_saturated_radius_warns_with_count(self, caplog):
         # the worst-case radius caps every arm at 1 in every merit round
         cfg = small_cfg(radius_mode="worst_case", rounds=30)
