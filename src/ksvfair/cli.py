@@ -380,11 +380,12 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
             raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(seeds)} negative")
         cfg = replace(cfg, seeds=seeds)
     oracle = build_env(cfg)
-    # every config error is raised above, before the output directory exists
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     phi = true_shapley(cfg, oracle)
     pi_star = fair_policy(phi, cfg.K).probs
+    # every config error, and a fair target that fails, is raised above,
+    # before the output directory exists
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     # every seed plays the oracle the target was built from: it never mutates
     n = len(cfg.seeds)

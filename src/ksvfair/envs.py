@@ -342,17 +342,21 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     further along its chain of labels.  A label only decreases and always
     names a node of its own component, so the loop ends, with one label per
     component: the smallest node's own id, which it can never drop below.
-    The pass count follows the logarithm of the component size rather than
-    its diameter: a 10^5-node path takes 11 passes, numbered in order, in
-    reverse or at random.
+    The first pass hooks each v[i] onto u[i] straight from the starting
+    labels, the node ids, without gathering them: that is the full hook when
+    every u[i] <= v[i], as ``CascadeEnv`` stores its edges, and any
+    orientation ends at the same labels.  The pass count follows the
+    logarithm of the component size rather than its diameter: a 10^5-node
+    path takes 11 or 12 passes, numbered in order, in reverse or at random.
     """
     label = np.arange(n_nodes)
+    np.minimum.at(label, v, u)
     while True:
-        lu, lv = label[u], label[v]
-        if np.array_equal(lu, lv):
+        label = label.take(label.take(label))
+        lu, lv = label.take(u), label.take(v)
+        if (lu == lv).all():
             return label
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        label = label[label[label]]
 
 
 # Uniform draws per chunk of cascade_exact's worlds: rows of n_edges
@@ -396,7 +400,7 @@ class CascadeEnv(ValuationOracle):
             raise ValueError("exact_sims must be >= 1")
         if exact_seed < 0:
             raise ValueError("exact_seed must be >= 0")
-        ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+        ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
         # batched worlds share one id range, so a stray endpoint would join two worlds
         if ends.size and (ends.min() < 0 or ends.max() >= graph.n_nodes):
             raise ValueError(f"edge endpoints must lie in [0, {graph.n_nodes})")
@@ -410,7 +414,11 @@ class CascadeEnv(ValuationOracle):
             words.append(rest & 0xFFFFFFFF)
             rest >>= 32
         self._seed_words = np.array(words, dtype=np.uint32)
-        self._ends = ends
+        # each edge's ends as two contiguous rows, the smaller id in _lo, so
+        # that _component_labels' first pass is the full hook
+        self._lo, self._hi = ends.min(axis=1), ends.max(axis=1)
+        for row in (self._lo, self._hi):
+            row.setflags(write=False)
 
     def _spread_counts(self, S, live: np.ndarray) -> np.ndarray:
         """Nodes reachable from S over each world's live edges (one row of live).
@@ -419,13 +427,16 @@ class CascadeEnv(ValuationOracle):
         (``_component_labels``); the nodes S reaches in a world are the
         components holding one of its seeds.
         """
-        n_worlds, n = live.shape[0], self.n_arms
-        world, edge = np.divmod(np.flatnonzero(live), live.shape[1])
-        u, v = self._ends[:, edge] + world * n
+        (n_worlds, n_edges), n = live.shape, self.n_arms
+        index = np.flatnonzero(live)
+        world = index // n_edges  # with the subtraction, cheaper than np.divmod
+        edge = index - world * n_edges
+        offset = world * n
+        u, v = self._lo.take(edge) + offset, self._hi.take(edge) + offset
         label = _component_labels(n_worlds * n, u, v)
         reached = np.zeros(n_worlds * n, dtype=bool)
-        reached[label[(np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel()]] = True
-        return np.count_nonzero(reached[label].reshape(n_worlds, n), axis=1)
+        reached[label.take((np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel())] = True
+        return reached.take(label).reshape(n_worlds, n).sum(axis=1)
 
     def _exact_rng(self, S: tuple[int, ...]) -> np.random.Generator:
         """The generator ``exact`` draws S's worlds from: the stream of

@@ -173,8 +173,9 @@ def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:
     """The earlier ``CascadeEnv._spread_counts``: worlds swept together as one
     graph on nodes w * n + v, one frontier level per pass."""
     n_worlds, n = live.shape[0], env.n_arms
+    ends = np.asarray(env.graph.edges, dtype=np.intp).reshape(-1, 2)
     world, edge = np.divmod(np.flatnonzero(live), live.shape[1])
-    u, v = env._ends[:, edge] + world * n
+    u, v = ends[edge].T + world * n
     # each live edge as two arcs, u -> v and v -> u
     src = np.concatenate((u, v))
     dst = np.concatenate((v, u))

@@ -521,6 +521,27 @@ class TestMainEntry:
         assert "round grid does not match" in capsys.readouterr().err
         assert not (tmp_path / "cmp.csv").exists()
 
+    def test_failed_fair_target_exit_one_before_output(self, tmp_path, monkeypatch, capsys):
+        # 27 samples of 20 arms pass the config check for 534 arms, but the
+        # target's default_rng(0) draws miss some arms
+        monkeypatch.chdir(ROOT)
+        text = (ROOT / "configs" / "cascade_community.ini").read_text()
+        for old, new in [
+            ("seeds = 1,2,3", "seeds = 1"),
+            ("rounds = 500", "rounds = 30"),
+            ("r = 20", "r = 2"),
+            ("l = 10", "l = 1"),
+            ("pistar_sims = 1000", "pistar_sims = 1"),
+            ("pistar_samples = 2000", "pistar_samples = 27"),
+        ]:
+            assert old in text
+            text = text.replace(old, new)
+        cfg, out = tmp_path / "c.ini", tmp_path / "o"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+        assert re.search(r"error: arms \[\d+(, \d+)*\] never sampled", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "algo,budget,message",
         [

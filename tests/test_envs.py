@@ -421,7 +421,7 @@ class TestCascade:
         a = [env.pull((0, 2), np.random.default_rng(11)) for _ in range(2)]
         assert a[0] == a[1]
 
-    def test_exact_memoized_and_order_independent(self):
+    def test_exact_order_independent(self):
         env1 = CascadeEnv(path_graph(4), 0.3, budget=2, exact_sims=200, exact_seed=9)
         env2 = CascadeEnv(path_graph(4), 0.3, budget=2, exact_sims=200, exact_seed=9)
         a = env1.exact((0, 2))
@@ -452,6 +452,24 @@ class TestCascade:
         env = CascadeEnv(path_graph(3), 0.3, budget=2)
         with pytest.raises(ValueError):
             env.pull((0, 7), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["_lo", "_hi"])
+    def test_endpoint_rows_read_only(self, name):
+        env = CascadeEnv(path_graph(4), 0.3, budget=2)
+        row = getattr(env, name)
+        assert row.ndim == 1 and row.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 2
+
+    def test_community_values_pinned(self):
+        # literal counts, so that a change to the kernel, the coin order or
+        # the exact seeding cannot pass unnoticed
+        env = CascadeEnv(load_edge_list(DATA / "community_534.edges"), 0.1, budget=20, exact_sims=100)
+        assert env.exact((3, 97, 400)) == 47603 / (534 * 100)  # four chunks: 32, 32, 32, 4 worlds
+        assert env.exact(tuple(range(0, 534, 27))) == 47853 / (534 * 100)
+        rng = np.random.default_rng(2026)
+        pulls = [env.pull((3, 97, 400), rng) for _ in range(5)]
+        assert pulls == [c / 534 for c in (470, 472, 486, 490, 478)]
 
     @pytest.mark.parametrize("edges", [((0, 1), (1, 4)), ((0, 1), (1, 3)), ((-1, 1),)])
     def test_edge_endpoint_outside_graph_rejected(self, edges):
