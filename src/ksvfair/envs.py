@@ -375,8 +375,10 @@ class CascadeEnv(ValuationOracle):
     same law as bond percolation (Kempe, Kleinberg and Tardos, KDD 2003):
     a pull draws one coin per edge, in ``graph.edges`` order, and counts
     the nodes of the live-edge components that hold a seed, found by
-    component labelling over all of a batch's worlds at once.  ``pull`` is the
-    one-world case of ``cascade_exact``.  ``exact`` is a Monte-Carlo
+    component labelling.  Each query checks its seed set once.  A one-world
+    query (every ``pull``, and ``exact`` at ``exact_sims = 1``) labels
+    its world alone, with no chunk loop and no world offsets; more worlds
+    are labelled a chunk at a time, as one graph.  ``exact`` is a Monte-Carlo
     estimate (the true spread is intractable) with per-coalition standard
     error at most 1 / (2 sqrt(exact_sims)); its RNG is seeded by the
     coalition itself, so the estimate does not depend on query order and is
@@ -438,6 +440,18 @@ class CascadeEnv(ValuationOracle):
         reached[label.take((np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel())] = True
         return reached.take(label).reshape(n_worlds, n).sum(axis=1)
 
+    def _world_count(self, S, live: np.ndarray) -> int:
+        """Nodes reachable from S over one world's live edges (live is one row).
+
+        The one-world case of ``_spread_counts``: the world's own node ids,
+        with no world offsets.
+        """
+        edge = np.flatnonzero(live)
+        label = _component_labels(self.n_arms, self._lo.take(edge), self._hi.take(edge))
+        reached = np.zeros(self.n_arms, dtype=bool)
+        reached[label.take(S)] = True
+        return int(np.count_nonzero(reached.take(label)))
+
     def _exact_rng(self, S: tuple[int, ...]) -> np.random.Generator:
         """The generator ``exact`` draws S's worlds from: the stream of
         ``default_rng((exact_seed, *S))``, seeded from one uint32 array."""
@@ -453,22 +467,34 @@ class CascadeEnv(ValuationOracle):
 
     def exact(self, members) -> float:
         S = self._checked(members)
-        return cascade_exact(self, S, self.exact_sims, self._exact_rng(S))
+        return _spread_mean(self, S, self.exact_sims, self._exact_rng(S))
 
 
 def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
     """Mean activated fraction over n_sims independent cascades from the seed set.
 
-    Draws the worlds in chunks of rows, so it consumes ``rng`` exactly as
-    n_sims successive ``env.pull`` calls (each the n_sims = 1 case) would
-    and returns their mean, up to rounding.
+    Checks the seed set and n_sims once, before any draw.  It consumes
+    ``rng`` exactly as n_sims successive ``env.pull`` calls (each the
+    n_sims = 1 case) would and returns their mean, up to rounding.
     """
     S = env._checked(members)
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
+    return _spread_mean(env, S, n_sims, rng)
+
+
+def _spread_mean(env: CascadeEnv, S: tuple[int, ...], n_sims: int, rng) -> float:
+    """``cascade_exact`` over a checked seed set S and n_sims >= 1.
+
+    One world draws one row of edge coins and labels it alone
+    (``CascadeEnv._world_count``); more worlds are drawn in chunks of rows
+    and labelled a chunk at a time (``CascadeEnv._spread_counts``).
+    """
     if not S:
         return 0.0
     n_edges = env.graph.n_edges
+    if n_sims == 1:
+        return env._world_count(S, rng.random(n_edges) < env.activation_p) / env.n_arms
     rows = max(1, _CHUNK_DRAWS // max(1, n_edges))
     total = 0
     for start in range(0, n_sims, rows):

@@ -336,8 +336,12 @@ class TestOracleContract:
 
     @staticmethod
     def queries(oracle, rng):
-        """``exact``, ``pull`` and ``pull_mean`` of one coalition."""
-        return [oracle.exact, lambda S: oracle.pull(S, rng), lambda S: oracle.pull_mean(S, 3, rng)]
+        """``exact``, ``pull`` and ``pull_mean`` of one coalition, and for the
+        cascade oracle ``cascade_exact`` at three worlds."""
+        queries = [oracle.exact, lambda S: oracle.pull(S, rng), lambda S: oracle.pull_mean(S, 3, rng)]
+        if isinstance(oracle, CascadeEnv):
+            queries.append(lambda S: cascade_exact(oracle, S, 3, rng))
+        return queries
 
     @pytest.mark.parametrize("K", [0, -2, 9])
     @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -369,6 +373,15 @@ class TestOracleContract:
         for query in self.queries(oracle, rng):
             with pytest.raises(ValueError, match="out of range|duplicate"):
                 query(S)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n_sims", [0, -1])
+    def test_cascade_world_count_below_one_rejected(self, n_sims):
+        oracle = self.ORACLES["cascade"](2)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_sims must be >= 1"):
+            cascade_exact(oracle, (0, 1), n_sims, rng)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -471,6 +484,26 @@ class TestCascade:
         pulls = [env.pull((3, 97, 400), rng) for _ in range(5)]
         assert pulls == [c / 534 for c in (470, 472, 486, 490, 478)]
 
+    def test_community_one_world_values_pinned(self, monkeypatch):
+        env = CascadeEnv(load_edge_list(DATA / "community_534.edges"), 0.1, budget=20, exact_sims=1)
+        # exact at one world takes the one-world path, never the chunk kernel
+        monkeypatch.setattr(env, "_spread_counts", lambda *args: pytest.fail("chunk kernel called"))
+        assert env.exact((3, 97, 400)) == 471 / 534
+        assert env.exact(tuple(range(0, 534, 27))) == 483 / 534
+
+    def test_one_world_exact_is_the_chunk_count(self):
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, 0.1, budget=20, exact_sims=1)
+        rng = np.random.default_rng(81)
+        coalitions = [(0,), (533,), (3, 97, 400), tuple(range(0, 534, 27))] + [
+            tuple(sorted(rng.choice(534, size=k, replace=False).tolist())) for k in range(1, 21)
+        ]
+        for S in coalitions:
+            rng_world, rng_chunk = env._exact_rng(S), env._exact_rng(S)
+            count = env._spread_counts(S, rng_chunk.random((1, g.n_edges)) < 0.1)[0]
+            assert env.exact(S) == cascade_exact(env, S, 1, rng_world) == count / 534
+            assert rng_world.bit_generator.state == rng_chunk.bit_generator.state
+
     @pytest.mark.parametrize("edges", [((0, 1), (1, 4)), ((0, 1), (1, 3)), ((-1, 1),)])
     def test_edge_endpoint_outside_graph_rejected(self, edges):
         # in a batch, world 0's node 4 would be world 1's node 1
@@ -561,15 +594,21 @@ def small_live_worlds(draw):
 
 
 class TestSpreadKernel:
-    """The component-labelling kernel against the frontier sweep it replaced
-    and against a node-by-node walk of each world's live edges."""
+    """The component-labelling kernel, on a chunk of worlds and one world at
+    a time, against the frontier sweep it replaced and against a
+    node-by-node walk of each world's live edges."""
 
     @staticmethod
     def assert_counts_equal_references(env, S, live):
         counts = env._spread_counts(S, live)
         assert counts.dtype.kind == "i"
-        assert counts.tolist() == frontier_spread_counts(env, S, live).tolist()
-        assert counts.tolist() == [live_edge_spread(env.graph, row, S) for row in live]
+        frontier = frontier_spread_counts(env, S, live).tolist()
+        walked = [live_edge_spread(env.graph, row, S) for row in live]
+        assert counts.tolist() == frontier
+        assert counts.tolist() == walked
+        world_counts = [env._world_count(S, row) for row in live]
+        assert world_counts == frontier
+        assert world_counts == walked
 
     @pytest.mark.parametrize("chunk", [1, 32, 75])
     def test_community_worlds_in_chunks(self, chunk):
