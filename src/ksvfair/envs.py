@@ -3,11 +3,13 @@
 Every environment implements ``exact``, the ground-truth mean of a
 coalition (a backdoor used only to build the fair target policy and in
 tests); ``pull``, one noisy reward (what a bandit run observes); and
-``pull_mean_many``, the mean of n fresh pulls for each row of an (n_sets, M)
-boolean membership matrix, which is how the estimators query.  ``pull_mean``
-is its one-row case, written once on the base class.  Pulls take an
-explicit RNG so callers own determinism; an environment never mutates
-after construction.
+``_pull_means``, the one query primitive: the mean of n fresh pulls of each
+coalition of a flat, already checked batch.  The base class writes the two
+public batch queries once over it: ``pull_mean_many`` takes an (n_sets, M)
+boolean membership matrix, which is how the estimators query, and
+``pull_mean`` one coalition, passed straight to the primitive as a one-row
+batch with no mask and no second check.  Pulls take an explicit RNG so
+callers own determinism; an environment never mutates after construction.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ log = logging.getLogger(__name__)
 class ValuationOracle:
     """Interface shared by all environments.
 
-    Subclasses implement ``exact``, ``pull`` and ``pull_mean_many``.  The
+    Subclasses implement ``exact``, ``pull`` and ``_pull_means(flat,
+    lengths, n, rng)``, the mean of n pulls of each coalition of a checked
+    flat batch: ``flat`` holds the member ids row after row, in ascending
+    order within a row, and ``lengths`` each row's member count.  The
     constructor owns the dimensions: ``n_arms`` is M and ``budget`` the
     selection budget K, with 1 <= K <= M.  ``query_limit`` is the largest
     coalition a query may name: equal to K in strict mode, K + 1 when the
     environment was built with ``allow_extra_query`` (needed by estimators
-    that probe one arm beyond a full coalition).  Every query goes through
-    ``games.checked_coalition``, which raises ``CoalitionSizeError`` above
-    the query limit.
+    that probe one arm beyond a full coalition).  Every query is checked
+    once, before any draw, and a coalition above the query limit raises
+    ``CoalitionSizeError`` from ``games.checked_coalition``.
     """
 
     def __init__(self, n_arms: int, budget: int, *, allow_extra_query: bool = False):
@@ -49,34 +54,56 @@ class ValuationOracle:
     def pull(self, members, rng) -> float:
         raise NotImplementedError
 
-    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
-        """Mean of n independent pulls of each row of an (n_sets, M) membership matrix."""
+    def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
+        """Mean of n independent pulls of each coalition of a checked flat batch."""
         raise NotImplementedError
 
     def _checked(self, members) -> tuple[int, ...]:
         return checked_coalition(members, self.n_arms, self.query_limit, "query limit")
 
-    def _check_masks(self, masks, n: int) -> np.ndarray:
+    @staticmethod
+    def _check_pull_count(n: int) -> None:
         if n < 1:
             raise ValueError(f"need n >= 1 pulls per coalition, got {n}")
+
+    def _check_masks(self, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat batch of a membership matrix, checked: each row's member
+        ids in ascending order, row after row, and each row's length."""
+        self._check_pull_count(n)
         masks = np.asarray(masks, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.n_arms:
             raise ValueError(
                 f"expected an (n_sets, {self.n_arms}) membership matrix, got shape {masks.shape}"
             )
-        if len(masks):  # every row is within the limit if the largest is
-            self._checked(np.flatnonzero(masks[masks.sum(axis=1).argmax()]))
-        return masks
+        row, flat = np.divmod(np.flatnonzero(masks), self.n_arms)
+        lengths = np.bincount(row, minlength=len(masks))
+        if len(masks) and lengths.max() > self.query_limit:
+            # the one coalition check raises, on the largest row
+            self._checked(np.flatnonzero(masks[lengths.argmax()]))
+        return flat, lengths
+
+    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+        """Mean of n independent pulls of each row of an (n_sets, M) membership matrix."""
+        return self._pull_means(*self._check_masks(masks, n), n, rng)
 
     def pull_mean(self, members, n: int, rng) -> float:
-        """Mean of n independent pulls of the same coalition."""
-        mask = np.zeros((1, self.n_arms), dtype=bool)
-        mask[0, list(self._checked(members))] = True
-        return float(self.pull_mean_many(mask, n, rng)[0])
+        """Mean of n independent pulls of the same coalition: the primitive
+        on a one-row batch, with no membership matrix."""
+        S = self._checked(members)
+        self._check_pull_count(n)
+        return float(self._pull_means(np.array(S, dtype=np.intp), np.array([len(S)]), n, rng)[0])
 
     def restricted_game(self) -> RestrictedGame:
         """The noiseless game over ``exact``, for fair-target computation."""
         return RestrictedGame(self.n_arms, self.budget, lambda S: self.exact(S))
+
+
+def _segments(flat: np.ndarray, lengths: np.ndarray):
+    """The coalitions of a flat batch, in row order, as tuples of ints."""
+    members, start = flat.tolist(), 0
+    for k in lengths.tolist():
+        yield tuple(members[start : start + k])
+        start += k
 
 
 class _GaussianOracle(ValuationOracle):
@@ -86,16 +113,19 @@ class _GaussianOracle(ValuationOracle):
     Hoeffding-style analysis; the induced mean bias is small in the
     benchmark parameter ranges and is accepted by the empirical-mean tests.
     Subclasses implement ``_moment``; the scalar ``pull`` reads it once per
-    call, and the default per-row ``_moments`` reads it row by row.
+    call.  The query primitive ``_pull_means`` reads every coalition's
+    (mean, noise) pair from ``_moments(flat, lengths)``, one row or many,
+    and makes one clipped-normal draw over the batch; the default
+    ``_moments`` reads ``_moment`` segment by segment.
     """
 
     def _moment(self, S) -> tuple[float, float]:
         """Exact mean and noise scale of one checked coalition."""
         raise NotImplementedError
 
-    def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row exact mean and noise scale of a checked membership matrix."""
-        rows = [self._moment(tuple(np.flatnonzero(row).tolist())) for row in masks]
+    def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row exact mean and noise scale of a checked flat batch."""
+        rows = [self._moment(S) for S in _segments(flat, lengths)]
         mus, sigmas = np.array(rows, dtype=float).reshape(-1, 2).T
         return mus, sigmas
 
@@ -105,8 +135,8 @@ class _GaussianOracle(ValuationOracle):
             return min(max(mu, 0.0), 1.0)
         return min(max(mu + rng.normal(0.0, sigma), 0.0), 1.0)
 
-    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
-        mus, sigmas = self._moments(self._check_masks(masks, n))
+    def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
+        mus, sigmas = self._moments(flat, lengths)
         exact = np.clip(mus, 0.0, 1.0)
         if not sigmas.any():
             return exact
@@ -130,7 +160,9 @@ class SyntheticEnv(_GaussianOracle):
     copies of the caller's arrays, so no later write reaches a value.  The scalar path
     (``exact``, ``pull`` and ``_moment``) adds the members' entries as
     Python floats, left to right in ascending arm order; the batched
-    ``_moments`` sums the arrays.
+    ``_moments``, behind both ``pull_mean`` and ``pull_mean_many``, sums the
+    arrays.  The fair target's game values each coalition with ``_mean``
+    alone, since ``RestrictedGame.value`` has already checked it.
     """
 
     def __init__(
@@ -185,6 +217,12 @@ class SyntheticEnv(_GaussianOracle):
     def _mean(self, S) -> float:
         return float(self._transform(self._sum(self._mean_list, S))) if S else 0.0
 
+    def restricted_game(self) -> RestrictedGame:
+        """The noiseless game over ``_mean``: the game checks each coalition
+        against the budget K, within the query limit, so ``exact``'s second
+        check is skipped; the values are ``exact``'s bit for bit."""
+        return RestrictedGame(self.n_arms, self.budget, self._mean)
+
     def _transform(self, x):
         c = self.curvature
         if c == 0.0:
@@ -206,28 +244,29 @@ class SyntheticEnv(_GaussianOracle):
         # sum / count is how np.mean divides, so this is bitwise its value
         return self._mean(S), math.sqrt(self._sum(self._noise_sq_list, S) / len(S))
 
-    def _moments(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row exact means and noise scales, summed per row by ``np.add.reduceat``.
+    def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row exact means and noise scales of a checked flat batch,
+        summed per row by ``np.add.reduceat``.
 
+        A one-row ``pull_mean`` takes this path too, so it sums its
+        coalition exactly as the same row of a ``pull_mean_many`` batch.
         Each row's members are taken in ascending arm order, but reduceat
         does not add them left to right as the scalar ``_moment`` does, so
         for coalitions of three or more arms a noiseless batched value can
         differ from ``exact`` by a few ulp (at most 3 on the shipped 20-arm
         game); coalitions of one or two arms agree bitwise.
         """
-        row, flat = np.divmod(np.flatnonzero(masks), self.n_arms)
-        lengths = np.bincount(row, minlength=len(masks))
         nonempty = lengths > 0
         starts = (np.cumsum(lengths) - lengths)[nonempty]
-        sum_means = np.zeros(len(masks))
+        sum_means = np.zeros(len(lengths))
         sum_means[nonempty] = np.add.reduceat(self.means[flat], starts)
-        sigmas = np.zeros(len(masks))
+        sigmas = np.zeros(len(lengths))
         if self.shared_noise_std is not None:
             sigmas[nonempty] = self.shared_noise_std
         else:
             noise_sums = np.add.reduceat(self._noise_sq[flat], starts)
             sigmas[nonempty] = np.sqrt(noise_sums / lengths[nonempty])
-        mus = np.where(nonempty, self._transform(sum_means), 0.0)
+        mus = self._transform(sum_means)  # g(0) is +0.0, so empty rows stay 0
         return mus, sigmas
 
 
@@ -460,9 +499,9 @@ class CascadeEnv(ValuationOracle):
     def pull(self, members, rng) -> float:
         return cascade_exact(self, members, 1, rng)
 
-    def pull_mean_many(self, masks, n: int, rng) -> np.ndarray:
+    def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
         """Each row's mean of n successive ``pull`` calls, row by row."""
-        rows = [np.flatnonzero(row) for row in self._check_masks(masks, n)]
+        rows = _segments(flat, lengths)
         return np.array([np.mean([self.pull(S, rng) for _ in range(n)]) for S in rows])
 
     def exact(self, members) -> float:

@@ -92,7 +92,7 @@ class TestSyntheticExact:
         before = env.exact((0, 1)), env._moment((0, 1))
         means[0], stds[0] = 0.9, 0.0
         assert (env.exact((0, 1)), env._moment((0, 1))) == before
-        mus, sigmas = env._moments(np.array([[True, True, False, False]]))
+        mus, sigmas = env._moments(np.array([0, 1]), np.array([2]))
         assert (mus[0], sigmas[0]) == before[1]
 
     @pytest.mark.parametrize("name", ["means", "noise_stds", "_noise_sq"])
@@ -133,6 +133,14 @@ class TestSyntheticPull:
         rng = np.random.default_rng(0)
         assert env.pull((), rng) == 0.0
         assert env.pull_mean((), 5, rng) == 0.0
+
+    @pytest.mark.parametrize("curvature", [0.0, 1.0])
+    def test_empty_rows_are_positive_zero(self, curvature):
+        env = make_synthetic(curvature=curvature, noise=np.full(4, 0.3))
+        masks = np.array([[False] * 4, [True, False, True, False], [False] * 4])
+        out = env.pull_mean_many(masks, 5, np.random.default_rng(0))
+        assert out[[0, 2]].tobytes() == np.zeros(2).tobytes()
+        assert np.float64(env.pull_mean((), 5, np.random.default_rng(0))).tobytes() == bytes(8)
 
     def test_zero_noise_pull_equals_exact(self):
         env = make_synthetic(noise=np.zeros(4))
@@ -251,6 +259,50 @@ class TestScalarPullBits:
         rng = np.random.default_rng(3)
         game = additive_game(rng.random(6) / 3, 4)
         self.assert_same_stream(GameOracle(game, noise_std, budget=3, allow_extra_query=True))
+
+
+class TestOneRowPull:
+    """``pull_mean(S, n, rng)`` runs the query primitive on a one-row batch:
+    bit for bit ``pull_mean_many`` of S's one-row mask, on the same stream."""
+
+    ORACLES = {
+        "synthetic-per-arm": lambda: SyntheticEnv(
+            np.linspace(0.05, 0.9, 16), np.linspace(0.1, 0.6, 16), budget=12, curvature=0.25
+        ),
+        "synthetic-shared": lambda: SyntheticEnv(
+            np.linspace(0.05, 0.9, 16), budget=12, curvature=0.25, shared_noise_std=0.3
+        ),
+        # arms 0-5 are noiseless, so a coalition of them alone draws nothing
+        "synthetic-some-zero": lambda: SyntheticEnv(
+            np.linspace(0.05, 0.9, 16), np.r_[np.zeros(6), np.linspace(0.1, 0.6, 10)], budget=12
+        ),
+        "game": lambda: GameOracle(additive_game(np.linspace(0.02, 0.2, 10), 10), 0.35, budget=9),
+        "cascade": lambda: CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_pull_mean_is_the_one_row_pull_mean_many(self, name):
+        oracle = self.ORACLES[name]()
+        M, limit = oracle.n_arms, oracle.query_limit
+        pick = np.random.default_rng(29)
+        # the empty coalition, arms 0-2 (noiseless in "synthetic-some-zero"),
+        # a largest one (12 synthetic arms: past reduceat's 8-term block),
+        # then random ones
+        sets = [(), tuple(range(min(3, limit))), tuple(range(M - limit, M))]
+        sets += [
+            tuple(pick.choice(M, size=int(pick.integers(0, limit + 1)), replace=False).tolist())
+            for _ in range(200)
+        ]
+        rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
+        for S in sets:
+            n = int(pick.integers(1, 6))
+            mask = np.zeros((1, M), dtype=bool)
+            mask[0, list(S)] = True
+            got = oracle.pull_mean(S, n, rng_a)  # S in draw order, not sorted
+            want = oracle.pull_mean_many(mask, n, rng_b)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want[0].tobytes(), S
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestScalarSumBits:
@@ -373,6 +425,38 @@ class TestOracleContract:
         for query in self.queries(oracle, rng):
             with pytest.raises(ValueError, match="out of range|duplicate"):
                 query(S)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_over_limit_row_anywhere_in_batch_rejected(self, name, position):
+        oracle = self.ORACLES[name](3)
+        rows = [(0, 1), (), (2,), (5, 6, 7), (4,)]
+        rows[position] = (1, 3, 4, 6)
+        masks = np.zeros((len(rows), self.M), dtype=bool)
+        for mask, S in zip(masks, rows):
+            mask[list(S)] = True
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(CoalitionSizeError, match="size 4 exceeds query limit 3"):
+            oracle.pull_mean_many(masks, 3, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 7), (1, 2, 8)])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_wrong_shape_membership_rejected(self, name, shape):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"expected an \(n_sets, 8\) membership matrix"):
+            self.ORACLES[name](2).pull_mean_many(np.zeros(shape, dtype=bool), 3, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_empty_batch(self, name):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = self.ORACLES[name](2).pull_mean_many(np.zeros((0, self.M), dtype=bool), 3, rng)
+        assert out.shape == (0,) and out.dtype == float
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("n_sims", [0, -1])

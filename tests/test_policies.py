@@ -382,8 +382,8 @@ class TestEtcgBaseline:
 class SpyEnv(SyntheticEnv):
     """Records the coalition of every outermost pull and pull_mean, and of each
     row of an outermost pull_mean_many, as the baselines play them; a call
-    made inside another recorded call (pull_mean is a one-row pull_mean_many)
-    is not recorded again."""
+    made inside another recorded call (a learner's pull_mean_many inside its
+    spied shapley_estimation) is not recorded again."""
 
     played: list
     depth = 0
