@@ -75,7 +75,9 @@ class ValuationOracle:
             raise ValueError(
                 f"expected an (n_sets, {self.n_arms}) membership matrix, got shape {masks.shape}"
             )
-        row, flat = np.divmod(np.flatnonzero(masks), self.n_arms)
+        index = np.flatnonzero(masks)
+        row = index // self.n_arms  # with the subtraction, cheaper than np.divmod
+        flat = index - row * self.n_arms
         lengths = np.bincount(row, minlength=len(masks))
         if len(masks) and lengths.max() > self.query_limit:
             # the one coalition check raises, on the largest row
@@ -115,8 +117,8 @@ class _GaussianOracle(ValuationOracle):
     Subclasses implement ``_moment``; the scalar ``pull`` reads it once per
     call.  The query primitive ``_pull_means`` reads every coalition's
     (mean, noise) pair from ``_moments(flat, lengths)``, one row or many,
-    and makes one clipped-normal draw over the batch; the default
-    ``_moments`` reads ``_moment`` segment by segment.
+    and makes one standard-normal block over the batch, scaled, shifted, clipped
+    and averaged in place; the default ``_moments`` reads ``_moment`` by segment.
     """
 
     def _moment(self, S) -> tuple[float, float]:
@@ -126,8 +128,7 @@ class _GaussianOracle(ValuationOracle):
     def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row exact mean and noise scale of a checked flat batch."""
         rows = [self._moment(S) for S in _segments(flat, lengths)]
-        mus, sigmas = np.array(rows, dtype=float).reshape(-1, 2).T
-        return mus, sigmas
+        return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
 
     def pull(self, members, rng) -> float:
         mu, sigma = self._moment(self._checked(members))
@@ -137,11 +138,13 @@ class _GaussianOracle(ValuationOracle):
 
     def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
         mus, sigmas = self._moments(flat, lengths)
-        exact = np.clip(mus, 0.0, 1.0)
+        exact = mus.clip(0.0, 1.0)
         if not sigmas.any():
             return exact
-        draws = rng.standard_normal((len(mus), n)) * sigmas[:, None] + mus[:, None]
-        means = np.clip(draws, 0.0, 1.0, out=draws).mean(axis=1)
+        draws = rng.standard_normal((len(mus), n))
+        draws *= sigmas[:, None]
+        draws += mus[:, None]
+        means = draws.clip(0.0, 1.0, out=draws).sum(axis=1) / n
         # noiseless rows stay exact rather than picking up mean-of-copies rounding
         return np.where(sigmas == 0.0, exact, means)
 
@@ -266,8 +269,7 @@ class SyntheticEnv(_GaussianOracle):
         else:
             noise_sums = np.add.reduceat(self._noise_sq[flat], starts)
             sigmas[nonempty] = np.sqrt(noise_sums / lengths[nonempty])
-        mus = self._transform(sum_means)  # g(0) is +0.0, so empty rows stay 0
-        return mus, sigmas
+        return self._transform(sum_means), sigmas  # g(0) is +0.0, so empty rows stay 0
 
 
 class GameOracle(_GaussianOracle):

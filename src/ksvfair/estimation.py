@@ -44,16 +44,16 @@ def pull_cost(n_marginals: int, L: int) -> int:
     return 2 * L * n_marginals
 
 
-def _prefix_chains(orders: np.ndarray, M: int) -> np.ndarray:
-    """(R, k+1, M) membership of each ordering's prefixes of length 0..k.
+def _prefix_chains(orders: np.ndarray, M: int, sizes: np.ndarray) -> np.ndarray:
+    """(R, len(sizes), M) membership of each ordering's prefixes of each given size.
 
-    An arm is in the length-p prefix when its position in the ordering is
+    An arm is in the size-p prefix when its position in the ordering is
     below p; arms outside the ordering get position k and join no prefix.
     """
     R, k = orders.shape
     position = np.full((R, M), k, dtype=np.intp)
     position[np.arange(R)[:, None], orders] = np.arange(k)
-    return position[:, None, :] < np.arange(k + 1)[:, None]
+    return position[:, None, :] < sizes[:, None]
 
 
 def shapley_estimation(
@@ -75,9 +75,9 @@ def shapley_estimation(
     orderings.  Pull accounting is literal (``pull_cost``), every prefix
     value drawn independently.
 
-    All prefixes go to the oracle as one membership matrix, ordering by
-    ordering: without- then with-member row per position.  A coalition the
-    oracle would reject raises before any draw.
+    All prefixes go to the oracle as one membership matrix, from one
+    comparison, ordering by ordering: without- then with-member row per
+    position.  A coalition the oracle would reject raises before any draw.
     """
     members = [int(a) for a in S]
     k, M = len(members), oracle.n_arms
@@ -90,7 +90,7 @@ def shapley_estimation(
     if R < 1 or L < 1:
         raise ValueError("R and L must be >= 1")
     if permutations is None:
-        orders = members[rng.permuted(np.tile(np.arange(k), (R, 1)), axis=1)]
+        orders = members[rng.permuted(np.arange(k)[None].repeat(R, 0), axis=1)]
     else:
         orders = np.asarray(permutations, dtype=np.intp)
         if orders.ndim != 2 or orders.shape[1] != k or not np.array_equal(
@@ -99,8 +99,8 @@ def shapley_estimation(
             raise ValueError("supplied permutations must reorder S exactly")
         R = len(orders)
 
-    chains = _prefix_chains(orders, M)
-    masks = np.stack((chains[:, :-1], chains[:, 1:]), axis=2).reshape(-1, M)
+    # prefix sizes 0, 1, 1, 2, 2, ..., k: each position's without/with pair
+    masks = _prefix_chains(orders, M, np.arange(1, 2 * k + 1) // 2).reshape(-1, M)
     pairs = oracle.pull_mean_many(masks, L, rng).reshape(R, k, 2)
     d = pairs[..., 1] - pairs[..., 0]
     # bincount adds each arm's terms in ordering order, like a running sum
@@ -129,7 +129,7 @@ def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
     order = rng.permutation(M)
     positions = np.sort(rng.choice(M, size=K, replace=False))
     in_order = order[positions]
-    chain = _prefix_chains(in_order[None, :], M)[0]
+    chain = _prefix_chains(in_order[None, :], M, np.arange(K + 1))[0]
     inside = chain[-1]
     outside = order[~inside[order]]
     # one (without, with) pair of rows per arm: members along the chain,

@@ -85,8 +85,8 @@ def confidence_radius(N: int, R: int, L: int, M: int, delta1: float, delta2: flo
 
 def _worst_case_radii(N, R, L, M, delta1, delta2) -> np.ndarray:
     N = np.asarray(N, dtype=float)
-    first = np.sqrt(np.log(2 * M / delta1) / (2 * N * R))
-    second = 2 * np.sqrt(np.log(4 * N * R * M / delta2) / (2 * L))
+    first = np.sqrt(np.log(2 * M / delta1) / (N * (2 * R)))
+    second = 2 * np.sqrt(np.log(N * (4 * R * M) / delta2) / (2 * L))
     return first + second
 
 
@@ -119,10 +119,9 @@ class PolicyState:
         self.mean[a] = (n * self.mean[a] + weight * np.maximum(value, 0.0)) / (n + weight)
         self.mean_raw[a] = (n * self.mean_raw[a] + weight * value) / (n + weight)
         self.counts[a] = n + weight
-        w = est.n_perms
-        self.pool_n[a] += w
-        self.pool_sum[a] += w * value
-        self.pool_sumsq[a] += w * est.squares[a]
+        self.pool_n[a] += est.n_perms
+        self.pool_sum[a] += est.n_perms * value
+        self.pool_sumsq[a] += est.n_perms * est.squares[a]
 
     def radii(self, cfg: PolicyConfig) -> np.ndarray:
         """Per-arm optimism bonus used for the selection probabilities.
@@ -136,19 +135,18 @@ class PolicyState:
         empirical variance V and n_log = ln(2 M (N+1) / delta1).  Arms
         with fewer than two pooled samples keep the worst-case radius.
         """
-        if np.any(self.counts < 1):
+        if (self.counts < 1).any():
             raise ValueError("all arms need at least one observation before radii exist")
         worst = _worst_case_radii(self.counts, cfg.R, cfg.L, cfg.M, cfg.delta1, cfg.delta2)
         if cfg.radius_mode == "worst_case":
             return worst
         n = self.pool_n.astype(float)
-        ok = n >= 2
         safe_n = np.maximum(n, 2)
         mean = self.pool_sum / safe_n
         var = np.maximum(self.pool_sumsq / safe_n - mean**2, 0.0)
         logt = np.log(2 * cfg.M * (self.counts + 1) / cfg.delta1)
         bonus = np.sqrt(2 * var * logt / safe_n) + 2 * logt / safe_n
-        return np.where(ok, np.minimum(worst, bonus), worst)
+        return np.where(n >= 2, np.minimum(worst, bonus), worst)
 
 
 def round_robin_coalition(t: int, M: int, K: int) -> tuple[int, ...]:
@@ -316,15 +314,15 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
     costs = ksvfair_schedule(cfg)
     state = PolicyState(cfg.M)
     rec = _Recorder(cfg.M, costs)
-    pooled = saturated = 0
+    pooled, saturated, all_pooled = 0, 0, False
     for _ in costs:
-        # an arm with fewer than two pooled marginals keeps the worst-case
-        # radius and caps at 1 by design; only count rounds where none does
-        all_pooled = state.t >= cfg.warm_rounds and np.all(state.pool_n >= 2)
+        # an arm with fewer than two pooled marginals keeps the worst-case radius and
+        # caps at 1 by design; only count rounds where none does (pool_n never drops)
+        all_pooled = all_pooled or (state.t >= cfg.warm_rounds and (state.pool_n >= 2).all())
         S, pi, _ = ksvfair_round(state, cfg, oracle, rng)
         if all_pooled:
             pooled += 1
-            saturated += bool(np.all(state.last_phi_plus >= 1.0))
+            saturated += bool((state.last_phi_plus >= 1.0).all())
         rec.log(pi, S)
     if saturated:
         log.warning(

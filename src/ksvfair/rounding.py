@@ -60,7 +60,7 @@ def normalize_to_marginals(raw, K: int) -> MarginalVector:
     """
     raw = np.asarray(raw, dtype=float)
     M = len(raw)
-    if np.any(raw < 0):
+    if (raw < 0).any():
         raise ValueError("raw scores must be nonnegative")
     if not 1 <= K <= M:
         raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
@@ -111,7 +111,7 @@ def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
         raise ValueError(f"marginals sum to {total}, expected budget {K}")
     perm = rng.permutation(len(probs))
     # entries may sit up to SUM_TOL outside [0, 1]; clip before laying them end to end
-    cuts = np.minimum(np.maximum(probs[perm], 0.0), 1.0).cumsum()
+    cuts = probs[perm].clip(0.0, 1.0).cumsum()
     cuts[-1] = K
     picked = np.sort(perm[cuts.searchsorted(rng.random() + np.arange(K), side="right")]).tolist()
     if len(set(picked)) < K:

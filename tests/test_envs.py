@@ -305,6 +305,39 @@ class TestOneRowPull:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+class TestBatchedGaussianPrimitive:
+    """``pull_mean_many`` against the clipped-normal formula on (mu, sigma) from
+    ``_moments``: noiseless rows exact, noisy rows the mean of clipped
+    ``mu + sigma * z`` with z one standard-normal block, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["synthetic-per-arm", "synthetic-shared", "synthetic-some-zero"])
+    def test_mixed_batch(self, name):
+        oracle = TestOneRowPull.ORACLES[name]()
+        M, n = oracle.n_arms, 7
+        pick = np.random.default_rng(41)
+        # empty rows, rows of arms 0-5 (noiseless in "synthetic-some-zero"),
+        # then noisy rows of 1-12 arms, shuffled together
+        sets = [()] * 3 + [tuple(range(s)) for s in range(1, 7)]
+        sets += [
+            tuple(pick.choice(M, size=int(pick.integers(1, 13)), replace=False).tolist())
+            for _ in range(40)
+        ]
+        masks = np.zeros((len(sets), M), dtype=bool)
+        for row, S in zip(masks, sets):
+            row[list(S)] = True
+        masks = masks[pick.permutation(len(sets))]
+        flat, lengths = np.flatnonzero(masks) % M, masks.sum(axis=1)
+        mu, sigma = oracle._moments(flat, lengths)
+        assert (sigma == 0).any() and (sigma > 0).any()
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        got = oracle.pull_mean_many(masks, n, rng_a)
+        z = rng_b.standard_normal((len(sets), n))
+        noisy = np.clip(mu[:, None] + sigma[:, None] * z, 0, 1).mean(axis=1)
+        want = np.where(sigma == 0, np.clip(mu, 0, 1), noisy)
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestScalarSumBits:
     """The Python-float ``_moment`` against numpy's sums in ``tests/reference.py``."""
 

@@ -19,14 +19,18 @@ from ksvfair import (
     muras_round,
     shapley_estimation,
 )
+from ksvfair.cli import load_config
+from ksvfair.estimation import _prefix_chains
 from reference import (
+    _set_masks,
     prefix_shapley_within,
     random_table_game,
     scalar_muras_round,
     scalar_shapley_estimation,
 )
 
-TOY_8 = Path(__file__).resolve().parent.parent / "data" / "toy_8.edges"
+ROOT = Path(__file__).resolve().parent.parent
+TOY_8 = ROOT / "data" / "toy_8.edges"
 
 
 def submodular_oracle(M=4, K=4, noise=0.0, **kw):
@@ -183,6 +187,51 @@ class TestArrayMatchesScalar:
             old = scalar_muras_round(oracle, 8, K, 3, rng_old)
             assert_same_round(new, old, rng_new, rng_old, 8)
             assert new.coalition == old.coalition
+
+    @staticmethod
+    def shipped_game():
+        """The benchmark's 20-arm game, its R and L, with room for muras' K + 1 probe."""
+        cfg = load_config(ROOT / "configs" / "synthetic_ksvfair.ini")
+        env = SyntheticEnv(
+            cfg.means, cfg.noise_stds, budget=cfg.K, curvature=cfg.curvature, allow_extra_query=True
+        )
+        assert (cfg.M, cfg.K, cfg.policy.R, cfg.policy.L) == (20, 5, 50, 20)
+        return env, cfg.policy.R, cfg.policy.L
+
+    def test_shapley_estimation_at_benchmark_shape(self):
+        oracle, R, L = self.shipped_game()
+        S = (17, 2, 9, 4, 11)
+        for seed in range(3):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = shapley_estimation(S, oracle, R, L, rng_new)
+            old = scalar_shapley_estimation(S, oracle, R, L, rng_old)
+            assert_same_round(new, old, rng_new, rng_old, 20)
+
+    def test_muras_round_at_benchmark_shape(self):
+        oracle, _, L = self.shipped_game()
+        for seed in range(3):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = muras_round(oracle, 20, 5, L, rng_new)
+            old = scalar_muras_round(oracle, 20, 5, L, rng_old)
+            assert_same_round(new, old, rng_new, rng_old, 20)
+            assert new.coalition == old.coalition
+
+
+class TestPrefixChains:
+    """``_prefix_chains`` against masks of the explicit prefix sets."""
+
+    @pytest.mark.parametrize("paired", [True, False], ids=["paired", "chain"])
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_matches_explicit_prefixes(self, k, paired):
+        M, R = 9, 7
+        rng = np.random.default_rng(k)
+        orders = np.array([rng.choice(M, size=k, replace=False) for _ in range(R)])
+        # paired: each position's (without, with) sizes 0, 1, 1, 2, ..., k; chain: 0..k
+        sizes = [s for p in range(k) for s in (p, p + 1)] if paired else list(range(k + 1))
+        got = _prefix_chains(orders, M, np.array(sizes))
+        assert got.shape == (R, len(sizes), M)
+        want = _set_masks([tuple(order[:p]) for order in orders.tolist() for p in sizes], M)
+        assert np.array_equal(got.reshape(-1, M), want)
 
 
 def muras_expectation(game, M, K):

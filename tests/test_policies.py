@@ -202,6 +202,20 @@ class TestRunKsvfair:
         assert match and int(match[1]) >= 20
         assert "seed 4" in record.getMessage()
 
+    def test_saturated_count_starts_when_every_arm_is_pooled(self, caplog):
+        # with R = 1 each round pools one marginal per member, so pool_n is the
+        # selection count: a round counts once every arm was selected twice before it
+        cfg = small_cfg(R=1, L=1, radius_mode="worst_case", rounds=40)
+        with caplog.at_level(logging.WARNING, logger="ksvfair.policies"):
+            rec = run_ksvfair(cfg, small_env(), np.random.default_rng(6), seed=6)
+        # least selection count over the arms after each round; round t reads entry t - 2
+        fewest = np.cumsum(rec.selected, axis=0, dtype=int).min(axis=1)
+        first = next(t for t in range(cfg.warm_rounds + 1, rec.n_rounds + 1) if fewest[t - 2] >= 2)
+        assert first > cfg.warm_rounds + 1  # the warm-up pools some arms only once
+        pooled = rec.n_rounds - first + 1
+        [record] = caplog.records
+        assert f"played uniform in {pooled} of {pooled} merit rounds" in record.getMessage()
+
     def test_noiseless_adaptive_no_warning(self, caplog):
         cfg = small_cfg(R=50, L=1, rounds=30)
         with caplog.at_level(logging.WARNING, logger="ksvfair.policies"):
