@@ -16,7 +16,8 @@ from ksvfair import SyntheticEnv, confidence_radius, shapley_estimation
 np.set_printoptions(precision=4, suppress=True)
 
 means = np.linspace(0.25, 0.9, 6)
-env = SyntheticEnv(means, budget=4, curvature=1.5, shared_noise_std=0.2)
+# every arm has noise level 0.2, so every coalition's reward noise is 0.2 too
+env = SyntheticEnv(means, np.full(6, 0.2), budget=4, curvature=1.5)
 S = (0, 2, 3, 5)
 
 # ground truth: within-coalition value by enumerating all orderings; like

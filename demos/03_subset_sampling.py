@@ -12,10 +12,10 @@ from ksvfair import normalize_to_marginals, rrs_sample
 np.set_printoptions(precision=4, suppress=True)
 
 raw = np.array([0.9, 0.05, 0.05])
-mv = normalize_to_marginals(raw, K=2)
-print("scores", raw, "-> marginals", mv.probs, "(note the cap at 1)")
+probs = normalize_to_marginals(raw, K=2)
+print("scores", raw, "-> marginals", probs, "(note the cap at 1)")
 
-pi = normalize_to_marginals(np.array([0.9, 0.6, 0.3, 0.2]), K=2).probs
+pi = normalize_to_marginals(np.array([0.9, 0.6, 0.3, 0.2]), K=2)
 print("\ntarget marginals:", pi)
 
 rng = np.random.default_rng(0)

@@ -1,6 +1,7 @@
 """Print a SHA-256 digest of every file a set of configs makes ksvfair write.
 
     python scripts/output_digests.py [--seeds N] [--root DIR] CONFIG...
+    python scripts/output_digests.py --write-golden
 
 For each config this runs ``ksvfair run`` and ``ksvfair exact-shapley`` in
 a temporary directory, and ``ksvfair compare`` over every two or more runs
@@ -16,6 +17,10 @@ one ``diff``:
 checkout whose ``src/`` is run (default: the one holding this script); the
 runs start in that directory, so a config's relative ``graph_path`` is
 read from there.  The config files themselves are read from the paths given.
+
+``--write-golden`` instead regenerates ``tests/golden_digests.txt``, the
+digests the Tier-1 test ``test_golden_output_digests`` compares against
+(see ``tests/golden.py``), from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -78,10 +83,23 @@ def digests(configs, n_seeds: int | None = None, root: Path | None = None) -> li
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("configs", nargs="+", metavar="CONFIG")
+    parser.add_argument("configs", nargs="*", metavar="CONFIG")
     parser.add_argument("--seeds", type=int, default=None, help="keep the first N seeds")
     parser.add_argument("--root", default=None, help="checkout whose src/ is run")
+    parser.add_argument("--write-golden", action="store_true",
+                        help="regenerate tests/golden_digests.txt and exit")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        repo = Path(__file__).resolve().parent.parent
+        sys.path[:0] = [str(repo / "src"), str(repo / "tests")]
+        os.chdir(repo)  # cascade_tiny.ini names its graph relative to the root
+        import golden
+
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"wrote {golden.write_golden(Path(tmp) / 'cascade_tiny')}")
+        return 0
+    if not args.configs:
+        parser.error("name at least one CONFIG, or pass --write-golden")
     if args.seeds is not None and args.seeds < 1:
         parser.error("--seeds must be >= 1")
     print("\n".join(digests(args.configs, args.seeds, args.root)))

@@ -25,7 +25,6 @@ import argparse
 import configparser
 import contextlib
 import csv
-import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -47,19 +46,16 @@ from .policies import (
     uniform_baseline,
 )
 
-log = logging.getLogger(__name__)
-
-ALGOS = ("ksvfair", "muras", "uniform", "etcg")
-ENVS = ("synthetic", "cascade")
-EXIT_CONFIG = 2
-EXIT_RUNTIME = 1
-
 _RUNNERS = {
     "ksvfair": run_ksvfair,
     "muras": muras_run,
     "uniform": uniform_baseline,
     "etcg": etcg_baseline,
 }
+ALGOS = tuple(_RUNNERS)
+ENVS = ("synthetic", "cascade")
+EXIT_CONFIG = 2
+EXIT_RUNTIME = 1
 
 
 class ConfigError(ValueError):
@@ -336,18 +332,10 @@ def write_arms_csv(path, record: RunRecord, true_phi: np.ndarray) -> None:
 
 
 def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
-    n = min(l.n_rounds for l in ledgers)
-    truncated = sum(l.n_rounds > n for l in ledgers)
-    if truncated:
-        log.warning(
-            "%s aggregate: truncated %d of %d seed runs to the shortest run's %d rounds",
-            algo,
-            truncated,
-            len(ledgers),
-            n,
-        )
-    fr = np.stack([l.fr_cum[:n] for l in ledgers])
-    columns = zip(range(1, n + 1), fr.mean(axis=0).tolist(), fr.var(axis=0).tolist())
+    """Seed mean and variance of the cumulative fairness regret per round.  Every
+    seed plays its config's one schedule: unequal ledgers raise before the file opens."""
+    fr = np.stack([l.fr_cum for l in ledgers])
+    columns = zip(range(1, fr.shape[1] + 1), fr.mean(axis=0).tolist(), fr.var(axis=0).tolist())
     label = _quote(algo)
     with open(path, "w", newline="") as fh:
         fh.write(_header(["algo", "round", "fr_mean", "fr_var"]))
@@ -471,16 +459,15 @@ def compare_runs(run_dirs, out_prefix="comparison") -> tuple[Path, Path]:
     return fr_path, arms_path
 
 
-def print_exact_shapley(config_path, file=None) -> None:
-    file = file if file is not None else sys.stdout
+def print_exact_shapley(config_path) -> None:
     cfg = load_config(config_path)
     oracle = build_env(cfg)
     phi = true_shapley(cfg, oracle)
     pi_star = fair_policy(phi, cfg.K).probs
-    print(f"# env={cfg.env} M={cfg.M} K={cfg.K} kind={phi.kind}", file=file)
-    print("arm,true_phi,pi_star", file=file)
+    print(f"# env={cfg.env} M={cfg.M} K={cfg.K} kind={phi.kind}")
+    print("arm,true_phi,pi_star")
     for a in range(cfg.M):
-        print("%d,%.12g,%.12g" % (a, phi.values[a], pi_star[a]), file=file)
+        print("%d,%.12g,%.12g" % (a, phi.values[a], pi_star[a]))
 
 
 def main(argv=None) -> int:

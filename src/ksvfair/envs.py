@@ -156,8 +156,8 @@ class SyntheticEnv(_GaussianOracle):
     g(x) = (1 - exp(-c x)) / (1 - exp(-c * total mean)), so the worth of the
     all-arms sum is normalized to 1; curvature c = 0 is the linear limit
     g(x) = x / total.  Coalition noise is the RMS of the member noise
-    levels (independent per-arm noise observed only in aggregate), or a
-    fixed global level when ``shared_noise_std`` is given.
+    levels (independent per-arm noise observed only in aggregate), so
+    equal levels give every coalition that level, up to an ulp.
 
     ``means``, ``noise_stds`` and the squared noise levels are read-only
     copies of the caller's arrays, so no later write reaches a value.  The scalar path
@@ -175,7 +175,6 @@ class SyntheticEnv(_GaussianOracle):
         *,
         budget: int,
         curvature: float = 1.0,
-        shared_noise_std: float | None = None,
         allow_extra_query: bool = False,
     ):
         self.means = np.array(means, dtype=float)
@@ -188,14 +187,12 @@ class SyntheticEnv(_GaussianOracle):
         # written so that a NaN fails each check
         if not np.all((self.means > 0) & (self.means <= 1)):
             raise ValueError("arm means must lie in (0, 1]")
-        levels = np.append(self.noise_stds, [] if shared_noise_std is None else shared_noise_std)
-        if not np.all((levels >= 0) & (levels < np.inf)):
+        if not np.all((self.noise_stds >= 0) & (self.noise_stds < np.inf)):
             raise ValueError("noise levels must be finite and nonnegative")
         if not 0 <= curvature < math.inf:
             raise ValueError("curvature must be finite and nonnegative")
         super().__init__(M, budget, allow_extra_query=allow_extra_query)
         self.curvature = float(curvature)
-        self.shared_noise_std = shared_noise_std
         total = float(self.means.sum())
         # g's denominator, the transformed total: the same for every coalition
         self._denom = -np.expm1(-self.curvature * total) if self.curvature else total
@@ -233,7 +230,7 @@ class SyntheticEnv(_GaussianOracle):
         return -np.expm1(-c * x) / self._denom
 
     def _moment(self, S) -> tuple[float, float]:
-        """Exact mean and noise scale of one checked coalition, in Python floats.
+        """Exact mean and RMS noise level of one checked coalition, in Python floats.
 
         Both sums add the members left to right, so for fewer than eight
         members they are bitwise numpy's ``means[S].sum()`` and
@@ -242,14 +239,12 @@ class SyntheticEnv(_GaussianOracle):
         """
         if not S:
             return 0.0, 0.0
-        if self.shared_noise_std is not None:
-            return self._mean(S), float(self.shared_noise_std)
         # sum / count is how np.mean divides, so this is bitwise its value
         return self._mean(S), math.sqrt(self._sum(self._noise_sq_list, S) / len(S))
 
     def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row exact means and noise scales of a checked flat batch,
-        summed per row by ``np.add.reduceat``.
+        """Per-row exact means and RMS noise levels of a checked flat batch,
+        each summed per row by ``np.add.reduceat``.
 
         A one-row ``pull_mean`` takes this path too, so it sums its
         coalition exactly as the same row of a ``pull_mean_many`` batch.
@@ -264,11 +259,7 @@ class SyntheticEnv(_GaussianOracle):
         sum_means = np.zeros(len(lengths))
         sum_means[nonempty] = np.add.reduceat(self.means[flat], starts)
         sigmas = np.zeros(len(lengths))
-        if self.shared_noise_std is not None:
-            sigmas[nonempty] = self.shared_noise_std
-        else:
-            noise_sums = np.add.reduceat(self._noise_sq[flat], starts)
-            sigmas[nonempty] = np.sqrt(noise_sums / lengths[nonempty])
+        sigmas[nonempty] = np.sqrt(np.add.reduceat(self._noise_sq[flat], starts) / lengths[nonempty])
         return self._transform(sum_means), sigmas  # g(0) is +0.0, so empty rows stay 0
 
 

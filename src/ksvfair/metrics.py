@@ -50,7 +50,7 @@ def fair_policy(true_phi, K: int) -> MarginalVector:
     clipped = np.maximum(phi, 0.0)
     if clipped.sum() <= 0:
         raise ValueError("all values are zero or negative; no fair policy exists")
-    return normalize_to_marginals(clipped, K)
+    return MarginalVector(normalize_to_marginals(clipped, K))
 
 
 def fairness_regret_step(pi_star, pi_t) -> float:

@@ -159,7 +159,7 @@ def _optimistic_policy(state: PolicyState, cfg: PolicyConfig) -> tuple[np.ndarra
     state.last_radius = c
     phi_plus = np.minimum(state.mean + c, 1.0)
     state.last_phi_plus = phi_plus
-    pi = normalize_to_marginals(phi_plus, cfg.K).probs
+    pi = normalize_to_marginals(phi_plus, cfg.K)
     return pi, phi_plus
 
 
@@ -360,7 +360,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
     fallbacks = 0
     for _ in costs[cfg.R :]:
         if np.count_nonzero(state.mean) >= K:
-            pi = normalize_to_marginals(state.mean, K).probs
+            pi = normalize_to_marginals(state.mean, K)
         else:
             pi = uniform  # degenerate estimates; fall back rather than abort
             fallbacks += 1

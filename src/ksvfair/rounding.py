@@ -48,7 +48,7 @@ class MarginalVector:
         return int(round(float(self.probs.sum())))
 
 
-def normalize_to_marginals(raw, K: int) -> MarginalVector:
+def normalize_to_marginals(raw, K: int) -> np.ndarray:
     """Scale nonnegative scores to inclusion probabilities summing to K.
 
     Starts from K * raw / sum(raw); any entry above 1 is capped and the
@@ -56,7 +56,8 @@ def normalize_to_marginals(raw, K: int) -> MarginalVector:
     iterating until all entries fit (water-filling).  Zero scores stay at
     probability zero, so at least K entries must be positive; otherwise no
     valid vector exists and a ValueError is raised.  The result preserves
-    the ranking of the raw scores up to ties created by capping.
+    the ranking of the raw scores up to ties created by capping.  The
+    array is valid by construction; ``rrs_sample`` checks what it is given.
     """
     raw = np.asarray(raw, dtype=float)
     M = len(raw)
@@ -100,7 +101,7 @@ def normalize_to_marginals(raw, K: int) -> MarginalVector:
             drift = shifted - probs[target]
             if drift == 0.0:
                 break
-    return MarginalVector(probs)
+    return probs
 
 
 def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:

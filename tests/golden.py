@@ -1,0 +1,127 @@
+"""Golden output digests: one SHA-256 per run, checked against
+``tests/golden_digests.txt``.
+
+The file pins two sets of runs:
+
+* each of the 120 records of the acceptance criteria 5-7 fixture (30 seeds
+  of the four policies at ``configs/synthetic_ksvfair.ini``), over the bytes
+  of its ``pi``, ``selected``, ``pulls`` and ``est_phi`` arrays;
+* each seed of ``configs/cascade_tiny.ini`` run through ``run_experiment``,
+  over its ``run_seed*.csv`` and ``arms_seed*.csv``, and the run's
+  ``aggregate.csv``.
+
+Its header records the Python and numpy versions it was made with, since a
+different numpy may move the floating-point bits.  Regenerate it with
+``python scripts/output_digests.py --write-golden``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from ksvfair import (
+    SyntheticEnv,
+    etcg_baseline,
+    exact_k_shapley,
+    fair_policy,
+    muras_run,
+    run_ksvfair,
+    uniform_baseline,
+)
+from ksvfair.cli import build_env, load_config, run_experiment
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("golden_digests.txt")
+BENCHMARK_CONFIG = REPO / "configs" / "synthetic_ksvfair.ini"
+CASCADE_CONFIG = REPO / "configs" / "cascade_tiny.ini"
+
+
+def benchmark_runs() -> dict:
+    """30-seed runs of all four policies at the shipped benchmark config."""
+    cfg = load_config(BENCHMARK_CONFIG)
+    phi = exact_k_shapley(build_env(cfg).restricted_game()).values
+    out = {"phi": phi, "pi_star": fair_policy(phi, cfg.K).probs, "cfg": cfg}
+    runners = {
+        "ksvfair": (run_ksvfair, False),
+        "muras": (muras_run, True),
+        "uniform": (uniform_baseline, False),
+        "etcg": (etcg_baseline, False),
+    }
+    for name, (fn, extra) in runners.items():
+        records = []
+        for seed in cfg.seeds:
+            env = SyntheticEnv(
+                cfg.means,
+                cfg.noise_stds,
+                budget=cfg.K,
+                curvature=cfg.curvature,
+                allow_extra_query=extra,
+            )
+            records.append(fn(cfg.policy, env, np.random.default_rng(seed), seed=seed))
+        out[name] = records
+    return out
+
+
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def record_digests(runs: dict) -> list[str]:
+    """One ``sha256  criterion5/<algo>/seed<s>`` line per fixture record."""
+    return [
+        f"{_sha256(r.pi.tobytes(), r.selected.tobytes(), r.pulls.tobytes(), r.est_phi.tobytes())}"
+        f"  criterion5/{algo}/seed{r.seed}"
+        for algo in ("ksvfair", "muras", "uniform", "etcg")
+        for r in runs[algo]
+    ]
+
+
+def cascade_digests(out_dir: Path) -> list[str]:
+    """One line per seed of ``cascade_tiny.ini`` and one for its aggregate,
+    from a run written to ``out_dir``; run from the repository root, where
+    the config's ``graph_path`` starts."""
+    out = run_experiment(CASCADE_CONFIG, out_dir=out_dir)
+    lines = [
+        f"{_sha256((out / f'run_seed{s}.csv').read_bytes(), (out / f'arms_seed{s}.csv').read_bytes())}"
+        f"  cascade_tiny/seed{s}"
+        for s in load_config(CASCADE_CONFIG).seeds
+    ]
+    return lines + [f"{_sha256((out / 'aggregate.csv').read_bytes())}  cascade_tiny/aggregate"]
+
+
+def versions() -> list[str]:
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+
+
+def read_golden() -> tuple[list[str], list[str]]:
+    """The golden file's version lines and digest lines."""
+    lines = GOLDEN.read_text().splitlines()
+    return [l for l in lines if l.startswith("#")], [l for l in lines if l and not l.startswith("#")]
+
+
+def mismatch(lines: list[str]) -> str | None:
+    """None when ``lines`` equal the golden digests; otherwise a message
+    naming the first differing run and both version lines."""
+    golden_versions, golden = read_golden()
+    if lines == golden:
+        return None
+    want = {name: digest for digest, name in (l.split("  ", 1) for l in golden)}
+    got = {name: digest for digest, name in (l.split("  ", 1) for l in lines)}
+    first = next((n for n in [*want, *got] if want.get(n) != got.get(n)), "the run order")
+    return (
+        f"output digests differ from {GOLDEN.name}, first at {first}; golden file made with "
+        f"{', '.join(v[2:] for v in golden_versions)}; this run {', '.join(v[2:] for v in versions())}"
+    )
+
+
+def write_golden(tmp_dir: Path) -> Path:
+    lines = record_digests(benchmark_runs()) + cascade_digests(tmp_dir)
+    GOLDEN.write_text("\n".join(versions() + lines) + "\n")
+    return GOLDEN

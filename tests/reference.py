@@ -417,8 +417,6 @@ def _gaussian_moment(oracle, S) -> tuple[float, float]:
     x = float(oracle.means[list(S)].sum())
     c, total = oracle.curvature, float(oracle.means.sum())
     mu = x / total if c == 0.0 else -np.expm1(-c * x) / -np.expm1(-c * total)
-    if oracle.shared_noise_std is not None:
-        return mu, float(oracle.shared_noise_std)
     return mu, float(math.sqrt((oracle.noise_stds**2)[list(S)].mean()))
 
 

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The regret benchmarks
 (criteria 5-7) share one 30-seed run of all four policies at the shipped
-benchmark configuration and take a couple of minutes on one core.
+benchmark configuration, played in-process in about 20 s.
+``test_golden_output_digests`` pins that run's records, and the CSVs of
+``configs/cascade_tiny.ini``, to ``tests/golden_digests.txt`` byte for byte.
 """
 
 import itertools
@@ -21,22 +23,19 @@ from ksvfair import (
     carrier_game,
     classical_shapley,
     confidence_radius,
-    etcg_baseline,
     exact_k_shapley,
     fair_policy,
     load_edge_list,
     merit_to_selection,
-    muras_run,
     normalize_to_marginals,
     regret_slope,
     rrs_sample,
-    run_ksvfair,
     shapley_estimation,
-    uniform_baseline,
     verify_axioms,
 )
-from ksvfair.cli import build_env, load_config, run_experiment
+from ksvfair.cli import run_experiment
 
+import golden
 from reference import prefix_shapley_within, random_table_game
 
 REPO = Path(__file__).resolve().parent.parent
@@ -110,7 +109,7 @@ def test_criterion_3_monte_carlo_soundness():
     psi = prefix_shapley_within(noiseless.exact, S)
     mc_gap = max(abs(est.estimates[a] - psi[a]) for a in S)
 
-    noisy = SyntheticEnv(means, budget=3, curvature=1.5, shared_noise_std=0.2)
+    noisy = SyntheticEnv(means, np.full(6, 0.2), budget=3, curvature=1.5)
     Sn = (0, 2, 5)
     target = prefix_shapley_within(noisy.exact, Sn)
     R, L = 200, 200
@@ -139,7 +138,7 @@ def test_criterion_4_rounding_marginals():
     for case in range(10):
         M = int(rng_fuzz.integers(4, 13))
         K = int(rng_fuzz.integers(1, M))
-        pi = normalize_to_marginals(rng_fuzz.random(M) + 0.05, K).probs
+        pi = normalize_to_marginals(rng_fuzz.random(M) + 0.05, K)
         draw_rng = np.random.default_rng(1000 + case)
         n = 100_000
         counts = np.zeros(M)
@@ -160,30 +159,7 @@ def test_criterion_4_rounding_marginals():
 @pytest.fixture(scope="module")
 def benchmark_runs():
     """30-seed runs of all four policies at the shipped benchmark config."""
-    cfg = load_config(REPO / "configs" / "synthetic_ksvfair.ini")
-    policy_cfg = cfg.policy
-    phi = exact_k_shapley(build_env(cfg).restricted_game()).values
-    pi_star = fair_policy(phi, cfg.K).probs
-    runners = {
-        "ksvfair": (run_ksvfair, False),
-        "muras": (muras_run, True),
-        "uniform": (uniform_baseline, False),
-        "etcg": (etcg_baseline, False),
-    }
-    out = {"phi": phi, "pi_star": pi_star, "cfg": cfg}
-    for name, (fn, extra) in runners.items():
-        records = []
-        for seed in cfg.seeds:
-            env = SyntheticEnv(
-                cfg.means,
-                cfg.noise_stds,
-                budget=cfg.K,
-                curvature=cfg.curvature,
-                allow_extra_query=extra,
-            )
-            records.append(fn(policy_cfg, env, np.random.default_rng(seed), seed=seed))
-        out[name] = records
-    return out
+    return golden.benchmark_runs()
 
 
 def _ledgers(records, pi_star):
@@ -319,3 +295,13 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
         (out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names
     )
     report(9, identical, f"{len(names)} CSVs byte-identical across reruns", t0, 120)
+
+
+def test_golden_output_digests(benchmark_runs, tmp_path, monkeypatch):
+    # the fixture's records and cascade_tiny.ini's CSVs, byte for byte as
+    # tests/golden_digests.txt records them; the config's graph_path is
+    # relative to the repository root
+    monkeypatch.chdir(REPO)
+    lines = golden.record_digests(benchmark_runs) + golden.cascade_digests(tmp_path / "cascade_tiny")
+    problem = golden.mismatch(lines)
+    assert problem is None, problem

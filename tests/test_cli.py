@@ -30,6 +30,7 @@ from ksvfair.cli import (
     write_round_csv,
 )
 from ksvfair.games import exact_cost
+from ksvfair.policies import SCHEDULES
 from reference import csv_aggregate_table, csv_arms_table, csv_compare_tables, csv_round_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +91,11 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+    def test_one_schedule_per_runner(self):
+        # RunConfig checks algo against ALGOS, the runners' names, then its budget
+        # with SCHEDULES[algo]
+        assert SCHEDULES.keys() == cli._RUNNERS.keys()
 
     def test_unknown_algo(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -455,20 +461,29 @@ class TestTrueShapley:
 
 
 class TestAggregate:
-    def test_truncation_warns_with_count(self, tmp_path, caplog):
+    def test_unequal_ledgers_raise_before_writing(self, tmp_path):
         ledgers = [FairnessLedger(np.full(n, 0.5)) for n in (5, 3, 4)]
-        with caplog.at_level(logging.WARNING, logger="ksvfair.cli"):
+        with pytest.raises(ValueError):
             write_aggregate_csv(tmp_path / "aggregate.csv", "muras", ledgers)
-        [record] = caplog.records
-        assert "truncated 2 of 3 seed runs to the shortest run's 3 rounds" in record.getMessage()
-        rows = read_rows(tmp_path / "aggregate.csv")
-        assert [r["round"] for r in rows] == ["1", "2", "3"]
+        assert not (tmp_path / "aggregate.csv").exists()
 
     def test_equal_lengths_no_warning(self, tmp_path, caplog):
         ledgers = [FairnessLedger(np.full(4, 0.5)) for _ in range(3)]
-        with caplog.at_level(logging.WARNING, logger="ksvfair.cli"):
+        with caplog.at_level(logging.WARNING):
             write_aggregate_csv(tmp_path / "aggregate.csv", "ksvfair", ledgers)
         assert caplog.records == []
+        rows = read_rows(tmp_path / "aggregate.csv")
+        assert [r["round"] for r in rows] == ["1", "2", "3", "4"]
+        assert [r["fr_mean"] for r in rows] == ["0.5", "1", "1.5", "2"]
+
+    @pytest.mark.parametrize("algo", cli.ALGOS)
+    def test_every_seed_logs_the_aggregate_rounds(self, tmp_path, algo):
+        # no round cap: the pull budget alone ends each runner's schedule
+        path = write_config(tmp_path, algo=algo, rounds=0, seeds="1,2,3")
+        path.write_text(path.read_text().replace("t = 1000000", "t = 3000"))
+        out = run_experiment(path)
+        n_rounds = [len(read_rows(out / f"run_seed{seed}.csv")) for seed in (1, 2, 3)]
+        assert n_rounds == [len(read_rows(out / "aggregate.csv"))] * 3
 
 
 class TestCompare:

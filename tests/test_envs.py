@@ -176,9 +176,16 @@ class TestSyntheticPull:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_shared_noise_level_used(self):
-        env = SyntheticEnv([0.4, 0.5], [0.1, 0.2], budget=2, shared_noise_std=0.0)
-        rng = np.random.default_rng(3)
-        assert env.pull((0, 1), rng) == env.exact((0, 1))
+        # one level shared by every arm is every coalition's level, up to an ulp
+        env = SyntheticEnv(np.linspace(0.1, 0.9, 7), np.full(7, 0.2), budget=7)
+        sets = [S for s in range(1, 8) for S in itertools.combinations(range(7), s)]
+        masks = np.zeros((len(sets), 7), dtype=bool)
+        for row, S in zip(masks, sets):
+            row[list(S)] = True
+        flat, lengths = np.flatnonzero(masks) % 7, masks.sum(axis=1)
+        level = np.full(len(sets), 0.2)
+        np.testing.assert_array_max_ulp(env._moments(flat, lengths)[1], level, maxulp=1)
+        np.testing.assert_array_max_ulp(np.array([env._moment(S)[1] for S in sets]), level, maxulp=1)
 
     def test_pull_mean_many_matches_sets_order(self):
         env = make_synthetic(noise=np.zeros(4))
@@ -225,9 +232,9 @@ class TestSyntheticPull:
             SyntheticEnv([0.5, 0.5], [0.1, -0.1], budget=2)
         with pytest.raises(ValueError):
             SyntheticEnv([0.5, 0.5], budget=3)
-        for shared in (-0.1, math.nan, math.inf):
+        for level in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="noise levels"):
-                SyntheticEnv([0.5, 0.5], budget=2, shared_noise_std=shared)
+                SyntheticEnv([0.5, 0.5], [0.1, level], budget=2)
 
 
 class TestScalarPullBits:
@@ -249,9 +256,8 @@ class TestScalarPullBits:
     @pytest.mark.parametrize("curvature", [0.0, 0.25])
     @pytest.mark.parametrize("noise", ["per-arm", "shared", "zero"])
     def test_synthetic_every_coalition(self, curvature, noise):
-        kw = {"shared_noise_std": 0.3} if noise == "shared" else {}
-        stds = np.zeros(8) if noise == "zero" else np.linspace(0.1, 0.6, 8)
-        env = make_synthetic(M=8, K=4, curvature=curvature, noise=stds, allow_extra_query=True, **kw)
+        stds = {"per-arm": np.linspace(0.1, 0.6, 8), "shared": np.full(8, 0.3), "zero": np.zeros(8)}[noise]
+        env = make_synthetic(M=8, K=4, curvature=curvature, noise=stds, allow_extra_query=True)
         self.assert_same_stream(env)
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.35])
@@ -270,7 +276,7 @@ class TestOneRowPull:
             np.linspace(0.05, 0.9, 16), np.linspace(0.1, 0.6, 16), budget=12, curvature=0.25
         ),
         "synthetic-shared": lambda: SyntheticEnv(
-            np.linspace(0.05, 0.9, 16), budget=12, curvature=0.25, shared_noise_std=0.3
+            np.linspace(0.05, 0.9, 16), np.full(16, 0.3), budget=12, curvature=0.25
         ),
         # arms 0-5 are noiseless, so a coalition of them alone draws nothing
         "synthetic-some-zero": lambda: SyntheticEnv(
@@ -346,10 +352,8 @@ class TestScalarSumBits:
     def test_shipped_game_every_coalition(self, curvature, noise):
         # all 60,459 nonempty coalitions of up to K + 1 = 6 of the 20 arms
         cfg = load_config(ROOT / "configs" / "synthetic_ksvfair.ini")
-        kw = {"shared_noise_std": 0.3} if noise == "shared" else {}
-        env = SyntheticEnv(
-            cfg.means, cfg.noise_stds, budget=cfg.K, curvature=curvature, allow_extra_query=True, **kw
-        )
+        stds = np.full(cfg.M, 0.3) if noise == "shared" else cfg.noise_stds
+        env = SyntheticEnv(cfg.means, stds, budget=cfg.K, curvature=curvature, allow_extra_query=True)
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         n_sets = 0
         for size in range(1, env.query_limit + 1):

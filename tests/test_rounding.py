@@ -40,39 +40,39 @@ class TestMarginalVector:
 
 class TestNormalizeToMarginals:
     def test_uniform(self):
-        mv = normalize_to_marginals([0.25, 0.25, 0.25, 0.25], 2)
-        np.testing.assert_allclose(mv.probs, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        probs = normalize_to_marginals([0.25, 0.25, 0.25, 0.25], 2)
+        np.testing.assert_allclose(probs, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_plain_normalization(self):
-        mv = normalize_to_marginals([0.6, 0.3, 0.1], 1)
-        np.testing.assert_allclose(mv.probs, [0.6, 0.3, 0.1], atol=1e-12)
+        probs = normalize_to_marginals([0.6, 0.3, 0.1], 1)
+        np.testing.assert_allclose(probs, [0.6, 0.3, 0.1], atol=1e-12)
 
     def test_single_cap_redistribution(self):
-        mv = normalize_to_marginals([0.9, 0.05, 0.05], 2)
-        np.testing.assert_allclose(mv.probs, [1.0, 0.5, 0.5], atol=1e-12)
+        probs = normalize_to_marginals([0.9, 0.05, 0.05], 2)
+        np.testing.assert_allclose(probs, [1.0, 0.5, 0.5], atol=1e-12)
 
     def test_cascading_caps(self):
         # first pass caps arm 0, redistribution then pushes arm 1 over
-        mv = normalize_to_marginals([10.0, 1.0, 0.1, 0.1], 3)
-        assert mv.probs[0] == 1.0
-        assert mv.probs[1] == 1.0
-        np.testing.assert_allclose(mv.probs[2:], [0.5, 0.5], atol=1e-12)
-        assert mv.probs.sum() == pytest.approx(3.0, abs=1e-9)
+        probs = normalize_to_marginals([10.0, 1.0, 0.1, 0.1], 3)
+        assert probs[0] == 1.0
+        assert probs[1] == 1.0
+        np.testing.assert_allclose(probs[2:], [0.5, 0.5], atol=1e-12)
+        assert probs.sum() == pytest.approx(3.0, abs=1e-9)
 
     def test_ranking_preserved_up_to_cap_ties(self):
         raw = np.array([0.05, 0.4, 0.1, 0.3, 0.15])
-        mv = normalize_to_marginals(raw, 3)
-        capped = mv.probs >= 1.0
+        probs = normalize_to_marginals(raw, 3)
+        capped = probs >= 1.0
         # capped entries are exactly the largest raw scores
         assert raw[capped].min() >= raw[~capped].max()
         # among uncapped entries the order is untouched
         free_raw = raw[~capped]
-        free_out = mv.probs[~capped]
+        free_out = probs[~capped]
         assert np.all(np.argsort(free_out, kind="stable") == np.argsort(free_raw, kind="stable"))
 
     def test_zero_scores_stay_zero(self):
-        mv = normalize_to_marginals([0.5, 0.0, 0.5, 0.2], 2)
-        assert mv.probs[1] == 0.0
+        probs = normalize_to_marginals([0.5, 0.0, 0.5, 0.2], 2)
+        assert probs[1] == 0.0
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -89,10 +89,10 @@ class TestNormalizeToMarginals:
     def test_drift_past_the_cap_moves_to_next_entry(self):
         # water-filling leaves [1/3, 1 - 2 ulp, 1, 2/3], 4.4e-16 short of K;
         # the largest uncapped entry has room for only half of that
-        mv = normalize_to_marginals([0.1, 0.3, 3.0, 0.2], 3)
-        assert mv.probs[1] == 1.0 and mv.probs[2] == 1.0
-        assert mv.probs[3] > 2 / 3
-        assert mv.probs.sum() == 3.0
+        probs = normalize_to_marginals([0.1, 0.3, 3.0, 0.2], 3)
+        assert probs[1] == 1.0 and probs[2] == 1.0
+        assert probs[3] > 2 / 3
+        assert probs.sum() == 3.0
 
     @given(
         st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=2, max_size=12),
@@ -102,10 +102,12 @@ class TestNormalizeToMarginals:
     def test_property_sums_to_budget_and_bounded(self, raw, K):
         if K > len(raw):
             K = len(raw)
-        mv = normalize_to_marginals(raw, K)
-        assert abs(mv.probs.sum() - K) <= 1e-9
-        assert np.all(mv.probs >= 0.0)
-        assert np.all(mv.probs <= 1.0 + 1e-12)
+        probs = normalize_to_marginals(raw, K)
+        # a plain array, valid by construction: rrs_sample is its one check
+        assert type(probs) is np.ndarray and probs.shape == (len(raw),)
+        assert abs(probs.sum() - K) <= 1e-9
+        assert np.all(probs >= 0.0)
+        assert np.all(probs <= 1.0 + 1e-12)
 
     def test_drift_stays_within_four_ulp_and_never_repeats_a_pick(self):
         # water-filling leaves the sum a few ulp off K for a few percent of
@@ -122,7 +124,7 @@ class TestNormalizeToMarginals:
             if np.count_nonzero(raw) < K:
                 continue
             tried += 1
-            probs = normalize_to_marginals(raw, K).probs
+            probs = normalize_to_marginals(raw, K)
             worst = max(worst, abs(float(probs.sum()) - K) / np.spacing(float(K)))
             S = rrs_sample(probs, K, rng)  # raises RepeatedPickError on a repeat
             assert len(S) == K
@@ -169,7 +171,7 @@ class TestRrsSample:
             raw = draw.random(M) ** 3
             raw[draw.random(M) < 0.25] *= 50
             if np.count_nonzero(raw) >= K:
-                vectors.append(normalize_to_marginals(raw, K).probs)
+                vectors.append(normalize_to_marginals(raw, K))
         assert sum(int(np.any(p == 1.0)) for p in vectors) > 50
         for i, pi in enumerate(vectors):
             K = round(float(pi.sum()))
@@ -185,7 +187,7 @@ class TestRrsSample:
 
     def test_output_size_always_k(self):
         rng = np.random.default_rng(0)
-        pi = normalize_to_marginals([0.9, 0.6, 0.3, 0.2], 2).probs
+        pi = normalize_to_marginals([0.9, 0.6, 0.3, 0.2], 2)
         for _ in range(500):
             S = rrs_sample(pi, 2, rng)
             assert len(S) == 2 and len(set(S)) == 2
@@ -219,7 +221,7 @@ class TestRrsSample:
             rrs_sample(np.array([1.5, 0.5]), 2, np.random.default_rng(0))
 
     def test_accepts_marginal_vector(self):
-        mv = normalize_to_marginals([0.3, 0.3, 0.4], 2)
+        mv = MarginalVector(normalize_to_marginals([0.3, 0.3, 0.4], 2))
         S = rrs_sample(mv, 2, np.random.default_rng(4))
         assert len(S) == 2
 
