@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         import golden
 
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"wrote {golden.write_golden(Path(tmp) / 'cascade_tiny')}")
+            print(f"wrote {golden.write_golden(Path(tmp))}")
         return 0
     if not args.configs:
         parser.error("name at least one CONFIG, or pass --write-golden")

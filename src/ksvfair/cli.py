@@ -249,6 +249,11 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
 # Every table is written from a per-row % template: integers as %d, reals as
 # %.12g (the same text as format(x, ".12g"), nan, inf and -0 included), rows
 # ended by "\r\n", so the bytes are what csv.writer wrote with those strings.
+# rows per write in _write_rows: a block's text and its encoded copy are both
+# held during the write, so larger blocks raise the peak RSS
+_BLOCK_ROWS = 64
+
+
 def _quote(field) -> str:
     """One CSV field as ``csv.writer`` writes it: quoted only when it must be."""
     field = str(field)
@@ -259,6 +264,22 @@ def _quote(field) -> str:
 
 def _header(fields) -> str:
     return ",".join(_quote(f) for f in fields) + "\r\n"
+
+
+def _write_rows(fh, row: str, columns: list) -> None:
+    """``row % values`` for each row of equal-length columns, a block of at
+    most ``_BLOCK_ROWS`` rows at a time: the block's cells are interleaved
+    into one flat list and written with one ``%`` of the repeated row
+    template and one ``fh.write``, so no whole-table string is built."""
+    width, n = len(columns), len(columns[0])
+    template, cells = row * _BLOCK_ROWS, [None] * (width * _BLOCK_ROWS)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        if stop - start < _BLOCK_ROWS:  # the last block is short
+            template, cells = row * (stop - start), cells[: width * (stop - start)]
+        for j, column in enumerate(columns):
+            cells[j::width] = column[start:stop]
+        fh.write(template % tuple(cells))
 
 
 def _run_one(cfg: RunConfig, oracle, seed: int) -> RunRecord:
@@ -295,16 +316,20 @@ def _bit_texts(bits: np.ndarray) -> list[str]:
 
 
 def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLedger:
+    """Per-round table.  ``l1_to_pistar`` and the ``pi_*`` columns are
+    formatted once per run of equal rows, and the selection columns as bytes."""
     ledger = FairnessLedger.from_run(pi_star, record.pi)
     M = record.pi.shape[1]
-    columns = zip(
+    # first, while no other column is held: its transient lists are the largest
+    pi_texts = _row_texts(record.pi, ",%.12g" * M)
+    columns = [
         range(1, record.n_rounds + 1),
         record.pulls_cum.tolist(),
-        ledger.l1.tolist(),
+        _row_texts(ledger.l1[:, None], ",%.12g"),
         ledger.fr_cum.tolist(),
-        _row_texts(record.pi, ",%.12g" * M),
+        pi_texts,
         _bit_texts(record.selected),
-    )
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(
             _header(
@@ -313,33 +338,38 @@ def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLed
                 + [f"sel_{a}" for a in range(M)]
             )
         )
-        fh.writelines("%d,%d,%.12g,%.12g%s%s" % row for row in columns)
+        _write_rows(fh, "%d,%d%s,%.12g%s%s", columns)
     return ledger
 
 
 def write_arms_csv(path, record: RunRecord, true_phi: np.ndarray) -> None:
     ratios = merit_to_selection(true_phi, record.counts, record.n_rounds)
-    columns = zip(
+    columns = [
         range(len(true_phi)),
         np.asarray(true_phi, dtype=float).tolist(),
         np.asarray(record.est_phi, dtype=float).tolist(),
         np.asarray(record.counts, dtype=int).tolist(),
         ratios.tolist(),
-    )
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(_header(["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"]))
-        fh.writelines("%d,%.12g,%.12g,%d,%.12g\r\n" % row for row in columns)
+        _write_rows(fh, "%d,%.12g,%.12g,%d,%.12g\r\n", columns)
 
 
 def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
     """Seed mean and variance of the cumulative fairness regret per round.  Every
     seed plays its config's one schedule: unequal ledgers raise before the file opens."""
     fr = np.stack([l.fr_cum for l in ledgers])
-    columns = zip(range(1, fr.shape[1] + 1), fr.mean(axis=0).tolist(), fr.var(axis=0).tolist())
-    label = _quote(algo)
+    rounds = range(1, fr.shape[1] + 1)
+    columns = [
+        [_quote(algo)] * len(rounds),
+        rounds,
+        fr.mean(axis=0).tolist(),
+        fr.var(axis=0).tolist(),
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(_header(["algo", "round", "fr_mean", "fr_var"]))
-        fh.writelines("%s,%d,%.12g,%.12g\r\n" % (label, *row) for row in columns)
+        _write_rows(fh, "%s,%d,%.12g,%.12g\r\n", columns)
 
 
 def _worker_count(n_seeds: int) -> int:
@@ -439,23 +469,22 @@ def compare_runs(run_dirs, out_prefix="comparison") -> tuple[Path, Path]:
     columns = [base_rounds.tolist()]
     for _, _, _, mean, var in loaded:
         columns += [mean.tolist(), np.sqrt(var).tolist()]
-    row = "%d" + ",%.12g,%.12g" * len(loaded) + "\r\n"
     with open(fr_path, "w", newline="") as fh:
         header = ["round"]
         for label in labels:
             header += [f"fr_mean_{label}", f"fr_std_{label}"]
         fh.write(_header(header))
-        fh.writelines(row % values for values in zip(*columns))
+        _write_rows(fh, "%d" + ",%.12g,%.12g" * len(loaded) + "\r\n", columns)
 
     arms_path = Path(f"{out_prefix}_arms.csv")
     ratios = [_read_arm_ratios(d) for d, *_ in loaded]
     n_arms = len(ratios[0])
     if any(len(r) != n_arms for r in ratios):
         raise ValueError("per-arm tables disagree on arm count")
-    row = "%d" + ",%.12g" * len(ratios) + "\r\n"
+    columns = [range(n_arms)] + [r.tolist() for r in ratios]
     with open(arms_path, "w", newline="") as fh:
         fh.write(_header(["arm"] + [f"ratio_{label}" for label in labels]))
-        fh.writelines(row % values for values in zip(range(n_arms), *(r.tolist() for r in ratios)))
+        _write_rows(fh, "%d" + ",%.12g" * len(ratios) + "\r\n", columns)
     return fr_path, arms_path
 
 

@@ -134,7 +134,9 @@ class _GaussianOracle(ValuationOracle):
         mu, sigma = self._moment(self._checked(members))
         if sigma == 0.0:
             return min(max(mu, 0.0), 1.0)
-        return min(max(mu + rng.normal(0.0, sigma), 0.0), 1.0)
+        # normal(0, sigma) draws 0 + sigma * z: this is its draw bit for bit,
+        # and it leaves the generator in the same state
+        return min(max(mu + sigma * rng.standard_normal(), 0.0), 1.0)
 
     def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
         mus, sigmas = self._moments(flat, lengths)
@@ -195,7 +197,7 @@ class SyntheticEnv(_GaussianOracle):
         self.curvature = float(curvature)
         total = float(self.means.sum())
         # g's denominator, the transformed total: the same for every coalition
-        self._denom = -np.expm1(-self.curvature * total) if self.curvature else total
+        self._denom = float(-np.expm1(-self.curvature * total)) if self.curvature else total
         self._noise_sq = self.noise_stds**2
         for arr in (self.means, self.noise_stds, self._noise_sq):
             arr.setflags(write=False)
@@ -232,15 +234,20 @@ class SyntheticEnv(_GaussianOracle):
     def _moment(self, S) -> tuple[float, float]:
         """Exact mean and RMS noise level of one checked coalition, in Python floats.
 
-        Both sums add the members left to right, so for fewer than eight
-        members they are bitwise numpy's ``means[S].sum()`` and
-        ``noise_stds[S]**2`` mean; larger coalitions may differ from numpy
-        by a few ulp.
+        One loop adds the means and the squared levels left to right, so for
+        fewer than eight members the sums are bitwise numpy's
+        ``means[S].sum()`` and ``noise_stds[S]**2`` mean; larger coalitions
+        may differ from numpy by a few ulp.
         """
         if not S:
             return 0.0, 0.0
+        means, noise_sq = self._mean_list, self._noise_sq_list
+        x = q = 0.0
+        for i in S:
+            x += means[i]
+            q += noise_sq[i]
         # sum / count is how np.mean divides, so this is bitwise its value
-        return self._mean(S), math.sqrt(self._sum(self._noise_sq_list, S) / len(S))
+        return float(self._transform(x)), math.sqrt(q / len(S))
 
     def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row exact means and RMS noise levels of a checked flat batch,

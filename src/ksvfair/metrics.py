@@ -33,7 +33,7 @@ class FairnessLedger:
     @classmethod
     def from_run(cls, pi_star, pi_rounds) -> "FairnessLedger":
         """Build from a fair vector and a (rounds, M) matrix of played policies."""
-        star = pi_star.probs if isinstance(pi_star, MarginalVector) else np.asarray(pi_star, float)
+        star = np.asarray(pi_star, float)
         mat = np.asarray(pi_rounds, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != len(star):
             raise ValueError("policy matrix must be (rounds, M) matching the fair vector")
@@ -55,8 +55,8 @@ def fair_policy(true_phi, K: int) -> MarginalVector:
 
 def fairness_regret_step(pi_star, pi_t) -> float:
     """Sum over arms of |fair probability - played probability|."""
-    a = pi_star.probs if isinstance(pi_star, MarginalVector) else np.asarray(pi_star, float)
-    b = pi_t.probs if isinstance(pi_t, MarginalVector) else np.asarray(pi_t, float)
+    a = np.asarray(pi_star, float)
+    b = np.asarray(pi_t, float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(a - b).sum())

@@ -43,10 +43,6 @@ class MarginalVector:
         _check_marginals(p)
         object.__setattr__(self, "probs", p)
 
-    @property
-    def budget(self) -> int:
-        return int(round(float(self.probs.sum())))
-
 
 def normalize_to_marginals(raw, K: int) -> np.ndarray:
     """Scale nonnegative scores to inclusion probabilities summing to K.
@@ -106,7 +102,7 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
 
 def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     """Draw exactly K distinct arms with inclusion probabilities matching pi."""
-    probs = pi.probs if isinstance(pi, MarginalVector) else np.asarray(pi, dtype=float)
+    probs = np.asarray(pi, dtype=float)
     total = _check_marginals(probs)
     if abs(total - K) > SUM_TOL:
         raise ValueError(f"marginals sum to {total}, expected budget {K}")

@@ -1,11 +1,13 @@
 """Golden output digests: one SHA-256 per run, checked against
 ``tests/golden_digests.txt``.
 
-The file pins two sets of runs:
+The file pins three sets of outputs:
 
 * each of the 120 records of the acceptance criteria 5-7 fixture (30 seeds
   of the four policies at ``configs/synthetic_ksvfair.ini``), over the bytes
   of its ``pi``, ``selected``, ``pulls`` and ``est_phi`` arrays;
+* the seed-1 record of each fixture policy, over the ``write_round_csv``
+  and ``write_arms_csv`` bytes it makes;
 * each seed of ``configs/cascade_tiny.ini`` run through ``run_experiment``,
   over its ``run_seed*.csv`` and ``arms_seed*.csv``, and the run's
   ``aggregate.csv``.
@@ -32,7 +34,7 @@ from ksvfair import (
     run_ksvfair,
     uniform_baseline,
 )
-from ksvfair.cli import build_env, load_config, run_experiment
+from ksvfair.cli import build_env, load_config, run_experiment, write_arms_csv, write_round_csv
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
@@ -83,6 +85,20 @@ def record_digests(runs: dict) -> list[str]:
     ]
 
 
+def table_digests(runs: dict, out_dir: Path) -> list[str]:
+    """One ``sha256  tables/<algo>/seed1`` line per fixture policy, over the
+    round and arm tables of its seed-1 record, written to ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for algo in ("ksvfair", "muras", "uniform", "etcg"):
+        record = next(r for r in runs[algo] if r.seed == 1)
+        write_round_csv(out_dir / f"run_{algo}.csv", record, runs["pi_star"])
+        write_arms_csv(out_dir / f"arms_{algo}.csv", record, runs["phi"])
+        tables = [(out_dir / f"{kind}_{algo}.csv").read_bytes() for kind in ("run", "arms")]
+        lines.append(f"{_sha256(*tables)}  tables/{algo}/seed1")
+    return lines
+
+
 def cascade_digests(out_dir: Path) -> list[str]:
     """One line per seed of ``cascade_tiny.ini`` and one for its aggregate,
     from a run written to ``out_dir``; run from the repository root, where
@@ -121,7 +137,16 @@ def mismatch(lines: list[str]) -> str | None:
     )
 
 
+def digests(runs: dict, tmp_dir: Path) -> list[str]:
+    """Every digest line, in the golden file's order; tables are written under ``tmp_dir``."""
+    return (
+        record_digests(runs)
+        + table_digests(runs, tmp_dir / "tables")
+        + cascade_digests(tmp_dir / "cascade_tiny")
+    )
+
+
 def write_golden(tmp_dir: Path) -> Path:
-    lines = record_digests(benchmark_runs()) + cascade_digests(tmp_dir)
+    lines = digests(benchmark_runs(), tmp_dir)
     GOLDEN.write_text("\n".join(versions() + lines) + "\n")
     return GOLDEN

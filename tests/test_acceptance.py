@@ -3,8 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The regret benchmarks
 (criteria 5-7) share one 30-seed run of all four policies at the shipped
 benchmark configuration, played in-process in about 20 s.
-``test_golden_output_digests`` pins that run's records, and the CSVs of
-``configs/cascade_tiny.ini``, to ``tests/golden_digests.txt`` byte for byte.
+``test_golden_output_digests`` pins that run's records, the round and arm
+tables of its seed-1 records, and the CSVs of ``configs/cascade_tiny.ini``
+to ``tests/golden_digests.txt`` byte for byte.
 """
 
 import itertools
@@ -298,10 +299,9 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
 
 
 def test_golden_output_digests(benchmark_runs, tmp_path, monkeypatch):
-    # the fixture's records and cascade_tiny.ini's CSVs, byte for byte as
-    # tests/golden_digests.txt records them; the config's graph_path is
-    # relative to the repository root
+    # the fixture's records, its seed-1 tables and cascade_tiny.ini's CSVs,
+    # byte for byte as tests/golden_digests.txt records them; the config's
+    # graph_path is relative to the repository root
     monkeypatch.chdir(REPO)
-    lines = golden.record_digests(benchmark_runs) + golden.cascade_digests(tmp_path / "cascade_tiny")
-    problem = golden.mismatch(lines)
+    problem = golden.mismatch(golden.digests(benchmark_runs, tmp_path))
     assert problem is None, problem

@@ -830,6 +830,48 @@ class TestWriterBytes:
         first = (tmp_path / "run.csv").read_text().splitlines()[1].split(",")
         assert first[4 : 4 + len(SPECIALS)] == [format(x, ".12g") for x in SPECIALS]
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 515])
+    def test_block_boundaries(self, tmp_path, n):
+        # runs of equal rows of random lengths, so some cross a block boundary
+        rng = np.random.default_rng(n)
+        run_starts = np.where(rng.random(n) < 0.1, np.arange(n), 0)
+        pi = rng.random((n, 3))[np.maximum.accumulate(run_starts)]
+        record = rows_record(pi, rng.integers(0, 2, size=(n, 3)))
+        pi_star = rng.random(3)
+        write_round_csv(tmp_path / "new.csv", record, pi_star)
+        csv_round_table(tmp_path / "old.csv", record, pi_star)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert len(new.splitlines()) == n + 1
+
+    @pytest.mark.parametrize(
+        "pi",
+        [
+            # one row from round 201 to round 301, across the block boundary at 256
+            [[0.1, 0.9]] * 200 + [[0.3, 0.7]] * 101 + [[0.6, 0.4]] * 50,
+            # the l1 bits repeat (0.5 every round) while pi changes every round
+            [[0.25, 0.75], [0.75, 0.25]] * 150,
+        ],
+        ids=["run-across-block", "l1-repeats-pi-changes"],
+    )
+    def test_repeated_rows_across_blocks(self, tmp_path, pi):
+        record = rows_record(pi, [[1, 0]] * len(pi))
+        pi_star = np.array([0.5, 0.5])
+        write_round_csv(tmp_path / "new.csv", record, pi_star)
+        csv_round_table(tmp_path / "old.csv", record, pi_star)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_negative_zero_l1_after_zero(self, tmp_path, monkeypatch):
+        # |pi - pi*| sums to +0.0 at the least, so the ledger is set here
+        l1 = np.array([0.0, -0.0, -0.0, 0.0, 0.5, 0.5])
+        monkeypatch.setattr(FairnessLedger, "from_run", classmethod(lambda cls, star, pi: cls(l1)))
+        record = rows_record([[0.5, 0.5]] * len(l1), [[1, 0]] * len(l1))
+        write_round_csv(tmp_path / "new.csv", record, np.array([0.5, 0.5]))
+        csv_round_table(tmp_path / "old.csv", record, np.array([0.5, 0.5]))
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert [line.split(b",")[2] for line in new.splitlines()[1:5]] == [b"0", b"-0", b"-0", b"0"]
+
     @pytest.mark.filterwarnings("ignore:Mean of empty slice")  # arm 0 is never selected
     def test_aggregate_and_compare_tables(self, tmp_path):
         finite = [x for x in SPECIALS if np.isfinite(x)]
@@ -851,6 +893,36 @@ class TestWriterBytes:
         for a, b in zip(new, old):
             assert a.read_bytes() == b.read_bytes()
         assert b'"fr_mean_odd,""label"""' in new[0].read_bytes()
+
+    @pytest.mark.parametrize("n", [257, 600])
+    def test_aggregate_and_compare_past_one_block(self, tmp_path, n):
+        # row counts that are not a multiple of the block size
+        assert n % cli._BLOCK_ROWS
+        rng = np.random.default_rng(n)
+        dirs = []
+        for k, algo in enumerate(["uniform", "etcg"]):
+            ledgers = [FairnessLedger(rng.random(n)) for _ in range(3)]
+            d = tmp_path / f"run{k}"
+            d.mkdir()
+            write_aggregate_csv(d / "aggregate.csv", algo, ledgers)
+            csv_aggregate_table(tmp_path / f"old_aggregate{k}.csv", algo, ledgers)
+            assert (d / "aggregate.csv").read_bytes() == (tmp_path / f"old_aggregate{k}.csv").read_bytes()
+            # every arm selected, so each merit ratio is finite
+            record = RunRecord(
+                seed=0,
+                pi=np.full((1, n), 0.5),
+                selected=np.ones((1, n), dtype=np.uint8),
+                pulls=np.ones(1, dtype=int),
+                counts=rng.integers(1, 5, size=n),
+                est_phi=rng.random(n),
+            )
+            write_arms_csv(d / "arms_seed0.csv", record, rng.random(n))
+            dirs.append(d)
+        new = compare_runs(dirs, out_prefix=str(tmp_path / "new"))
+        old = csv_compare_tables(dirs, out_prefix=str(tmp_path / "old"))
+        for a, b in zip(new, old):
+            assert a.read_bytes() == b.read_bytes()
+            assert len(a.read_bytes().splitlines()) == n + 1
 
     def test_exact_shapley_printout(self, tmp_path, capsys):
         from ksvfair import fair_policy

@@ -347,15 +347,21 @@ class TestBatchedGaussianPrimitive:
 class TestScalarSumBits:
     """The Python-float ``_moment`` against numpy's sums in ``tests/reference.py``."""
 
-    @pytest.mark.parametrize("curvature", [0.0, 0.25])
-    @pytest.mark.parametrize("noise", ["per-arm", "shared"])
+    @pytest.mark.parametrize("curvature", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("noise", ["per-arm", "shared", "partly-zero"])
     def test_shipped_game_every_coalition(self, curvature, noise):
-        # all 60,459 nonempty coalitions of up to K + 1 = 6 of the 20 arms
+        # all 60,459 nonempty coalitions of up to K + 1 = 6 of the 20 arms;
+        # the pull draws one standard normal where the reference draws
+        # normal(0, sigma), and neither draws for a noiseless coalition
         cfg = load_config(ROOT / "configs" / "synthetic_ksvfair.ini")
-        stds = np.full(cfg.M, 0.3) if noise == "shared" else cfg.noise_stds
+        stds = {
+            "per-arm": cfg.noise_stds,
+            "shared": np.full(cfg.M, 0.3),
+            "partly-zero": np.where(np.arange(cfg.M) < 8, 0.0, cfg.noise_stds),
+        }[noise]
         env = SyntheticEnv(cfg.means, stds, budget=cfg.K, curvature=curvature, allow_extra_query=True)
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        n_sets = 0
+        n_sets = n_noiseless = 0
         for size in range(1, env.query_limit + 1):
             for S in itertools.combinations(range(env.n_arms), size):
                 mu, sigma = _gaussian_moment(env, S)
@@ -363,7 +369,10 @@ class TestScalarSumBits:
                 assert env.exact(S) == mu, S
                 assert env.pull(S, rng_a) == scalar_gaussian_pull(env, S, rng_b), S
                 n_sets += 1
+                n_noiseless += sigma == 0.0
         assert n_sets == 60_459
+        # the coalitions of the first 8 arms alone: sum of C(8, k) for k = 1..6
+        assert n_noiseless == (246 if noise == "partly-zero" else 0)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_large_coalitions_add_left_to_right(self):
