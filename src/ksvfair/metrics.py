@@ -37,7 +37,8 @@ class FairnessLedger:
         mat = np.asarray(pi_rounds, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != len(star):
             raise ValueError("policy matrix must be (rounds, M) matching the fair vector")
-        return cls(np.abs(mat - star[None, :]).sum(axis=1))
+        diff = mat - star
+        return cls(np.abs(diff, out=diff).sum(axis=1))
 
 
 def fair_policy(true_phi, K: int) -> MarginalVector:

@@ -21,6 +21,8 @@ the faster code can be pinned to them byte for byte and bit for bit.
 
 The frontier sweep is the library's earlier level-by-level cascade kernel,
 kept so the component-labelling kernel can be pinned to it count for count.
+The gap walk draws one world's live edges one uniform at a time, so the
+array draw of geometric gaps can be pinned to it edge for edge.
 
 The collapsed oracle counts enclosing coalitions instead of enumerating
 them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
@@ -167,6 +169,21 @@ def live_edge_spread(graph, live_row, S) -> int:
                 seen.add(nbr)
                 stack.append(nbr)
     return len(seen)
+
+
+def gap_live_row(n_edges: int, p: float, block: int, rng) -> list[bool]:
+    """One world's live edges, walked gap by gap in Python floats: draw
+    ``block`` uniforms at a time, step 1 + floor(log1p(-u) / log1p(-p))
+    edges per uniform, mark each edge landed on, and stop drawing once a
+    block ends at or past the last edge.  For 0 < p < 1."""
+    live = [False] * n_edges
+    position = -1
+    while position < n_edges - 1:
+        for u in rng.random(block).tolist():
+            position += 1 + math.floor(math.log1p(-u) / math.log1p(-p))
+            if position < n_edges:
+                live[position] = True
+    return live
 
 
 def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:

@@ -25,9 +25,11 @@ from reference import (
     _gaussian_moment,
     bfs_cascade_pull,
     frontier_spread_counts,
+    gap_live_row,
     live_edge_spread,
     scalar_gaussian_pull,
 )
+from stats import binned_check, mean_check, proportions_check
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -605,21 +607,21 @@ class TestCascade:
             row[0] = 2
 
     def test_community_values_pinned(self):
-        # literal counts, so that a change to the kernel, the coin order or
-        # the exact seeding cannot pass unnoticed
+        # literal counts, so that a change to the kernel, the live-edge draw
+        # or the exact seeding cannot pass unnoticed
         env = CascadeEnv(load_edge_list(DATA / "community_534.edges"), 0.1, budget=20, exact_sims=100)
-        assert env.exact((3, 97, 400)) == 47603 / (534 * 100)  # four chunks: 32, 32, 32, 4 worlds
-        assert env.exact(tuple(range(0, 534, 27))) == 47853 / (534 * 100)
+        assert env.exact((3, 97, 400)) == 47552 / (534 * 100)  # nine chunks: eight of 12 worlds, one of 4
+        assert env.exact(tuple(range(0, 534, 27))) == 47893 / (534 * 100)
         rng = np.random.default_rng(2026)
         pulls = [env.pull((3, 97, 400), rng) for _ in range(5)]
-        assert pulls == [c / 534 for c in (470, 472, 486, 490, 478)]
+        assert pulls == [c / 534 for c in (457, 482, 479, 464, 465)]
 
     def test_community_one_world_values_pinned(self, monkeypatch):
         env = CascadeEnv(load_edge_list(DATA / "community_534.edges"), 0.1, budget=20, exact_sims=1)
         # exact at one world takes the one-world path, never the chunk kernel
         monkeypatch.setattr(env, "_spread_counts", lambda *args: pytest.fail("chunk kernel called"))
-        assert env.exact((3, 97, 400)) == 471 / 534
-        assert env.exact(tuple(range(0, 534, 27))) == 483 / 534
+        assert env.exact((3, 97, 400)) == 489 / 534
+        assert env.exact(tuple(range(0, 534, 27))) == 478 / 534
 
     def test_one_world_exact_is_the_chunk_count(self):
         g = load_edge_list(DATA / "community_534.edges")
@@ -630,7 +632,7 @@ class TestCascade:
         ]
         for S in coalitions:
             rng_world, rng_chunk = env._exact_rng(S), env._exact_rng(S)
-            count = env._spread_counts(S, rng_chunk.random((1, g.n_edges)) < 0.1)[0]
+            count = env._spread_counts(S, env._chunk_edges(1, rng_chunk), 1)[0]
             assert env.exact(S) == cascade_exact(env, S, 1, rng_world) == count / 534
             assert rng_world.bit_generator.state == rng_chunk.bit_generator.state
 
@@ -692,6 +694,209 @@ class TestLiveEdgePulls:
         assert rng_rows.bit_generator.state == rng_seq.bit_generator.state
 
 
+class ZeroUniforms:
+    """A generator stand-in whose every uniform is 0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def live_ids(env, n_worlds, rng, chunk=500):
+    """The flat live-edge ids w * E + e of n_worlds successive worlds."""
+    E = env.graph.n_edges
+    return np.concatenate(
+        [
+            env._chunk_edges(min(chunk, n_worlds - start), rng) + start * E
+            for start in range(0, n_worlds, chunk)
+        ]
+    )
+
+
+class TestLiveEdgeDraw:
+    """The geometric-gap draw of a world's live edges: edge for edge against
+    the gap walk of ``reference.gap_live_row``, on its edge cases against a
+    closed form, and chunk for chunk against successive worlds."""
+
+    @pytest.mark.parametrize(
+        "name, p", [("community_534", 0.1), ("community_534", 0.3), ("toy_8", 0.3), ("toy_8", 0.9)]
+    )
+    def test_world_edges_are_the_gap_walk(self, name, p):
+        g = load_edge_list(DATA / f"{name}.edges")  # toy_8 has an odd edge count, 13
+        env = CascadeEnv(g, p, budget=3)
+        S = (0, 5, 7)
+        for seed in range(12):
+            rng, rng_walk = np.random.default_rng(seed), np.random.default_rng(seed)
+            row = gap_live_row(g.n_edges, p, env._gap_block, rng_walk)
+            assert env._world_edges(rng).tolist() == np.flatnonzero(row).tolist()
+            assert rng.bit_generator.state == rng_walk.bit_generator.state
+            rng_pull = np.random.default_rng(seed)
+            assert env.pull(S, rng_pull) == live_edge_spread(g, row, S) / g.n_nodes
+            assert rng_pull.bit_generator.state == rng.bit_generator.state
+
+    def test_block_size(self):
+        g = load_edge_list(DATA / "community_534.edges")
+        blocks = {p: CascadeEnv(g, p, budget=1)._gap_block for p in (0.0, 1e-9, 0.1, 0.3, 1.0)}
+        assert blocks == {0.0: 0, 1e-9: 17, 0.1: 995, 0.3: 2712, 1.0: g.n_edges + 1}
+        assert CascadeEnv(path_graph(3), 0.5, budget=1)._gap_block == 3  # E + 1
+
+    @pytest.mark.parametrize("graph", [path_graph(3), Graph(4, ())], ids=["p0", "no-edges"])
+    def test_nothing_to_draw(self, graph):
+        # p = 0 (no division by log1p(0)) or no edges at all: no draw, no live edge
+        env = CascadeEnv(graph, 0.0 if graph.n_edges else 0.5, budget=2)
+        assert env._gap_block == 0
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        dead = [False] * graph.n_edges
+        for S in [(0,), (0, 2)]:
+            assert env.pull(S, rng) == live_edge_spread(graph, dead, S) / graph.n_nodes
+            assert cascade_exact(env, S, 50, rng) == len(S) / graph.n_nodes
+        assert env._chunk_edges(7, rng).size == 0
+        assert env._spread_counts((1,), np.zeros(0, dtype=np.intp), 3).tolist() == [1, 1, 1]
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("name", ["toy_8", "community_534"])
+    def test_certain_activation_makes_every_edge_live(self, name):
+        g = load_edge_list(DATA / f"{name}.edges")
+        env = CascadeEnv(g, 1.0, budget=3)
+        rng = np.random.default_rng(1)
+        assert env._world_edges(rng).tolist() == list(range(g.n_edges))
+        assert env._chunk_edges(3, rng).tolist() == list(range(3 * g.n_edges))
+        S = (0, 2)
+        flooded = live_edge_spread(g, [True] * g.n_edges, S) / g.n_nodes
+        assert env.pull(S, rng) == flooded
+        assert cascade_exact(env, S, 40, rng) == pytest.approx(flooded, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-300])
+    def test_tiny_probability_gaps_clipped(self, p):
+        # the largest uniform below 1 makes the longest gap: 4e10 edges at
+        # p = 1e-9, 4e301 at p = 1e-300; each is clipped at E + 1
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, p, budget=3)
+        E, m = g.n_edges, env._gap_block
+        ids = env._gap_ids(np.full(m, np.nextafter(1.0, 0.0)))
+        assert ids.dtype == np.intp
+        assert ids.tolist() == [(j + 1) * (E + 1) - 1 for j in range(m)]
+        rng = np.random.default_rng(3)
+        assert [env._world_edges(rng).size for _ in range(50)] == [0] * 50
+        assert env.pull((0, 9), rng) == 2 / g.n_nodes
+
+    @pytest.mark.parametrize("name", ["toy_8", "community_534"])
+    def test_zero_uniform_is_a_gap_of_one(self, name):
+        # log1p(-0) is 0, so every gap is 1 and every edge live
+        g = load_edge_list(DATA / f"{name}.edges")
+        env = CascadeEnv(g, 0.1, budget=3)
+        ids = env._gap_ids(np.zeros(env._gap_block))
+        assert ids.tolist() == list(range(env._gap_block))
+        assert env._world_edges(ZeroUniforms()).tolist() == list(range(g.n_edges))
+        S = (1,)
+        assert env.pull(S, ZeroUniforms()) == live_edge_spread(g, [True] * g.n_edges, S) / g.n_nodes
+
+    def test_chunk_is_successive_worlds(self):
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, 0.1, budget=3)
+        rng_chunk, rng_worlds = np.random.default_rng(5), np.random.default_rng(5)
+        chunk = env._chunk_edges(32, rng_chunk)
+        worlds = [env._world_edges(rng_worlds) + w * g.n_edges for w in range(32)]
+        assert chunk.tolist() == np.concatenate(worlds).tolist()
+        assert rng_chunk.bit_generator.state == rng_worlds.bit_generator.state
+
+    @pytest.mark.parametrize("slack", [-900, -163])
+    def test_shortfall_keeps_sequential_pulls(self, monkeypatch, slack):
+        # a smaller block slack makes blocks end before the last edge: at
+        # -900 every world's first block (79 gaps) does, at -163 (816 gaps,
+        # about pE) some worlds' do and some do not
+        monkeypatch.setattr(envs, "_GAP_SLACK", slack)
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, 0.1, budget=3)
+        S, n = (3, 97, 400), 75
+        first = env._gap_ids(np.random.default_rng(41).random((n, env._gap_block)))
+        short = int((first[:, -1] < g.n_edges - 1).sum())
+        assert short == n if slack == -900 else 0 < short < n
+        rng_seq, rng_batch = np.random.default_rng(41), np.random.default_rng(41)
+        counts = [round(env.pull(S, rng_seq) * g.n_nodes) for _ in range(n)]
+        assert cascade_exact(env, S, n, rng_batch) == sum(counts) / (g.n_nodes * n)
+        assert rng_seq.bit_generator.state == rng_batch.bit_generator.state
+
+
+def live_edge_variant(graph, variant, budget=20):
+    """The cascade at p = 0.10, or one of its negative controls: the draw at
+    p = 0.11, or gaps without their +1 (the ramp that adds them zeroed)."""
+    env = CascadeEnv(graph, 0.11 if variant == "p=0.11" else 0.10, budget=budget)
+    if variant == "no +1":
+        env._ramp = np.zeros_like(env._ramp)
+    return env
+
+
+class TestLiveEdgeLaw:
+    """The law of the live-edge draw, by the two-sample checks of
+    ``tests/stats.py`` at level ALPHA.  Each check passes for the cascade at
+    p = 0.10 and rejects named wrong variants at fixed seeds: the draw at
+    p = 0.11, and gaps without their +1.  Gaps without their +1 repeat ids
+    but leave the set of live edges with the right law (a geometric gap
+    conditioned to be at least 1 is again geometric), so only the checks
+    that count repeated ids, per edge and per world, can reject them."""
+
+    ALPHA = 1e-3
+    N_TOY = 20_000
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        """toy_8, and N_TOY BFS spreads per seed node at p = 0.10, coded
+        seed * 9 + spread, one bin per (seed node, spread) pair."""
+        g = load_edge_list(DATA / "toy_8.edges")
+        rng = np.random.default_rng(91)
+        bfs = [
+            node * 9 + round(bfs_cascade_pull(g, 0.1, (node,), rng) * 8)
+            for node in range(8)
+            for _ in range(self.N_TOY)
+        ]
+        return g, np.array(bfs)
+
+    def toy_pulls(self, env, rng):
+        return np.array(
+            [node * 9 + round(env.pull((node,), rng) * 8) for node in range(8) for _ in range(self.N_TOY)]
+        )
+
+    @pytest.mark.parametrize("variant", ["p=0.10", "p=0.11"])
+    def test_toy_spreads_per_seed_node_match_bfs(self, toy, variant):
+        g, bfs = toy
+        pulls = self.toy_pulls(live_edge_variant(g, variant, 1), np.random.default_rng(92))
+        check = binned_check(pulls, bfs, self.ALPHA)
+        assert check.passes == (variant == "p=0.10"), check
+
+    @pytest.mark.parametrize("variant", ["p=0.10", "p=0.11"])
+    def test_community_mean_spread_matches_bfs(self, variant):
+        g = load_edge_list(DATA / "community_534.edges")
+        S, n = (3, 97, 400), 300
+        rng_bfs, rng = np.random.default_rng(93), np.random.default_rng(94)
+        bfs = [bfs_cascade_pull(g, 0.1, S, rng_bfs) for _ in range(n)]
+        env = live_edge_variant(g, variant, 3)
+        check = mean_check([env.pull(S, rng) for _ in range(n)], bfs, self.ALPHA)
+        assert check.passes == (variant == "p=0.10"), check
+
+    @pytest.mark.parametrize("variant", ["p=0.10", "p=0.11", "no +1"])
+    def test_each_edge_live_at_rate_p(self, variant):
+        # each edge's live count over N worlds against a Binomial(N, 0.1)
+        # draw per edge, one bin per edge
+        g = load_edge_list(DATA / "community_534.edges")
+        n_worlds = 20_000
+        ids = live_ids(live_edge_variant(g, variant), n_worlds, np.random.default_rng(95))
+        counts = np.bincount(ids % g.n_edges, minlength=g.n_edges)
+        expected = np.random.default_rng(96).binomial(n_worlds, 0.1, g.n_edges)
+        check = proportions_check(counts, n_worlds, expected, n_worlds, self.ALPHA)
+        assert check.passes == (variant == "p=0.10"), check
+
+    @pytest.mark.parametrize("variant", ["p=0.10", "p=0.11", "no +1"])
+    def test_live_count_per_world_is_binomial(self, variant):
+        g = load_edge_list(DATA / "community_534.edges")
+        n_worlds = 20_000
+        ids = live_ids(live_edge_variant(g, variant), n_worlds, np.random.default_rng(97))
+        counts = np.bincount(ids // g.n_edges, minlength=n_worlds)
+        expected = np.random.default_rng(98).binomial(g.n_edges, 0.1, n_worlds)
+        check = binned_check(counts, expected, self.ALPHA, bins=np.arange(0, g.n_edges + 9, 8))
+        assert check.passes == (variant == "p=0.10"), check
+
+
 @st.composite
 def small_live_worlds(draw):
     """A small graph, a few worlds of live edges over it, and a seed set."""
@@ -730,13 +935,13 @@ class TestSpreadKernel:
 
     @staticmethod
     def assert_counts_equal_references(env, S, live):
-        counts = env._spread_counts(S, live)
+        counts = env._spread_counts(S, np.flatnonzero(live), len(live))
         assert counts.dtype.kind == "i"
         frontier = frontier_spread_counts(env, S, live).tolist()
         walked = [live_edge_spread(env.graph, row, S) for row in live]
         assert counts.tolist() == frontier
         assert counts.tolist() == walked
-        world_counts = [env._world_count(S, row) for row in live]
+        world_counts = [env._world_count(S, np.flatnonzero(row)) for row in live]
         assert world_counts == frontier
         assert world_counts == walked
 
