@@ -92,7 +92,7 @@ def main(argv=None) -> int:
     if args.write_golden:
         repo = Path(__file__).resolve().parent.parent
         sys.path[:0] = [str(repo / "src"), str(repo / "tests")]
-        os.chdir(repo)  # cascade_tiny.ini names its graph relative to the root
+        os.chdir(repo)  # the cascade configs name their graphs relative to the root
         import golden
 
         with tempfile.TemporaryDirectory() as tmp:

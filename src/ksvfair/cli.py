@@ -27,7 +27,6 @@ import contextlib
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -408,6 +407,9 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     # every seed plays the oracle the target was built from: it never mutates
     n = len(cfg.seeds)
     workers = _worker_count(n)
+    if workers > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         records = (pool.map if pool else map)(_run_one, [cfg] * n, [oracle] * n, cfg.seeds)
         ledgers = []

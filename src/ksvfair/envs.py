@@ -386,12 +386,20 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     The first pass hooks each v[i] onto u[i] straight from the starting
     labels, the node ids, without gathering them: that is the full hook when
     every u[i] <= v[i], as ``CascadeEnv`` stores its edges, and any
-    orientation ends at the same labels.  The pass count follows the
+    orientation ends at the same labels.  The second pass skips the
+    convergence check: no community world from p = 0.02 to 0.4 converges in
+    one pass, and where a graph has, the second hook changes nothing, since
+    every label is at most its node's id.  The pass count follows the
     logarithm of the component size rather than its diameter: a 10^5-node
     path takes 11 or 12 passes, numbered in order, in reverse or at random.
+    Fewer passes are needed when the nodes on most edges have the smallest
+    ids, as ``CascadeEnv`` numbers them.
     """
     label = np.arange(n_nodes)
     np.minimum.at(label, v, u)
+    label = label.take(label.take(label))
+    lu, lv = label.take(u), label.take(v)
+    np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
     while True:
         label = label.take(label.take(label))
         lu, lv = label.take(u), label.take(v)
@@ -433,7 +441,12 @@ class CascadeEnv(ValuationOracle):
     one coin per edge.  m = min(E + 1, ceil(pE + 6 sqrt(pE(1 - p))) + 16);
     a world whose block ends before the last edge draws further blocks, and
     when no edge can be live (p = 0, or no edges) nothing is drawn.  Each
-    query checks its seed set once.  A one-world
+    query checks its seed set once.  Worlds are labelled with the nodes
+    renumbered once by descending degree, ties in id order (``_node`` maps
+    a node id to its number): hubs then carry the smallest labels and the
+    labelling takes fewer passes (2.55 rather than 2.92 on average over
+    2,000 community worlds at p = 0.1), while the edge order, and so every
+    draw, is the graph's own.  A one-world
     query (every ``pull``, and ``exact`` at ``exact_sims = 1``) labels
     its world alone, with no chunk loop and no world offsets; more worlds
     are labelled a chunk at a time, as one graph.  ``exact`` is a Monte-Carlo
@@ -474,10 +487,16 @@ class CascadeEnv(ValuationOracle):
             words.append(rest & 0xFFFFFFFF)
             rest >>= 32
         self._seed_words = np.array(words, dtype=np.uint32)
-        # each edge's ends as two contiguous rows, the smaller id in _lo, so
-        # that _component_labels' first pass is the full hook
+        # the nodes renumbered by descending degree, ties in id order: hubs
+        # take the smallest labels, so _component_labels needs fewer passes
+        degree = np.bincount(ends.ravel(), minlength=graph.n_nodes)
+        self._node = np.empty(graph.n_nodes, dtype=np.intp)
+        self._node[np.argsort(-degree, kind="stable")] = np.arange(graph.n_nodes)
+        # each edge's renumbered ends as two contiguous rows, the smaller in
+        # _lo, so that _component_labels' first pass is the full hook
+        ends = self._node.take(ends)
         self._lo, self._hi = ends.min(axis=1), ends.max(axis=1)
-        for row in (self._lo, self._hi):
+        for row in (self._node, self._lo, self._hi):
             row.setflags(write=False)
         # the live-edge draw's block size m, its gap divisor log1p(-p) and
         # the positions 0..m-1 that turn the sums of floors into gap sums
@@ -485,6 +504,9 @@ class CascadeEnv(ValuationOracle):
         block = math.ceil(p * E + 6 * math.sqrt(p * E * (1 - p))) + _GAP_SLACK
         self._gap_block = min(E + 1, block) if p * E > 0 else 0
         self._log_q = math.log1p(-p) if p < 1 else -math.inf
+        # a double U < 1 has log1p(-U) >= -53 ln 2, so no gap quotient
+        # exceeds 53 ln 2 / |log1p(-p)|: _gap_ids clips only where that reaches E - 1
+        self._clip_gaps = 53 * math.log(2) >= -self._log_q * (E - 1)
         self._ramp = np.arange(self._gap_block)
         self._ramp.setflags(write=False)
 
@@ -495,12 +517,15 @@ class CascadeEnv(ValuationOracle):
 
         Each gap G = 1 + floor(log1p(-U) / log1p(-p)) is clipped at E + 1
         before the integer cast, so no quotient can overflow it, and a
-        clipped gap still passes the last edge.  U < 1, so log1p(-U) is
-        finite; at p = 1 every quotient is 0 and every edge is live.
+        clipped gap still passes the last edge; where no quotient can pass
+        E - 1 (p above about 0.0045 on the community graph) the clip is
+        skipped.  U < 1, so log1p(-U) is finite; at p = 1 every quotient is
+        0 and every edge is live.
         """
         np.log1p(np.negative(u, out=u), out=u)
         u /= self._log_q
-        np.minimum(u, self.graph.n_edges, out=u)
+        if self._clip_gaps:
+            np.minimum(u, self.graph.n_edges, out=u)
         ids = u.astype(np.intp).cumsum(axis=-1)
         ids += self._ramp
         return ids
@@ -542,9 +567,9 @@ class CascadeEnv(ValuationOracle):
         """Nodes reachable from S in each of n_worlds worlds, over the live
         edges given as flat ids w * E + e.
 
-        Worlds are labelled together as one graph on nodes w * n + v
-        (``_component_labels``); the nodes S reaches in a world are the
-        components holding one of its seeds.
+        Worlds are labelled together as one graph on nodes w * n + v, v a
+        renumbered node (``_component_labels``); the nodes S reaches in a
+        world are the components holding one of its seeds.
         """
         n_edges, n = self.graph.n_edges, self.n_arms
         world = index // n_edges  # with the subtraction, cheaper than np.divmod
@@ -553,18 +578,18 @@ class CascadeEnv(ValuationOracle):
         u, v = self._lo.take(edge) + offset, self._hi.take(edge) + offset
         label = _component_labels(n_worlds * n, u, v)
         reached = np.zeros(n_worlds * n, dtype=bool)
-        reached[label.take((np.arange(n_worlds)[:, None] * n + np.asarray(S)).ravel())] = True
+        reached[label.take((np.arange(n_worlds)[:, None] * n + self._node.take(S)).ravel())] = True
         return reached.take(label).reshape(n_worlds, n).sum(axis=1)
 
     def _world_count(self, S, edge: np.ndarray) -> int:
         """Nodes reachable from S over one world's live edge ids.
 
-        The one-world case of ``_spread_counts``: the world's own node ids,
+        The one-world case of ``_spread_counts``: the renumbered nodes,
         with no world offsets.
         """
         label = _component_labels(self.n_arms, self._lo.take(edge), self._hi.take(edge))
         reached = np.zeros(self.n_arms, dtype=bool)
-        reached[label.take(S)] = True
+        reached[label.take(self._node.take(S))] = True
         return int(np.count_nonzero(reached.take(label)))
 
     def _exact_rng(self, S: tuple[int, ...]) -> np.random.Generator:

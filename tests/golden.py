@@ -1,7 +1,7 @@
 """Golden output digests: one SHA-256 per run, checked against
 ``tests/golden_digests.txt``.
 
-The file pins three sets of outputs:
+The file pins four sets of outputs:
 
 * each of the 120 records of the acceptance criteria 5-7 fixture (30 seeds
   of the four policies at ``configs/synthetic_ksvfair.ini``), over the bytes
@@ -10,7 +10,10 @@ The file pins three sets of outputs:
   and ``write_arms_csv`` bytes it makes;
 * each seed of ``configs/cascade_tiny.ini`` run through ``run_experiment``,
   over its ``run_seed*.csv`` and ``arms_seed*.csv``, and the run's
-  ``aggregate.csv``.
+  ``aggregate.csv``;
+* seed 1 of ``configs/cascade_community.ini`` at the benchmark's cuts
+  (``CASCADE_CUTS``), over its ``run_seed1.csv`` and ``arms_seed1.csv``: the
+  sampled fair target and the one-world cascade pulls on the 534-node graph.
 
 Its header records the Python and numpy versions it was made with, since a
 different numpy may move the floating-point bits.  Regenerate it with
@@ -19,6 +22,7 @@ different numpy may move the floating-point bits.  Regenerate it with
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import platform
 from pathlib import Path
@@ -40,6 +44,17 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
 BENCHMARK_CONFIG = REPO / "configs" / "synthetic_ksvfair.ini"
 CASCADE_CONFIG = REPO / "configs" / "cascade_tiny.ini"
+COMMUNITY_CONFIG = REPO / "configs" / "cascade_community.ini"
+# the cascade-community benchmark workload's cuts at workload seed 0, as
+# literals; test_acceptance checks them against perfbench/workloads.py
+CASCADE_CUTS = {
+    ("run", "seeds"): "1",
+    ("run", "rounds"): "30",
+    ("algo", "r"): "2",
+    ("algo", "l"): "1",
+    ("env", "pistar_sims"): "1",
+    ("env", "pistar_samples"): "180",
+}
 
 
 def benchmark_runs() -> dict:
@@ -112,6 +127,28 @@ def cascade_digests(out_dir: Path) -> list[str]:
     return lines + [f"{_sha256((out / 'aggregate.csv').read_bytes())}  cascade_tiny/aggregate"]
 
 
+def community_cut_config(out_dir: Path) -> Path:
+    """Write ``cascade_community.ini`` at ``CASCADE_CUTS`` to ``out_dir``;
+    its graph_path stays relative to the repository root."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(COMMUNITY_CONFIG)
+    for (section, key), value in CASCADE_CUTS.items():
+        parser[section][key] = value
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = out_dir / "cascade_community_cut.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    return config
+
+
+def community_cut_digests(out_dir: Path) -> list[str]:
+    """One line for seed 1 of ``cascade_community.ini`` at ``CASCADE_CUTS``,
+    run from an INI written to ``out_dir``; run from the repository root."""
+    out = run_experiment(community_cut_config(out_dir), out_dir=out_dir / "run")
+    tables = [(out / f"{kind}_seed1.csv").read_bytes() for kind in ("run", "arms")]
+    return [f"{_sha256(*tables)}  cascade_community_cut/seed1"]
+
+
 def versions() -> list[str]:
     return [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
 
@@ -143,6 +180,7 @@ def digests(runs: dict, tmp_dir: Path) -> list[str]:
         record_digests(runs)
         + table_digests(runs, tmp_dir / "tables")
         + cascade_digests(tmp_dir / "cascade_tiny")
+        + community_cut_digests(tmp_dir / "cascade_community_cut")
     )
 
 

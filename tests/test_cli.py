@@ -1,5 +1,6 @@
 """End-to-end harness runs, CSV schemas, determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import logging
 import os
@@ -360,19 +361,20 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool opened on one CPU")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3})
         out = run_experiment(write_config(tmp_path, rounds=5, seeds="1,2,3"), out_dir=tmp_path / "o")
         assert (out / "aggregate.csv").exists()
 
     def test_three_seeds_on_four_cpus_use_three_workers(self, tmp_path, monkeypatch):
-        sizes, pool = [], cli.ProcessPoolExecutor
+        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
 
         def sized(workers):
             sizes.append(workers)
             return pool(workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", sized)
+        # run_experiment imports the pool class when it opens a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", sized)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
         run_experiment(write_config(tmp_path, rounds=5, seeds="1,2,3"), out_dir=tmp_path / "o")
         assert sizes == [3]
@@ -693,6 +695,15 @@ class TestDependencies:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_process_pool(self):
+        # the pool's module pulls in multiprocessing, socket and subprocess;
+        # only a run on more than one CPU needs it
+        code = "import sys, ksvfair.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_library_reads_no_environment_variable(self):
         # a run is fixed by its config, its seeds and the CPUs it may use

@@ -674,7 +674,7 @@ class TestLiveEdgePulls:
         g = load_edge_list(DATA / "community_534.edges")
         env = CascadeEnv(g, 0.1, budget=3)
         S, n = (3, 97, 400), 75
-        assert n > envs._CHUNK_DRAWS // g.n_edges  # spans more than one chunk
+        assert n > envs._CHUNK_DRAWS // max(env._gap_block, env.n_arms)  # spans more than one chunk
         rng_seq, rng_batch = np.random.default_rng(41), np.random.default_rng(41)
         sequential = math.fsum(env.pull(S, rng_seq) for _ in range(n)) / n
         batch = cascade_exact(env, S, n, rng_batch)
@@ -779,6 +779,18 @@ class TestLiveEdgeDraw:
         rng = np.random.default_rng(3)
         assert [env._world_edges(rng).size for _ in range(50)] == [0] * 50
         assert env.pull((0, 9), rng) == 2 / g.n_nodes
+
+    @pytest.mark.parametrize("p", [0.0044, 0.0046, 0.02, 0.1, 0.4, 1.0])
+    def test_gap_clip_skipped_only_where_it_cannot_bind(self, p):
+        # the largest uniform below 1 makes the longest gap; where the clip
+        # is skipped it stays below E, so the ids are the clipped ones
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, p, budget=3)
+        E, m = g.n_edges, env._gap_block
+        assert env._clip_gaps == (p == 0.0044)
+        u = np.full(m, np.nextafter(1.0, 0.0))
+        clipped = np.minimum(np.log1p(-u) / env._log_q, E).astype(np.intp).cumsum() + np.arange(m)
+        assert env._gap_ids(u).tolist() == clipped.tolist()
 
     @pytest.mark.parametrize("name", ["toy_8", "community_534"])
     def test_zero_uniform_is_a_gap_of_one(self, name):
@@ -899,8 +911,12 @@ class TestLiveEdgeLaw:
 
 @st.composite
 def small_live_worlds(draw):
-    """A small graph, a few worlds of live edges over it, and a seed set."""
-    shape = draw(st.sampled_from(["path", "reversed path", "star", "components"]))
+    """A small graph, a few worlds of live edges over it, and a seed set.
+
+    Besides paths, stars and path components, a graph may be random edges in
+    either orientation (often leaving isolated nodes), a cycle (every degree
+    2) or a matching (every degree 1, one node isolated when n is odd)."""
+    shape = draw(st.sampled_from(["path", "reversed path", "star", "components", "random", "cycle", "matching"]))
     n = draw(st.integers(1, 12))
     if shape == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -909,6 +925,14 @@ def small_live_worlds(draw):
     elif shape == "star":
         centre = draw(st.integers(0, n - 1))
         edges = [(centre, i) for i in range(n) if i != centre]
+    elif shape == "random":
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
+        edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in chosen]
+    elif shape == "cycle":
+        edges = [(i, (i + 1) % n) for i in range(n)] if n >= 3 else []
+    elif shape == "matching":
+        edges = [(i, i + 1) for i in range(0, n - 1, 2)]
     else:
         # consecutive blocks, each a path numbered in random order
         cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
@@ -979,6 +1003,67 @@ class TestSpreadKernel:
         v = np.concatenate((order[1:], order[1:] + n))
         labels = envs._component_labels(2 * n, u, v)
         assert labels.tolist() == [0] * n + [n] * n
+
+
+class TestNodeNumbering:
+    """``CascadeEnv`` labels its worlds with the nodes renumbered by
+    descending degree, ties in id order; the components, and so every reach
+    count, are those of the original ids."""
+
+    @staticmethod
+    def assert_same_partition(env, live_rows):
+        ends = np.array(env.graph.edges, dtype=np.intp).reshape(-1, 2)
+        n = env.n_arms
+        for row in live_rows:
+            edge = np.flatnonzero(row)
+            original = envs._component_labels(n, ends[edge].min(axis=1), ends[edge].max(axis=1))
+            renumbered = envs._component_labels(n, env._lo[edge], env._hi[edge]).take(env._node)
+            # two nodes share a component in one numbering exactly when they do in the other
+            pairs = set(zip(original.tolist(), renumbered.tolist()))
+            assert len(pairs) == len(set(original.tolist())) == len(set(renumbered.tolist()))
+
+    @pytest.mark.parametrize("name", ["toy_8", "community_534"])
+    def test_node_map_is_a_read_only_permutation(self, name):
+        g = load_edge_list(DATA / f"{name}.edges")
+        env = CascadeEnv(g, 0.1, budget=3)
+        assert env._node.dtype == np.intp
+        assert sorted(env._node.tolist()) == list(range(g.n_nodes))
+        with pytest.raises(ValueError, match="read-only"):
+            env._node[0] = 1
+        # the first hook's precondition, after renumbering
+        assert np.all(env._lo <= env._hi)
+        ends = env._node.take(np.array(g.edges))
+        assert env._lo.tolist() == ends.min(axis=1).tolist()
+        assert env._hi.tolist() == ends.max(axis=1).tolist()
+
+    def test_hubs_first_ties_in_id_order(self):
+        # degrees 1, 1, 1, 3, 2, 0, 0: the hub 3, then 4, then 0, 1, 2, 5, 6 as they were
+        env = CascadeEnv(Graph(7, ((3, 0), (1, 3), (3, 4), (2, 4))), 0.5, budget=1)
+        assert env._node.tolist() == [2, 3, 4, 0, 1, 5, 6]
+        assert env._lo.tolist() == [0, 0, 0, 1]
+        assert env._hi.tolist() == [2, 3, 1, 4]
+        g = load_edge_list(DATA / "community_534.edges")
+        degree = np.bincount(np.array(g.edges).ravel(), minlength=g.n_nodes)
+        by_degree = np.lexsort((np.arange(g.n_nodes), -degree))
+        assert CascadeEnv(g, 0.1, budget=3)._node.take(by_degree).tolist() == list(range(g.n_nodes))
+
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.4])
+    def test_community_worlds_same_partition(self, p):
+        g = load_edge_list(DATA / "community_534.edges")
+        env = CascadeEnv(g, p, budget=3)
+        rng = np.random.default_rng(101)
+        live = np.zeros((40, g.n_edges), dtype=bool)
+        for row in live:
+            row[env._world_edges(rng)] = True
+        self.assert_same_partition(env, live)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_live_worlds())
+    def test_small_graphs_same_partition(self, case):
+        graph, live, _ = case
+        env = CascadeEnv(graph, 0.5, budget=1)
+        assert np.all(env._lo <= env._hi)
+        self.assert_same_partition(env, live)
 
 
 class TestLoadEdgeList(object):
