@@ -16,6 +16,7 @@ pE uniforms per world at activation probability p, not one coin per edge.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -110,50 +111,7 @@ def _segments(flat: np.ndarray, lengths: np.ndarray):
         start += k
 
 
-class _GaussianOracle(ValuationOracle):
-    """Shared machinery: exact mean plus additive Gaussian noise, clipped to [0,1].
-
-    Clipping (rather than resampling) keeps rewards bounded for the
-    Hoeffding-style analysis; the induced mean bias is small in the
-    benchmark parameter ranges and is accepted by the empirical-mean tests.
-    Subclasses implement ``_moment``; the scalar ``pull`` reads it once per
-    call.  The query primitive ``_pull_means`` reads every coalition's
-    (mean, noise) pair from ``_moments(flat, lengths)``, one row or many,
-    and makes one standard-normal block over the batch, scaled, shifted, clipped
-    and averaged in place; the default ``_moments`` reads ``_moment`` by segment.
-    """
-
-    def _moment(self, S) -> tuple[float, float]:
-        """Exact mean and noise scale of one checked coalition."""
-        raise NotImplementedError
-
-    def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row exact mean and noise scale of a checked flat batch."""
-        rows = [self._moment(S) for S in _segments(flat, lengths)]
-        return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
-
-    def pull(self, members, rng) -> float:
-        mu, sigma = self._moment(self._checked(members))
-        if sigma == 0.0:
-            return min(max(mu, 0.0), 1.0)
-        # normal(0, sigma) draws 0 + sigma * z: this is its draw bit for bit,
-        # and it leaves the generator in the same state
-        return min(max(mu + sigma * rng.standard_normal(), 0.0), 1.0)
-
-    def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
-        mus, sigmas = self._moments(flat, lengths)
-        exact = mus.clip(0.0, 1.0)
-        if not sigmas.any():
-            return exact
-        draws = rng.standard_normal((len(mus), n))
-        draws *= sigmas[:, None]
-        draws += mus[:, None]
-        means = draws.clip(0.0, 1.0, out=draws).sum(axis=1) / n
-        # noiseless rows stay exact rather than picking up mean-of-copies rounding
-        return np.where(sigmas == 0.0, exact, means)
-
-
-class SyntheticEnv(_GaussianOracle):
+class SyntheticEnv(ValuationOracle):
     """Monotone submodular benchmark: concave transform of additive arm means.
 
     exact(S) = g(sum of member means) with
@@ -161,15 +119,21 @@ class SyntheticEnv(_GaussianOracle):
     all-arms sum is normalized to 1; curvature c = 0 is the linear limit
     g(x) = x / total.  Coalition noise is the RMS of the member noise
     levels (independent per-arm noise observed only in aggregate), so
-    equal levels give every coalition that level, up to an ulp.
+    equal levels give every coalition that level, up to an ulp.  A pull is
+    the exact mean plus Gaussian noise at that level, clipped to [0, 1]:
+    clipping (rather than resampling) keeps rewards bounded for the
+    Hoeffding-style analysis; the induced mean bias is small in the
+    benchmark parameter ranges and is accepted by the empirical-mean tests.
 
     ``means``, ``noise_stds`` and the squared noise levels are read-only
     copies of the caller's arrays, so no later write reaches a value.  The scalar path
     (``exact``, ``pull`` and ``_moment``) adds the members' entries as
     Python floats, left to right in ascending arm order; the batched
     ``_moments``, behind both ``pull_mean`` and ``pull_mean_many``, sums the
-    arrays.  The fair target's game values each coalition with ``_mean``
-    alone, since ``RestrictedGame.value`` has already checked it.
+    arrays, and the query primitive ``_pull_means`` makes one
+    standard-normal block over the batch, scaled, shifted, clipped and
+    averaged in place.  The fair target's game values each coalition with
+    ``_mean`` alone, since ``RestrictedGame.value`` has already checked it.
     """
 
     def __init__(
@@ -271,39 +235,25 @@ class SyntheticEnv(_GaussianOracle):
         sigmas[nonempty] = np.sqrt(np.add.reduceat(self._noise_sq[flat], starts) / lengths[nonempty])
         return self._transform(sum_means), sigmas  # g(0) is +0.0, so empty rows stay 0
 
+    def pull(self, members, rng) -> float:
+        mu, sigma = self._moment(self._checked(members))
+        if sigma == 0.0:
+            return min(max(mu, 0.0), 1.0)
+        # normal(0, sigma) draws 0 + sigma * z: this is its draw bit for bit,
+        # and it leaves the generator in the same state
+        return min(max(mu + sigma * rng.standard_normal(), 0.0), 1.0)
 
-class GameOracle(_GaussianOracle):
-    """Noisy wrapper around any restricted game, with one global noise level.
-
-    ``budget`` defaults to the game's own; pass a smaller budget together
-    with ``allow_extra_query`` to model an estimator that may name one arm
-    beyond a full coalition (the wrapped game must cover that size).
-    """
-
-    def __init__(
-        self,
-        game: RestrictedGame,
-        noise_std: float = 0.0,
-        *,
-        budget: int | None = None,
-        allow_extra_query: bool = False,
-    ):
-        budget = game.budget if budget is None else budget
-        super().__init__(game.n_arms, budget, allow_extra_query=allow_extra_query)
-        if self.query_limit > game.budget:
-            raise ValueError(
-                f"query limit {self.query_limit} exceeds the wrapped game's budget {game.budget}"
-            )
-        if not 0 <= noise_std < math.inf:
-            raise ValueError("noise_std must be finite and nonnegative")
-        self.game = game
-        self.noise_std = float(noise_std)
-
-    def exact(self, members) -> float:
-        return self.game.value(self._checked(members))
-
-    def _moment(self, S) -> tuple[float, float]:
-        return self.game.value(S), (self.noise_std if S else 0.0)
+    def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
+        mus, sigmas = self._moments(flat, lengths)
+        exact = mus.clip(0.0, 1.0)
+        if not sigmas.any():
+            return exact
+        draws = rng.standard_normal((len(mus), n))
+        draws *= sigmas[:, None]
+        draws += mus[:, None]
+        means = draws.clip(0.0, 1.0, out=draws).sum(axis=1) / n
+        # noiseless rows stay exact rather than picking up mean-of-copies rounding
+        return np.where(sigmas == 0.0, exact, means)
 
 
 @dataclass(frozen=True)
@@ -509,6 +459,21 @@ class CascadeEnv(ValuationOracle):
         self._clip_gaps = 53 * math.log(2) >= -self._log_q * (E - 1)
         self._ramp = np.arange(self._gap_block)
         self._ramp.setflags(write=False)
+
+    def __reduce__(self):
+        """Pickle as the constructor call, so that a worker process rebuilds
+        the index arrays rather than unpickling them: an unpickled int64
+        array carries a dtype object other than numpy's canonical one, and
+        ``np.minimum.at`` in ``_component_labels`` then leaves its fast path
+        and a pull takes about twice as long."""
+        build = functools.partial(
+            CascadeEnv,
+            budget=self.budget,
+            exact_sims=self.exact_sims,
+            exact_seed=self.exact_seed,
+            allow_extra_query=self.query_limit > self.budget,
+        )
+        return build, (self.graph, self.activation_p)
 
     def _gap_ids(self, u: np.ndarray) -> np.ndarray:
         """The running gap sums of a block of uniforms (along the last axis,

@@ -20,6 +20,8 @@ import numpy as np
 Coalition = tuple[int, ...]
 # exact_cost(20, 8): every game with M <= 20 and K <= 8 is enumerated by default
 MAX_EXACT_COALITIONS = 263_949
+# 10! = 3,628,800 orderings: the most classical_shapley walks
+MAX_CLASSICAL_ARMS = 10
 
 
 class CoalitionSizeError(ValueError):
@@ -152,7 +154,7 @@ def exact_k_shapley(
     return ShapleyVector(phi, "exact")
 
 
-def classical_shapley(game: RestrictedGame, *, max_arms: int = 10) -> ShapleyVector:
+def classical_shapley(game: RestrictedGame) -> ShapleyVector:
     """Classical Shapley value by enumerating all orderings; requires budget == n_arms.
 
     Serves as an independent oracle for the K = M reduction: it walks
@@ -161,8 +163,8 @@ def classical_shapley(game: RestrictedGame, *, max_arms: int = 10) -> ShapleyVec
     M = game.n_arms
     if game.budget != M:
         raise ValueError("classical value needs every coalition feasible (K = M)")
-    if M > max_arms:
-        raise ValueError(f"enumeration guard: M={M} exceeds {max_arms} ({M}! orderings)")
+    if M > MAX_CLASSICAL_ARMS:
+        raise ValueError(f"enumeration guard: M={M} exceeds {MAX_CLASSICAL_ARMS} ({M}! orderings)")
     value = game.value
     phi = np.zeros(M)
     for perm in itertools.permutations(range(M)):
@@ -188,18 +190,25 @@ def sampled_k_shapley(
     containing the arm, so per-arm sample means are unbiased.  Arms
     receive about n_samples * K / M samples each; stderr reports the
     per-arm standard error of the mean.  Samples revisit prefixes, so each
-    distinct prefix is valued once and its worth kept for the call.
+    distinct prefix is valued once and its worth kept for the call.  Every
+    (coalition, ordering) pair is drawn before any valuation, so a draw
+    that misses an arm fails before the first one.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     M, K = int(n_arms), int(budget)
-    sums = np.zeros(M)
-    sqs = np.zeros(M)
-    hits = np.zeros(M, dtype=int)
-    worth: dict[Coalition, float] = {}
+    orders = []
     for _ in range(n_samples):
         coalition = rng.choice(M, size=K, replace=False)
-        order = coalition[rng.permutation(K)]
+        orders.append(coalition[rng.permutation(K)])
+    hits = np.bincount(np.concatenate(orders), minlength=M)
+    if np.any(hits == 0):
+        missing = np.flatnonzero(hits == 0)
+        raise ValueError(f"arms {missing.tolist()} never sampled; increase n_samples")
+    sums = np.zeros(M)
+    sqs = np.zeros(M)
+    worth: dict[Coalition, float] = {}
+    for order in orders:
         prev = 0.0
         prefix: list[int] = []
         for a in order:
@@ -211,11 +220,7 @@ def sampled_k_shapley(
             d = cur - prev
             sums[a] += d
             sqs[a] += d * d
-            hits[a] += 1
             prev = cur
-    if np.any(hits == 0):
-        missing = np.flatnonzero(hits == 0)
-        raise ValueError(f"arms {missing.tolist()} never sampled; increase n_samples")
     mean = sums / hits
     var = np.maximum(sqs / hits - mean**2, 0.0)
     stderr = np.sqrt(var / hits)
@@ -272,12 +277,6 @@ def coverage_game(element_sets, n_elements: int, budget: int) -> RestrictedGame:
     return RestrictedGame(len(sets), budget, worth)
 
 
-def table_game(n_arms: int, budget: int, table: dict) -> RestrictedGame:
-    """Game backed by an explicit coalition -> worth table (missing entries are 0)."""
-    tbl = {canon(S): float(v) for S, v in table.items()}
-    return RestrictedGame(n_arms, budget, lambda S: tbl.get(S, 0.0))
-
-
 def mix_games(g1: RestrictedGame, g2: RestrictedGame, p: float) -> RestrictedGame:
     """Pointwise mixture p*V1 + (1-p)*V2 on the shared feasible coalitions."""
     if (g1.n_arms, g1.budget) != (g2.n_arms, g2.budget):
@@ -293,15 +292,6 @@ def _linearity_gap(g1: RestrictedGame, g2: RestrictedGame, p: float, values1) ->
     lhs = exact_k_shapley(mix_games(g1, g2, p)).values
     rhs = p * values1 + (1 - p) * exact_k_shapley(g2).values
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def check_linearity(
-    g1: RestrictedGame, g2: RestrictedGame, p: float, tol: float
-) -> bool:
-    """True iff the exact values of the mixture equal the mixed exact values."""
-    if (g1.n_arms, g1.budget) != (g2.n_arms, g2.budget):
-        raise ValueError("games must share arm count and budget")
-    return _linearity_gap(g1, g2, p, exact_k_shapley(g1).values) <= tol
 
 
 def _iter_subsets(pool: list[int], max_size: int):
@@ -367,10 +357,11 @@ def verify_axioms(
 
     Symmetry and null-player checks scan all detected symmetric pairs and
     null players (exhaustive subset enumeration, so keep M small).  The
-    efficiency identity is evaluated directly.  Linearity is checked as in
-    ``check_linearity``, against ``linearity_partner`` and with ``phi``
-    standing in for the game's own exact values; when no partner is
-    supplied the zero game is used, which reduces to homogeneity.
+    efficiency identity is evaluated directly.  Linearity compares the
+    exact values of the mixture with ``linearity_partner`` against the
+    mixed values, with ``phi`` standing in for the game's own exact values
+    (``_linearity_gap``); when no partner is supplied the zero game is used,
+    which reduces to homogeneity.
     """
     vals = phi.values
     sym_gap = 0.0

@@ -54,15 +54,6 @@ def fair_policy(true_phi, K: int) -> MarginalVector:
     return MarginalVector(normalize_to_marginals(clipped, K))
 
 
-def fairness_regret_step(pi_star, pi_t) -> float:
-    """Sum over arms of |fair probability - played probability|."""
-    a = np.asarray(pi_star, float)
-    b = np.asarray(pi_t, float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
-
-
 def merit_to_selection(true_phi, counts, total_rounds: int) -> np.ndarray:
     """Per-arm value divided by empirical selection frequency.
 

@@ -24,6 +24,10 @@ kept so the component-labelling kernel can be pinned to it count for count.
 The gap walk draws one world's live edges one uniform at a time, so the
 array draw of geometric gaps can be pinned to it edge for edge.
 
+``table_game`` and ``GameOracle`` are the library's earlier table-backed
+game and noisy game wrapper, kept as fixtures: any game as an oracle, with
+the synthetic environment's clipped-normal pull and draw.
+
 The collapsed oracle counts enclosing coalitions instead of enumerating
 them.  The library's ``exact_k_shapley`` now uses that same collapsed sum,
 so agreement with it checks the vectorization only, not the formula; the
@@ -39,6 +43,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+from ksvfair.envs import SyntheticEnv, ValuationOracle, _segments
+from ksvfair.games import RestrictedGame, canon
 
 
 def moebius_dividends(game) -> dict[tuple[int, ...], float]:
@@ -209,10 +215,14 @@ def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:
     return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
 
 
+def table_game(n_arms: int, budget: int, table: dict) -> RestrictedGame:
+    """Game backed by an explicit coalition -> worth table (missing entries are 0)."""
+    tbl = {canon(S): float(v) for S, v in table.items()}
+    return RestrictedGame(n_arms, budget, lambda S: tbl.get(S, 0.0))
+
+
 def random_table_game(M: int, K: int, rng):
     """Frozen random game: every feasible coalition gets an independent worth in [0, 1]."""
-    from ksvfair import table_game
-
     table = {}
     for size in range(1, K + 1):
         for S in itertools.combinations(range(M), size):
@@ -423,10 +433,53 @@ def csv_compare_tables(run_dirs, out_prefix) -> tuple[Path, Path]:
     return fr_path, arms_path
 
 
+class GameOracle(ValuationOracle):
+    """Noisy wrapper around any restricted game, with one global noise level.
+
+    ``budget`` defaults to the game's own; pass a smaller budget together
+    with ``allow_extra_query`` to model an estimator that may name one arm
+    beyond a full coalition (the wrapped game must cover that size).
+    ``pull`` and ``_pull_means`` are ``SyntheticEnv``'s, over this oracle's
+    ``_moment`` and per-row ``_moments``: one standard-normal draw per noisy
+    pull, one (rows, n) block per batch with a noisy row, and noiseless
+    rows exact.
+    """
+
+    def __init__(
+        self,
+        game: RestrictedGame,
+        noise_std: float = 0.0,
+        *,
+        budget: int | None = None,
+        allow_extra_query: bool = False,
+    ):
+        budget = game.budget if budget is None else budget
+        super().__init__(game.n_arms, budget, allow_extra_query=allow_extra_query)
+        if self.query_limit > game.budget:
+            raise ValueError(
+                f"query limit {self.query_limit} exceeds the wrapped game's budget {game.budget}"
+            )
+        if not 0 <= noise_std < math.inf:
+            raise ValueError("noise_std must be finite and nonnegative")
+        self.game = game
+        self.noise_std = float(noise_std)
+
+    def exact(self, members) -> float:
+        return self.game.value(self._checked(members))
+
+    def _moment(self, S) -> tuple[float, float]:
+        return self.game.value(S), (self.noise_std if S else 0.0)
+
+    def _moments(self, flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = [self._moment(S) for S in _segments(flat, lengths)]
+        return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
+
+    pull = SyntheticEnv.pull
+    _pull_means = SyntheticEnv._pull_means
+
+
 def _gaussian_moment(oracle, S) -> tuple[float, float]:
     """Exact mean and noise scale as the earlier ``exact``/``_noise_scale`` pair."""
-    from ksvfair import GameOracle
-
     if isinstance(oracle, GameOracle):
         return oracle.game.value(S), (oracle.noise_std if S else 0.0)
     if not S:

@@ -1,5 +1,6 @@
 """End-to-end harness runs, CSV schemas, determinism, exit codes."""
 
+import ast
 import concurrent.futures
 import csv
 import logging
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ksvfair
 from ksvfair import FairnessLedger, RunRecord, cli, exact_k_shapley
 from ksvfair.cli import (
     EXIT_CONFIG,
@@ -715,6 +717,44 @@ class TestDependencies:
             if pattern.search(line)
         ]
         assert readers == []
+
+    def test_every_public_name_is_reached(self):
+        # a name in ksvfair.__all__ is named in code (not a docstring or a
+        # comment) by another part of the library, or by a demo, a script
+        # or the benchmark; a name only the tests reach belongs in the tests
+        def names(tree, skip=None):
+            found, stack = set(), [tree]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+                    continue  # a name's own definition does not reach it
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    found.add(node.name.rpartition(".")[2])
+                stack.extend(ast.iter_child_nodes(node))
+            return found
+
+        library = [
+            ast.parse(path.read_text())
+            for path in sorted((SRC / "ksvfair").glob("*.py"))
+            if path.name != "__init__.py"
+        ]
+        outside = set().union(
+            *(
+                names(ast.parse(path.read_text()))
+                for folder in ("demos", "scripts", "perfbench")
+                for path in sorted((ROOT / folder).glob("*.py"))
+            )
+        )
+        unreached = [
+            name
+            for name in ksvfair.__all__
+            if name not in outside and not any(name in names(tree, skip=name) for tree in library)
+        ]
+        assert unreached == []
 
 
 # values whose %.12g / format(x, ".12g") text is easy to get wrong

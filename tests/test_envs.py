@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from ksvfair import (
     CascadeEnv,
     CoalitionSizeError,
-    GameOracle,
     Graph,
     SyntheticEnv,
     additive_game,
@@ -22,6 +22,7 @@ from ksvfair import (
 from ksvfair import envs
 from ksvfair.cli import load_config
 from reference import (
+    GameOracle,
     _gaussian_moment,
     bfs_cascade_pull,
     frontier_spread_counts,
@@ -1064,6 +1065,36 @@ class TestNodeNumbering:
         env = CascadeEnv(graph, 0.5, budget=1)
         assert np.all(env._lo <= env._hi)
         self.assert_same_partition(env, live)
+
+
+class TestCascadePickle:
+    """A pickled ``CascadeEnv``, as ``run_experiment`` sends it to a worker
+    process, is rebuilt from its arguments: its index arrays carry numpy's
+    canonical intp dtype object, which keeps ``np.minimum.at`` on its fast path."""
+
+    def test_round_trip_rebuilds_the_env(self):
+        env = CascadeEnv(
+            load_edge_list(DATA / "community_534.edges"),
+            0.1,
+            budget=4,
+            exact_sims=7,
+            exact_seed=3,
+            allow_extra_query=True,
+        )
+        copy = pickle.loads(pickle.dumps(env))
+        for name in ("_node", "_lo", "_hi", "_ramp"):
+            assert getattr(copy, name).dtype is np.dtype(np.intp), name
+            assert getattr(copy, name).tobytes() == getattr(env, name).tobytes(), name
+            assert not getattr(copy, name).flags.writeable, name
+        assert (copy.query_limit, copy.exact_seed, copy.exact_sims) == (5, 3, 7)
+        assert (copy.budget, copy.activation_p, copy.graph) == (4, 0.1, env.graph)
+        rng_a, rng_b = np.random.default_rng(23), np.random.default_rng(23)
+        for S in [(0,), (3, 17), (1, 2, 5, 8, 13)]:
+            assert copy.pull(S, rng_a) == env.pull(S, rng_b), S
+            assert copy.exact(S) == env.exact(S), S
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        strict = CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=2)
+        assert pickle.loads(pickle.dumps(strict)).query_limit == 2
 
 
 class TestLoadEdgeList(object):

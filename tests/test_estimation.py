@@ -9,7 +9,6 @@ import pytest
 from ksvfair import (
     CascadeEnv,
     CoalitionSizeError,
-    GameOracle,
     PolicyState,
     RoundEstimates,
     SyntheticEnv,
@@ -22,6 +21,7 @@ from ksvfair import (
 from ksvfair.cli import load_config
 from ksvfair.estimation import _prefix_chains
 from reference import (
+    GameOracle,
     _set_masks,
     prefix_shapley_within,
     random_table_game,

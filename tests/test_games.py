@@ -14,18 +14,17 @@ from ksvfair import (
     additive_game,
     carrier_exact_values,
     carrier_game,
-    check_linearity,
     classical_shapley,
     coverage_game,
     exact_k_shapley,
     marginal_contribution,
     mix_games,
     sampled_k_shapley,
-    table_game,
     verify_axioms,
 )
 from ksvfair.games import (
     MAX_EXACT_COALITIONS,
+    _linearity_gap,
     exact_cost,
     k_efficiency_gap,
     null_players,
@@ -38,6 +37,7 @@ from reference import (
     dividend_k_shapley,
     moebius_dividends,
     random_table_game,
+    table_game,
 )
 
 
@@ -215,6 +215,15 @@ class TestClassicalShapley:
         with pytest.raises(ValueError):
             classical_shapley(additive_game([0.5, 0.5, 0.5], 2))
 
+    def test_enumeration_guard(self):
+        # 11! orderings: refused before any valuation
+        calls = []
+        g = RestrictedGame(11, 11, lambda S: calls.append(S) or 0.1 * len(S))
+        calls.clear()  # construction checks the empty coalition
+        with pytest.raises(ValueError, match="guard: M=11 exceeds 10"):
+            classical_shapley(g)
+        assert calls == []
+
     @pytest.mark.parametrize("seed,M", [(10, 4), (11, 5), (12, 6)])
     def test_full_budget_reduction(self, seed, M):
         g = random_table_game(M, M, np.random.default_rng(seed))
@@ -307,18 +316,19 @@ class TestLinearity:
 
     def test_degenerate_mixtures(self):
         g1, g2 = self._pair()
-        assert check_linearity(g1, g2, 0.0, 1e-14)
-        assert check_linearity(g1, g2, 1.0, 1e-14)
+        phi1 = exact_k_shapley(g1).values
+        assert _linearity_gap(g1, g2, 0.0, phi1) <= 1e-14
+        assert _linearity_gap(g1, g2, 1.0, phi1) <= 1e-14
 
     def test_interior_mixture(self):
         g1, g2 = self._pair()
-        assert check_linearity(g1, g2, 0.3, 1e-12)
+        assert _linearity_gap(g1, g2, 0.3, exact_k_shapley(g1).values) <= 1e-12
 
     def test_dimension_mismatch(self):
         g1 = additive_game([0.5, 0.5], 2)
         g2 = additive_game([0.5, 0.5, 0.5], 2)
-        with pytest.raises(ValueError):
-            check_linearity(g1, g2, 0.5, 1e-9)
+        with pytest.raises(ValueError, match="share arm count"):
+            mix_games(g1, g2, 0.5)
 
     def test_mixture_value_pointwise(self):
         g1, g2 = self._pair()
@@ -375,6 +385,19 @@ class TestSampledValues:
         ref = sampled_k_shapley(table.value, 6, 3, 200, np.random.default_rng(5))
         assert est.values.tobytes() == ref.values.tobytes()
         assert est.stderr.tobytes() == ref.stderr.tobytes()
+
+    def test_unsampled_arm_fails_before_any_valuation(self):
+        # 3 samples of 2 arms cannot cover 20 arms: the coverage check comes
+        # after the draws and before the first valuation
+        calls = []
+
+        def counted(S):
+            calls.append(S)
+            return 0.1 * len(S)
+
+        with pytest.raises(ValueError, match="never sampled"):
+            sampled_k_shapley(counted, 20, 2, 3, np.random.default_rng(0))
+        assert calls == []
 
     def test_sampled_estimator_additive_zero_variance(self):
         w = [0.2, 0.3, 0.5]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ksvfair import (
     FairnessLedger,
     fair_policy,
-    fairness_regret_step,
     merit_to_selection,
     regret_slope,
 )
@@ -45,27 +44,32 @@ class TestFairPolicy:
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+def one_row_l1(pi_star, pi_t) -> float:
+    """One round's L1 distance, as ``FairnessLedger.from_run`` of a one-row run."""
+    return float(FairnessLedger.from_run(pi_star, np.asarray(pi_t)[None, :]).l1[0])
+
+
 class TestFairnessRegretStep:
     def test_identical_policies(self):
         pi = np.array([0.5, 0.5])
-        assert fairness_regret_step(pi, pi) == 0.0
+        assert one_row_l1(pi, pi) == 0.0
 
     def test_hand_arithmetic(self):
-        assert fairness_regret_step(np.array([0.5, 0.5]), np.array([0.7, 0.3])) == pytest.approx(0.4)
+        assert one_row_l1(np.array([0.5, 0.5]), np.array([0.7, 0.3])) == pytest.approx(0.4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fairness_regret_step(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
+            one_row_l1(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
     def test_metric_properties(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = rng.random(6), rng.random(6), rng.random(6)
-        dab = fairness_regret_step(a, b)
-        assert dab == pytest.approx(fairness_regret_step(b, a))
-        assert fairness_regret_step(a, a) == 0.0
-        assert dab <= fairness_regret_step(a, c) + fairness_regret_step(c, b) + 1e-12
+        dab = one_row_l1(a, b)
+        assert dab == pytest.approx(one_row_l1(b, a))
+        assert one_row_l1(a, a) == 0.0
+        assert dab <= one_row_l1(a, c) + one_row_l1(c, b) + 1e-12
         if not np.allclose(a, b):
             assert dab > 0
 
@@ -74,7 +78,7 @@ class TestFairnessRegretStep:
         star = np.full(M, K / M)
         worst = np.zeros(M)
         worst[:K] = 1.0
-        assert fairness_regret_step(star, worst) <= 2 * K
+        assert one_row_l1(star, worst) <= 2 * K
 
 
 class TestFairnessLedger:
@@ -89,7 +93,7 @@ class TestFairnessLedger:
         star = np.array([0.5, 0.8, 0.7])
         mat = rng.random((20, 3))
         led = FairnessLedger.from_run(star, mat)
-        direct = [fairness_regret_step(star, row) for row in mat]
+        direct = [np.abs(star - row).sum() for row in mat]
         np.testing.assert_allclose(led.l1, direct, atol=1e-12)
 
 

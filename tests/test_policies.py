@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksvfair import (
-    GameOracle,
     PolicyConfig,
     PolicyState,
     SyntheticEnv,
@@ -28,7 +27,7 @@ from ksvfair import (
 from ksvfair import policies
 from ksvfair.games import canon
 from ksvfair.policies import _Recorder, _round_costs, round_robin_coalition
-from reference import loop_round_costs
+from reference import GameOracle, loop_round_costs
 
 
 def small_env(M=5, K=2, noise=0.15, allow_extra_query=False):
