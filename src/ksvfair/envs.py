@@ -343,7 +343,9 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     logarithm of the component size rather than its diameter: a 10^5-node
     path takes 11 or 12 passes, numbered in order, in reverse or at random.
     Fewer passes are needed when the nodes on most edges have the smallest
-    ids, as ``CascadeEnv`` numbers them.
+    ids, as ``CascadeEnv`` numbers them.  Convergence is tested on the bytes
+    of the two gathered end-label rows, equal exactly when the contiguous
+    intp rows are equal elementwise, and cheaper to compare.
     """
     label = np.arange(n_nodes)
     np.minimum.at(label, v, u)
@@ -353,7 +355,7 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     while True:
         label = label.take(label.take(label))
         lu, lv = label.take(u), label.take(v)
-        if (lu == lv).all():
+        if lu.tobytes() == lv.tobytes():
             return label
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
 
@@ -436,7 +438,7 @@ class CascadeEnv(ValuationOracle):
         while not words or rest:
             words.append(rest & 0xFFFFFFFF)
             rest >>= 32
-        self._seed_words = np.array(words, dtype=np.uint32)
+        self._seed_words = tuple(words)
         # the nodes renumbered by descending degree, ties in id order: hubs
         # take the smallest labels, so _component_labels needs fewer passes
         degree = np.bincount(ends.ravel(), minlength=graph.n_nodes)
@@ -559,8 +561,9 @@ class CascadeEnv(ValuationOracle):
 
     def _exact_rng(self, S: tuple[int, ...]) -> np.random.Generator:
         """The generator ``exact`` draws S's worlds from: the stream of
-        ``default_rng((exact_seed, *S))``, seeded from one uint32 array."""
-        return np.random.default_rng(np.concatenate((self._seed_words, np.array(S, dtype=np.uint32))))
+        ``default_rng((exact_seed, *S))``, seeded from one uint32 array
+        built in one ``np.fromiter`` call."""
+        return np.random.default_rng(np.fromiter((*self._seed_words, *S), np.uint32))
 
     def pull(self, members, rng) -> float:
         return cascade_exact(self, members, 1, rng)

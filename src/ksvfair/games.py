@@ -189,10 +189,13 @@ def sampled_k_shapley(
     Conditioned on membership the coalition is uniform among those
     containing the arm, so per-arm sample means are unbiased.  Arms
     receive about n_samples * K / M samples each; stderr reports the
-    per-arm standard error of the mean.  Samples revisit prefixes, so each
-    distinct prefix is valued once and its worth kept for the call.  Every
-    (coalition, ordering) pair is drawn before any valuation, so a draw
-    that misses an arm fails before the first one.
+    per-arm standard error of the mean, from the sample variance (ddof 1),
+    and is infinite for an arm drawn only once.  Samples revisit prefixes,
+    so each distinct prefix is valued once and its worth kept for the
+    call.  Every (coalition, ordering) pair is drawn before any valuation,
+    so a draw that misses an arm fails before the first one.  The walk
+    keeps the marginals in one flat list, in draw order, and
+    ``np.bincount`` adds each arm's in that order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -201,30 +204,34 @@ def sampled_k_shapley(
     for _ in range(n_samples):
         coalition = rng.choice(M, size=K, replace=False)
         orders.append(coalition[rng.permutation(K)])
-    hits = np.bincount(np.concatenate(orders), minlength=M)
+    arms = np.concatenate(orders)
+    hits = np.bincount(arms, minlength=M)
     if np.any(hits == 0):
         missing = np.flatnonzero(hits == 0)
         raise ValueError(f"arms {missing.tolist()} never sampled; increase n_samples")
-    sums = np.zeros(M)
-    sqs = np.zeros(M)
+    gains: list[float] = []
     worth: dict[Coalition, float] = {}
-    for order in orders:
+    for order in arms.reshape(n_samples, K).tolist():
         prev = 0.0
         prefix: list[int] = []
         for a in order:
-            prefix.append(int(a))
+            prefix.append(a)
             S = tuple(sorted(prefix))
             cur = worth.get(S)
             if cur is None:
                 cur = worth[S] = float(valuation(S))
-            d = cur - prev
-            sums[a] += d
-            sqs[a] += d * d
+            gains.append(cur - prev)
             prev = cur
-    mean = sums / hits
-    var = np.maximum(sqs / hits - mean**2, 0.0)
-    stderr = np.sqrt(var / hits)
-    return ShapleyVector(mean, "estimated", samples=int(n_samples), stderr=stderr)
+    d = np.array(gains)
+    mean = np.bincount(arms, weights=d, minlength=M) / hits
+    resid = d - mean.take(arms)
+    var = np.divide(
+        np.bincount(arms, weights=resid * resid, minlength=M),
+        hits - 1,
+        out=np.full(M, np.inf),
+        where=hits > 1,
+    )
+    return ShapleyVector(mean, "estimated", samples=int(n_samples), stderr=np.sqrt(var / hits))
 
 
 def carrier_game(n_arms: int, budget: int, base, alpha: float) -> RestrictedGame:

@@ -11,6 +11,10 @@ Keep them slow and obvious.
 The scalar estimators and sampler are the library's earlier one-tuple-at-a-
 time code, kept so the array versions can be checked against them exactly:
 same estimates, same pull counts and the same generator state afterwards.
+The scalar fair-target sampler is ``sampled_k_shapley``'s earlier loop, with
+its numpy-scalar per-arm sums and one-pass population variance, and the
+marginal replay lists each arm's prefix marginals from a worth table, so the
+sampler's values and its ddof-1 standard errors can be pinned separately.
 
 The round-by-round stop rule is the runners' earlier ``while`` loop over
 ``_round_allowed``, kept so the up-front schedule can be checked against it.
@@ -44,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from ksvfair.envs import SyntheticEnv, ValuationOracle, _segments
-from ksvfair.games import RestrictedGame, canon
+from ksvfair.games import RestrictedGame, ShapleyVector, canon
 
 
 def moebius_dividends(game) -> dict[tuple[int, ...], float]:
@@ -228,6 +232,58 @@ def random_table_game(M: int, K: int, rng):
         for S in itertools.combinations(range(M), size):
             table[S] = float(rng.random())
     return table_game(M, K, table)
+
+
+def scalar_sampled_k_shapley(valuation, n_arms: int, budget: int, n_samples: int, rng) -> ShapleyVector:
+    """The library's earlier ``sampled_k_shapley``: per prefix, a numpy-scalar
+    ``sums[a] += d`` and ``sqs[a] += d * d``; stderr from the one-pass
+    population variance, so an arm drawn once reports 0."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    M, K = int(n_arms), int(budget)
+    orders = []
+    for _ in range(n_samples):
+        coalition = rng.choice(M, size=K, replace=False)
+        orders.append(coalition[rng.permutation(K)])
+    hits = np.bincount(np.concatenate(orders), minlength=M)
+    if np.any(hits == 0):
+        missing = np.flatnonzero(hits == 0)
+        raise ValueError(f"arms {missing.tolist()} never sampled; increase n_samples")
+    sums = np.zeros(M)
+    sqs = np.zeros(M)
+    worth: dict[tuple[int, ...], float] = {}
+    for order in orders:
+        prev = 0.0
+        prefix: list[int] = []
+        for a in order:
+            prefix.append(int(a))
+            S = tuple(sorted(prefix))
+            cur = worth.get(S)
+            if cur is None:
+                cur = worth[S] = float(valuation(S))
+            d = cur - prev
+            sums[a] += d
+            sqs[a] += d * d
+            prev = cur
+    mean = sums / hits
+    var = np.maximum(sqs / hits - mean**2, 0.0)
+    stderr = np.sqrt(var / hits)
+    return ShapleyVector(mean, "estimated", samples=int(n_samples), stderr=stderr)
+
+
+def sampled_marginals(worth: dict, n_arms: int, budget: int, n_samples: int, rng) -> list[list[float]]:
+    """Each arm's prefix marginals, in draw order, for the sampler's draws
+    from ``rng``, with every prefix looked up in ``worth`` (sorted tuple ->
+    value) rather than valued."""
+    out: list[list[float]] = [[] for _ in range(n_arms)]
+    for _ in range(n_samples):
+        order = rng.choice(n_arms, size=budget, replace=False)[rng.permutation(budget)]
+        prev = 0.0
+        for j in range(1, budget + 1):
+            cur = worth[tuple(sorted(order[:j].tolist()))]
+            out[int(order[j - 1])].append(cur - prev)
+            prev = cur
+    return out
 
 
 def _set_masks(sets, M: int) -> np.ndarray:

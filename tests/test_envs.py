@@ -347,6 +347,31 @@ class TestBatchedGaussianPrimitive:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+class TestGaussianPullLaw:
+    """The law of ``SyntheticEnv``'s batched pull means, by ``mean_check`` of
+    ``tests/stats.py`` at level ALPHA: N_ROWS rows of N_PULLS pulls of one
+    coalition against N_ROWS means of N_PULLS clipped normals drawn directly
+    with ``rng.normal``.  The check passes for the clipped draw and rejects
+    a named wrong variant at fixed seeds: the same normals without their
+    clip.  The coalition's mean, 0.05, sits a sixth of its noise level 0.3
+    above 0, so the clip moves a pull's mean to about 0.15."""
+
+    ALPHA = 1e-3
+    N_ROWS, N_PULLS = 2_000, 10
+
+    @pytest.mark.parametrize("variant", ["clipped", "no clip"])
+    def test_batched_means_match_clipped_normals(self, variant):
+        env = SyntheticEnv([0.05, 0.5, 0.45], [0.3, 0.3, 0.3], budget=2, curvature=0.0)
+        masks = np.zeros((self.N_ROWS, 3), dtype=bool)
+        masks[:, 0] = True
+        batched = env.pull_mean_many(masks, self.N_PULLS, np.random.default_rng(61))
+        direct = np.random.default_rng(62).normal(env.exact((0,)), 0.3, (self.N_ROWS, self.N_PULLS))
+        if variant == "clipped":
+            direct = direct.clip(0.0, 1.0)
+        check = mean_check(batched, direct.mean(axis=1), self.ALPHA)
+        assert check.passes == (variant == "clipped"), check
+
+
 class TestScalarSumBits:
     """The Python-float ``_moment`` against numpy's sums in ``tests/reference.py``."""
 

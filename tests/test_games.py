@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ksvfair import (
     sampled_k_shapley,
     verify_axioms,
 )
+from ksvfair.envs import CascadeEnv, load_edge_list
 from ksvfair.games import (
     MAX_EXACT_COALITIONS,
     _linearity_gap,
@@ -37,8 +39,12 @@ from reference import (
     dividend_k_shapley,
     moebius_dividends,
     random_table_game,
+    sampled_marginals,
+    scalar_sampled_k_shapley,
     table_game,
 )
+
+COMMUNITY = Path(__file__).resolve().parent.parent / "data" / "community_534.edges"
 
 
 def null_arm_game(weights, budget, null_arm):
@@ -365,6 +371,8 @@ class TestSampledValues:
         exact = exact_k_shapley(g).values
         est = sampled_k_shapley(g.value, 5, 2, 20_000, np.random.default_rng(0))
         assert est.kind == "estimated"
+        # every arm is drawn many times, so the tolerance below stays finite
+        assert np.isfinite(est.stderr).all()
         np.testing.assert_allclose(est.values, exact, atol=4 * np.max(est.stderr) + 5e-3)
 
     def test_each_distinct_prefix_valued_once(self):
@@ -405,3 +413,87 @@ class TestSampledValues:
         np.testing.assert_allclose(est.values, w, atol=1e-12)
         # variance of identical samples cancels only to float precision
         np.testing.assert_allclose(est.stderr, 0.0, atol=1e-7)
+
+
+def _random_sampler_case(seed: int):
+    """A random table game and sample count: M in 3..11, K in 1..min(M, 5),
+    and from about M / K samples (some arms drawn once, some draws missing
+    an arm) up to 59."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(3, 12))
+    K = int(rng.integers(1, min(M, 5) + 1))
+    n = int(rng.integers(M // K + 1, 60))
+    return random_table_game(M, K, rng).value, M, K, n
+
+
+class TestSampledMatchesScalar:
+    """The flat-list sampler against the earlier per-prefix loop
+    (``reference.scalar_sampled_k_shapley``): the same valuation calls in
+    the same order, the same values byte for byte and the same generator
+    state afterwards.  Its stderr is checked against ``np.std(ddof=1) /
+    sqrt(h)`` of each arm's replayed marginals: within 8 ulp of that value
+    (the cases here differ by at most 3), or, where an arm's marginals agree up to rounding and
+    both are rounding noise, within 8 ulp of its largest marginal; an arm
+    drawn once reports inf."""
+
+    # 8 ulp, relative to the expected stderr or to the arm's largest marginal
+    ULP_BOUND = 8 * np.finfo(float).eps
+
+    def check(self, valuation, M, K, n, seed):
+        """Run both samplers from ``default_rng(seed)``; returns the
+        library's estimate, or None when both reject the draw."""
+        calls, ref_calls = [], []
+        worth = {}
+
+        def counted(S):
+            calls.append(S)
+            worth[S] = v = valuation(S)
+            return v
+
+        def ref_counted(S):
+            ref_calls.append(S)
+            return valuation(S)
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            est = sampled_k_shapley(counted, M, K, n, rng)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="never sampled"):
+                scalar_sampled_k_shapley(ref_counted, M, K, n, ref_rng)
+            assert calls == ref_calls == [] and "never sampled" in str(exc)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            return None
+        ref = scalar_sampled_k_shapley(ref_counted, M, K, n, ref_rng)
+        assert calls == ref_calls
+        assert est.values.tobytes() == ref.values.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        marginals = sampled_marginals(worth, M, K, n, np.random.default_rng(seed))
+        hits = np.array([len(d) for d in marginals])
+        assert np.array_equal(np.isinf(est.stderr), hits == 1)
+        for a in np.flatnonzero(hits > 1):
+            d = np.array(marginals[a])
+            expected, top = np.std(d, ddof=1) / math.sqrt(len(d)), np.abs(d).max()
+            scale = top if expected < 1e-9 * top else expected
+            assert abs(est.stderr[a] - expected) <= self.ULP_BOUND * scale, (a, est.stderr[a], expected)
+        return est
+
+    def test_random_table_games(self):
+        results = [self.check(*_random_sampler_case(seed), seed) for seed in range(30)]
+        covered = [est for est in results if est is not None]
+        assert len(covered) >= 20
+        # the cases include arms drawn once and draws that miss an arm
+        assert any(np.isinf(est.stderr).any() for est in covered)
+        assert len(covered) < len(results)
+
+    def test_additive_game_with_arms_drawn_once(self):
+        # 2 samples of 2 of 3 arms: two arms are drawn once and read inf
+        est = self.check(additive_game([0.2, 0.3, 0.5], 2).value, 3, 2, 2, 0)
+        assert np.isinf(est.stderr).sum() == 2
+
+    def test_cut_community_target(self):
+        # the benchmark's cut cascade_community.ini target: one world per
+        # coalition, 180 samples from default_rng(0)
+        env = CascadeEnv(load_edge_list(COMMUNITY), 0.1, budget=20, exact_sims=1)
+        est = self.check(env.restricted_game().value, 534, 20, 180, 0)
+        # one of the 534 arms is drawn once; the population variance read 0 there
+        assert np.isinf(est.stderr).sum() == 1

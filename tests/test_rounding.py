@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ksvfair import MarginalVector, RepeatedPickError, normalize_to_marginals, rrs_sample
 from reference import scalar_rrs_sample
+from stats import proportions_check
 
 
 def empirical_frequencies(pi, K, n_draws, rng):
@@ -232,3 +233,34 @@ class TestRrsSample:
         S = rrs_sample(pi, K, rng)
         assert len(S) == K and len(set(S)) == K
         assert all(0 <= a < M for a in S)
+
+
+class TestInclusionLaw:
+    """``rrs_sample``'s inclusion counts against its marginals, by
+    ``proportions_check`` of ``tests/stats.py`` at level ALPHA: each arm's
+    count over N_DRAWS draws against one Binomial(N_REF, marginal) draw for
+    that arm, one bin per arm.  The check passes against the marginals the
+    sampler was given and rejects a named wrong variant at fixed seeds: the
+    same counts against the marginals with one moved by 0.01 (arm 2's, 0.25
+    to 0.26)."""
+
+    ALPHA = 1e-3
+    N_DRAWS, N_REF = 50_000, 500_000
+    PI = np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.6, 0.6])
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        rng = np.random.default_rng(71)
+        counts = np.zeros(len(self.PI), dtype=np.int64)
+        for _ in range(self.N_DRAWS):
+            counts[list(rrs_sample(self.PI, 3, rng))] += 1
+        return counts
+
+    @pytest.mark.parametrize("variant", ["given", "one moved by 0.01"])
+    def test_inclusion_counts_match_marginals(self, counts, variant):
+        claimed = self.PI.copy()
+        if variant == "one moved by 0.01":
+            claimed[2] += 0.01
+        expected = np.random.default_rng(72).binomial(self.N_REF, claimed)
+        check = proportions_check(counts, self.N_DRAWS, expected, self.N_REF, self.ALPHA)
+        assert check.passes == (variant == "given"), check
