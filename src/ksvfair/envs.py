@@ -7,9 +7,9 @@ tests); ``pull``, one noisy reward (what a bandit run observes); and
 coalition of a flat, already checked batch.  The base class writes the two
 public batch queries once over it: ``pull_mean_many`` takes an (n_sets, M)
 boolean membership matrix, which is how the estimators query, and
-``pull_mean`` one coalition, passed straight to the primitive as a one-row
-batch with no mask and no second check.  Pulls take an explicit RNG so
-callers own determinism; an environment never mutates after construction.
+``pull_mean`` one coalition, as a one-row batch with no mask and no second
+check (``SyntheticEnv`` computes that row in scalars, bit for bit).  Pulls
+take an explicit RNG so callers own determinism; environments are immutable.
 ``CascadeEnv`` draws only each world's live edges, as geometric gaps: about
 pE uniforms per world at activation probability p, not one coin per edge.
 """
@@ -92,8 +92,7 @@ class ValuationOracle:
         return self._pull_means(*self._check_masks(masks, n), n, rng)
 
     def pull_mean(self, members, n: int, rng) -> float:
-        """Mean of n independent pulls of the same coalition: the primitive
-        on a one-row batch, with no membership matrix."""
+        """Mean of n independent pulls of one coalition: the primitive on a one-row batch."""
         S = self._checked(members)
         self._check_pull_count(n)
         return float(self._pull_means(np.array(S, dtype=np.intp), np.array([len(S)]), n, rng)[0])
@@ -128,12 +127,13 @@ class SyntheticEnv(ValuationOracle):
     ``means``, ``noise_stds`` and the squared noise levels are read-only
     copies of the caller's arrays, so no later write reaches a value.  The scalar path
     (``exact``, ``pull`` and ``_moment``) adds the members' entries as
-    Python floats, left to right in ascending arm order; the batched
-    ``_moments``, behind both ``pull_mean`` and ``pull_mean_many``, sums the
-    arrays, and the query primitive ``_pull_means`` makes one
-    standard-normal block over the batch, scaled, shifted, clipped and
-    averaged in place.  The fair target's game values each coalition with
-    ``_mean`` alone, since ``RestrictedGame.value`` has already checked it.
+    Python floats, left to right in ascending arm order; ``_moments``,
+    behind ``pull_mean_many``, sums each row with ``np.add.reduceat``, and
+    the query primitive ``_pull_means`` makes one standard-normal block over
+    the batch, scaled, shifted, clipped and averaged in place; ``pull_mean``
+    is that batch's one row in scalars, bit for bit.  The fair target's game
+    values each coalition with ``_mean`` alone, since
+    ``RestrictedGame.value`` has already checked it.
     """
 
     def __init__(
@@ -173,17 +173,16 @@ class SyntheticEnv(ValuationOracle):
     def exact(self, members) -> float:
         return self._mean(self._checked(members))
 
-    @staticmethod
-    def _sum(values: list[float], S) -> float:
+    def _mean(self, S) -> float:
+        if not S:
+            return 0.0
+        means = self._mean_list
         # left to right, as numpy's sum adds fewer than eight entries;
         # builtin sum is compensated from Python 3.12 on
         x = 0.0
         for i in S:
-            x += values[i]
-        return x
-
-    def _mean(self, S) -> float:
-        return float(self._transform(self._sum(self._mean_list, S))) if S else 0.0
+            x += means[i]
+        return float(self._transform(x))
 
     def restricted_game(self) -> RestrictedGame:
         """The noiseless game over ``_mean``: the game checks each coalition
@@ -219,13 +218,13 @@ class SyntheticEnv(ValuationOracle):
         """Per-row exact means and RMS noise levels of a checked flat batch,
         each summed per row by ``np.add.reduceat``.
 
-        A one-row ``pull_mean`` takes this path too, so it sums its
-        coalition exactly as the same row of a ``pull_mean_many`` batch.
-        Each row's members are taken in ascending arm order, but reduceat
-        does not add them left to right as the scalar ``_moment`` does, so
-        for coalitions of three or more arms a noiseless batched value can
-        differ from ``exact`` by a few ulp (at most 3 on the shipped 20-arm
-        game); coalitions of one or two arms agree bitwise.
+        ``pull_mean`` sums its one row by the same reduceat, whose order
+        neither ``np.add.reduce`` nor a loop matches.  Each row's members
+        are taken in ascending arm order, but reduceat does not add them
+        left to right as the scalar ``_moment`` does, so for coalitions of
+        three or more arms a noiseless batched value can differ from
+        ``exact`` by a few ulp (at most 3 on the shipped 20-arm game);
+        coalitions of one or two arms agree bitwise.
         """
         nonempty = lengths > 0
         starts = (np.cumsum(lengths) - lengths)[nonempty]
@@ -242,6 +241,19 @@ class SyntheticEnv(ValuationOracle):
         # normal(0, sigma) draws 0 + sigma * z: this is its draw bit for bit,
         # and it leaves the generator in the same state
         return min(max(mu + sigma * rng.standard_normal(), 0.0), 1.0)
+
+    def pull_mean(self, members, n: int, rng) -> float:
+        """The one-row batch's mean, bit for bit, with no batch built."""
+        S = self._checked(members)
+        self._check_pull_count(n)
+        if not S:
+            return 0.0
+        mu = float(self._transform(np.add.reduceat(self.means[list(S)], [0])[0]))
+        sigma = math.sqrt(np.add.reduceat(self._noise_sq[list(S)], [0])[0] / len(S))
+        if sigma == 0.0:
+            return min(max(mu, 0.0), 1.0)
+        draws = rng.standard_normal(n) * sigma + mu
+        return float(draws.clip(0.0, 1.0, out=draws).sum() / n)
 
     def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
         mus, sigmas = self._moments(flat, lengths)
@@ -508,9 +520,9 @@ class CascadeEnv(ValuationOracle):
             ids = np.concatenate((ids, self._gap_ids(rng.random(m)) + (ids[-1] + 1)))
         return ids[: ids.searchsorted(n_edges)]
 
-    def _chunk_edges(self, n_worlds: int, rng) -> np.ndarray:
-        """The live edges of n_worlds successive worlds as ascending flat
-        ids w * E + e.
+    def _chunk_edges(self, n_worlds: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """The live edges of n_worlds successive worlds as two rows, each
+        live edge's world and edge id, world after world, edges ascending.
 
         One (n_worlds, m) block of uniforms consumes rng exactly as n_worlds
         ``_world_edges`` calls do.  If a world's block ends before the last
@@ -520,27 +532,25 @@ class CascadeEnv(ValuationOracle):
         """
         m, n_edges = self._gap_block, self.graph.n_edges
         if not m:
-            return np.zeros(0, dtype=np.intp)
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
         state = rng.bit_generator.state
         ids = self._gap_ids(rng.random((n_worlds, m)))
         if ids[:, -1].min() < n_edges - 1:
             rng.bit_generator.state = state
-            return np.concatenate([self._world_edges(rng) + w * n_edges for w in range(n_worlds)])
+            edges = [self._world_edges(rng) for _ in range(n_worlds)]
+            return np.repeat(np.arange(n_worlds), [len(e) for e in edges]), np.concatenate(edges)
         live = ids < n_edges
-        ids += (np.arange(n_worlds) * n_edges)[:, None]
-        return ids[live]
+        return np.repeat(np.arange(n_worlds), np.count_nonzero(live, axis=1)), ids[live]
 
-    def _spread_counts(self, S, index: np.ndarray, n_worlds: int) -> np.ndarray:
+    def _spread_counts(self, S, world: np.ndarray, edge: np.ndarray, n_worlds: int) -> np.ndarray:
         """Nodes reachable from S in each of n_worlds worlds, over the live
-        edges given as flat ids w * E + e.
+        edges given as a pair of rows, each live edge's world and edge id.
 
         Worlds are labelled together as one graph on nodes w * n + v, v a
         renumbered node (``_component_labels``); the nodes S reaches in a
         world are the components holding one of its seeds.
         """
-        n_edges, n = self.graph.n_edges, self.n_arms
-        world = index // n_edges  # with the subtraction, cheaper than np.divmod
-        edge = index - world * n_edges
+        n = self.n_arms
         offset = world * n
         u, v = self._lo.take(edge) + offset, self._hi.take(edge) + offset
         label = _component_labels(n_worlds * n, u, v)
@@ -609,5 +619,5 @@ def _spread_mean(env: CascadeEnv, S: tuple[int, ...], n_sims: int, rng) -> float
     total = 0
     for start in range(0, n_sims, rows):
         n_worlds = min(rows, n_sims - start)
-        total += int(env._spread_counts(S, env._chunk_edges(n_worlds, rng), n_worlds).sum())
+        total += int(env._spread_counts(S, *env._chunk_edges(n_worlds, rng), n_worlds).sum())
     return total / (env.n_arms * n_sims)

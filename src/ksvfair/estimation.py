@@ -79,7 +79,7 @@ def shapley_estimation(
     comparison, ordering by ordering: without- then with-member row per
     position.  A coalition the oracle would reject raises before any draw.
     """
-    members = [int(a) for a in S]
+    members = list(S)
     k, M = len(members), oracle.n_arms
     if k == 0:
         raise ValueError("cannot estimate an empty coalition")

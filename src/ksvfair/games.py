@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,24 +23,20 @@ Coalition = tuple[int, ...]
 MAX_EXACT_COALITIONS = 263_949
 # 10! = 3,628,800 orderings: the most classical_shapley walks
 MAX_CLASSICAL_ARMS = 10
+EQ_TOL = 1e-12
 
 
 class CoalitionSizeError(ValueError):
     """Coalition larger than the budget or query limit it is checked against."""
 
 
-def canon(members) -> Coalition:
-    """Canonical coalition encoding: sorted tuple, duplicates rejected."""
-    S = tuple(sorted(map(int, members)))
+def checked_coalition(members, n_arms: int, limit: int, limit_name: str) -> Coalition:
+    """The sorted tuple of ``members``, read by ``operator.index`` (a float
+    raises ``TypeError``), checked in order for duplicates, arms outside
+    0..n_arms-1 and more than ``limit`` members (named ``limit_name``)."""
+    S = tuple(sorted(map(operator.index, members)))
     if len(set(S)) != len(S):
         raise ValueError(f"duplicate members in coalition {S}")
-    return S
-
-
-def checked_coalition(members, n_arms: int, limit: int, limit_name: str) -> Coalition:
-    """``canon(members)``, checked to name arms of 0..n_arms-1 only and at
-    most ``limit`` of them; ``limit_name`` names the limit in the error."""
-    S = canon(members)
     if S and (S[0] < 0 or S[-1] >= n_arms):
         raise ValueError(f"arm index out of range in {S} (M={n_arms})")
     if len(S) > limit:
@@ -96,7 +93,7 @@ class AxiomReport:
 
 def marginal_contribution(game: RestrictedGame, arm: int, members) -> float:
     """V(S + arm) - V(S) for a coalition S of size <= budget - 1 not containing arm."""
-    S = canon(members)
+    S = checked_coalition(members, game.n_arms, game.budget, "budget")
     if arm in S:
         raise ValueError(f"arm {arm} already in coalition {S}")
     return game.value(S + (arm,)) - game.value(S)  # a full S raises CoalitionSizeError
@@ -141,9 +138,7 @@ def exact_k_shapley(
             dtype=np.intp,
             count=n * s,
         )
-        worth = np.fromiter(
-            (value(S) for S in itertools.combinations(range(M), s)), dtype=float, count=n
-        )
+        worth = np.fromiter(map(value, itertools.combinations(range(M), s)), dtype=float, count=n)
         with_arm.append(np.bincount(members, weights=np.repeat(worth, s), minlength=M))
         totals.append(float(worth.sum()))
     denom = math.factorial(K) * math.comb(M - 1, K - 1)
@@ -172,7 +167,7 @@ def classical_shapley(game: RestrictedGame) -> ShapleyVector:
         prefix: list[int] = []
         for a in perm:
             prefix.append(a)
-            cur = value(tuple(sorted(prefix)))
+            cur = value(prefix)
             phi[a] += cur - prev
             prev = cur
     phi /= math.factorial(M)
@@ -256,8 +251,8 @@ def carrier_exact_values(n_arms: int, budget: int, base, alpha: float) -> np.nda
     the carrier have worth, and there are C(M-|D|, K-|D|) of them.  The
     member share reduces to alpha / |D| exactly when |D| = 1 or K = M.
     """
-    D = canon(base)
     M, K = int(n_arms), int(budget)
+    D = checked_coalition(base, M, K, "budget")
     if not 1 <= len(D) <= K <= M:
         raise ValueError("need 1 <= |D| <= K <= M")
     share = alpha * math.comb(M - len(D), K - len(D)) / (len(D) * math.comb(M - 1, K - 1))
@@ -306,32 +301,28 @@ def _iter_subsets(pool: list[int], max_size: int):
         yield from itertools.combinations(pool, size)
 
 
-def symmetric_pairs(game: RestrictedGame, *, eq_tol: float = 1e-12) -> list[tuple[int, int]]:
-    """Pairs (i, j) with V(S+i) == V(S+j) for every feasible S avoiding both."""
+def symmetric_pairs(game: RestrictedGame) -> list[tuple[int, int]]:
+    """Pairs (i, j) with V(S+i) == V(S+j) within EQ_TOL for every feasible S avoiding both."""
     M, K = game.n_arms, game.budget
     pairs = []
     for i, j in itertools.combinations(range(M), 2):
         pool = [a for a in range(M) if a not in (i, j)]
         if all(
-            abs(
-                game.value(tuple(sorted(S + (i,))))
-                - game.value(tuple(sorted(S + (j,))))
-            )
-            <= eq_tol
+            abs(game.value(S + (i,)) - game.value(S + (j,))) <= EQ_TOL
             for S in _iter_subsets(pool, K - 1)
         ):
             pairs.append((i, j))
     return pairs
 
 
-def null_players(game: RestrictedGame, *, eq_tol: float = 1e-12) -> list[int]:
-    """Arms whose marginal contribution is 0 on every feasible coalition."""
+def null_players(game: RestrictedGame) -> list[int]:
+    """Arms whose marginal contribution is 0 within EQ_TOL on every feasible coalition."""
     M, K = game.n_arms, game.budget
     out = []
     for i in range(M):
         pool = [a for a in range(M) if a != i]
         if all(
-            abs(marginal_contribution(game, i, S)) <= eq_tol
+            abs(marginal_contribution(game, i, S)) <= EQ_TOL
             for S in _iter_subsets(pool, K - 1)
         ):
             out.append(i)

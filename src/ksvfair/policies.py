@@ -93,18 +93,16 @@ def _worst_case_radii(N, R, L, M, delta1, delta2) -> np.ndarray:
 class PolicyState:
     """Mutable per-run estimation state of ``run_ksvfair`` and ``muras_run``.
 
-    Keeps two running means per arm: one over non-negatively clipped round
-    estimates (drives the selection probabilities, keeping them in [0, 1])
-    and one over raw estimates (for inspection; no output reads it).
-    Pooled sums of the per-ordering marginals and their squares back the
-    variance-adaptive radius.
+    Keeps a running mean per arm over non-negatively clipped round
+    estimates, which drives the selection probabilities, keeping them in
+    [0, 1].  Pooled sums of the per-ordering marginals and their squares
+    back the variance-adaptive radius.
     """
 
     def __init__(self, M: int):
         self.t = 0
         self.counts = np.zeros(M, dtype=int)
         self.mean = np.zeros(M)
-        self.mean_raw = np.zeros(M)
         self.pool_n = np.zeros(M, dtype=int)
         self.pool_sum = np.zeros(M)
         self.pool_sumsq = np.zeros(M)
@@ -112,12 +110,12 @@ class PolicyState:
         self.last_phi_plus = np.full(M, np.nan)
 
     def absorb(self, est: RoundEstimates, weight: int = 1) -> None:
-        """Fold one round's estimates into the running means as ``weight``
-        observations each, and pool its ``n_perms`` per-ordering marginals."""
+        """Fold one round's clipped estimates into the running mean as
+        ``weight`` observations each, and pool its ``n_perms`` per-ordering
+        marginals."""
         a, value = est.arms, est.estimates[est.arms]
         n = self.counts[a]
         self.mean[a] = (n * self.mean[a] + weight * np.maximum(value, 0.0)) / (n + weight)
-        self.mean_raw[a] = (n * self.mean_raw[a] + weight * value) / (n + weight)
         self.counts[a] = n + weight
         self.pool_n[a] += est.n_perms
         self.pool_sum[a] += est.n_perms * value
@@ -417,10 +415,10 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
         candidates = [a for a in range(M) if a not in prefix]
         best_arm, best_mean = candidates[0], -np.inf
         for cand in candidates:
-            played = tuple(sorted(prefix + [cand]))
+            played = prefix + [cand]
             m = oracle.pull_mean(played, cfg.explore_pulls, rng)
             indicator = np.zeros(M)
-            indicator[list(played)] = 1.0
+            indicator[played] = 1.0
             rec.log(indicator, played)
             if m > best_mean:
                 best_arm, best_mean = cand, m

@@ -16,7 +16,11 @@ The file pins four sets of outputs:
   sampled fair target and the one-world cascade pulls on the 534-node graph.
 
 Its header records the Python and numpy versions it was made with, since a
-different numpy may move the floating-point bits.  Regenerate it with
+different numpy may move the floating-point bits, and the SIMD targets numpy
+dispatches ``expm1`` and ``log1p`` to: the synthetic transform and the
+cascade gap draw call them, and their results differ between targets (and
+from libm's) in the last bits, so the same numpy on another CPU may move the
+digests too.  Regenerate it with
 ``python scripts/output_digests.py --write-golden``.
 """
 
@@ -149,8 +153,26 @@ def community_cut_digests(out_dir: Path) -> list[str]:
     return [f"{_sha256(*tables)}  cascade_community_cut/seed1"]
 
 
+def simd_targets() -> str:
+    """The SIMD target of numpy's float64 ``expm1`` and ``log1p`` loops on
+    this host, ``unknown`` before numpy 2.0, which cannot report it."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    info = opt_func_info(func_name="expm1|log1p", signature="float64")
+    # each function has one float64 loop, keyed by its type characters ("dd")
+    return " ".join(
+        f"{name}={loop['current']}" for name in ("expm1", "log1p") for loop in info[name].values()
+    )
+
+
 def versions() -> list[str]:
-    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+    return [
+        f"# python {platform.python_version()}",
+        f"# numpy {np.__version__}",
+        f"# simd {simd_targets()}",
+    ]
 
 
 def read_golden() -> tuple[list[str], list[str]]:
@@ -161,7 +183,8 @@ def read_golden() -> tuple[list[str], list[str]]:
 
 def mismatch(lines: list[str]) -> str | None:
     """None when ``lines`` equal the golden digests; otherwise a message
-    naming the first differing run and both version lines."""
+    naming the first differing run and both sets of version lines (Python,
+    numpy and SIMD targets)."""
     golden_versions, golden = read_golden()
     if lines == golden:
         return None

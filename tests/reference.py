@@ -48,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from ksvfair.envs import SyntheticEnv, ValuationOracle, _segments
-from ksvfair.games import RestrictedGame, ShapleyVector, canon
+from ksvfair.games import RestrictedGame, ShapleyVector
 
 
 def moebius_dividends(game) -> dict[tuple[int, ...], float]:
@@ -221,7 +221,7 @@ def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:
 
 def table_game(n_arms: int, budget: int, table: dict) -> RestrictedGame:
     """Game backed by an explicit coalition -> worth table (missing entries are 0)."""
-    tbl = {canon(S): float(v) for S, v in table.items()}
+    tbl = {tuple(sorted(map(int, S))): float(v) for S, v in table.items()}
     return RestrictedGame(n_arms, budget, lambda S: tbl.get(S, 0.0))
 
 

@@ -313,6 +313,26 @@ class TestOneRowPull:
             assert np.float64(got).tobytes() == want[0].tobytes(), S
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @pytest.mark.parametrize("curvature", [0.0, 1.0])
+    def test_synthetic_row_at_sweep_pull_counts(self, curvature):
+        # SyntheticEnv.pull_mean computes its row in scalars: pin it at etcg's
+        # 20 pulls and beyond, where numpy sums the draws in 8-term blocks, and
+        # at the linear transform, on arms 0-5 noiseless and the rest noisy
+        env = SyntheticEnv(
+            np.linspace(0.05, 0.9, 16), np.r_[np.zeros(6), np.linspace(0.1, 0.6, 10)],
+            budget=12, curvature=curvature,
+        )
+        pick = np.random.default_rng(31)
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(300):
+            S = pick.choice(16, size=int(pick.integers(0, 13)), replace=False).tolist()
+            n = int(pick.choice([1, 7, 8, 9, 20, 64]))
+            mask = np.zeros((1, 16), dtype=bool)
+            mask[0, S] = True
+            got, want = env.pull_mean(S, n, rng_a), env.pull_mean_many(mask, n, rng_b)
+            assert np.float64(got).tobytes() == want[0].tobytes(), (S, n)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
 
 class TestBatchedGaussianPrimitive:
     """``pull_mean_many`` against the clipped-normal formula on (mu, sigma) from
@@ -501,6 +521,20 @@ class TestOracleContract:
                 query(S)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("member", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_non_integral_member_rejected(self, name, member):
+        # read with operator.index: a truncating read would query (0, 1)
+        oracle = self.ORACLES[name](2)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for query in self.queries(oracle, rng):
+            with pytest.raises(TypeError):
+                query((0, member))
+        assert rng.bit_generator.state == before
+        # a numpy integer is the int it holds
+        assert oracle.exact((np.int64(0), np.intp(2))) == oracle.exact((0, 2))
+
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_over_limit_row_anywhere_in_batch_rejected(self, name, position):
@@ -658,7 +692,7 @@ class TestCascade:
         ]
         for S in coalitions:
             rng_world, rng_chunk = env._exact_rng(S), env._exact_rng(S)
-            count = env._spread_counts(S, env._chunk_edges(1, rng_chunk), 1)[0]
+            count = env._spread_counts(S, *env._chunk_edges(1, rng_chunk), 1)[0]
             assert env.exact(S) == cascade_exact(env, S, 1, rng_world) == count / 534
             assert rng_world.bit_generator.state == rng_chunk.bit_generator.state
 
@@ -728,14 +762,14 @@ class ZeroUniforms:
 
 
 def live_ids(env, n_worlds, rng, chunk=500):
-    """The flat live-edge ids w * E + e of n_worlds successive worlds."""
-    E = env.graph.n_edges
-    return np.concatenate(
-        [
-            env._chunk_edges(min(chunk, n_worlds - start), rng) + start * E
-            for start in range(0, n_worlds, chunk)
-        ]
-    )
+    """The live edges of n_worlds successive worlds as a pair of rows: each
+    live edge's world and edge id."""
+    worlds, edges = [], []
+    for start in range(0, n_worlds, chunk):
+        world, edge = env._chunk_edges(min(chunk, n_worlds - start), rng)
+        worlds.append(world + start)
+        edges.append(edge)
+    return np.concatenate(worlds), np.concatenate(edges)
 
 
 class TestLiveEdgeDraw:
@@ -776,8 +810,9 @@ class TestLiveEdgeDraw:
         for S in [(0,), (0, 2)]:
             assert env.pull(S, rng) == live_edge_spread(graph, dead, S) / graph.n_nodes
             assert cascade_exact(env, S, 50, rng) == len(S) / graph.n_nodes
-        assert env._chunk_edges(7, rng).size == 0
-        assert env._spread_counts((1,), np.zeros(0, dtype=np.intp), 3).tolist() == [1, 1, 1]
+        assert [ids.size for ids in env._chunk_edges(7, rng)] == [0, 0]
+        none = np.zeros(0, dtype=np.intp)
+        assert env._spread_counts((1,), none, none, 3).tolist() == [1, 1, 1]
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("name", ["toy_8", "community_534"])
@@ -786,7 +821,9 @@ class TestLiveEdgeDraw:
         env = CascadeEnv(g, 1.0, budget=3)
         rng = np.random.default_rng(1)
         assert env._world_edges(rng).tolist() == list(range(g.n_edges))
-        assert env._chunk_edges(3, rng).tolist() == list(range(3 * g.n_edges))
+        world, edge = env._chunk_edges(3, rng)
+        assert world.tolist() == [w for w in range(3) for _ in range(g.n_edges)]
+        assert edge.tolist() == list(range(g.n_edges)) * 3
         S = (0, 2)
         flooded = live_edge_spread(g, [True] * g.n_edges, S) / g.n_nodes
         assert env.pull(S, rng) == flooded
@@ -833,9 +870,10 @@ class TestLiveEdgeDraw:
         g = load_edge_list(DATA / "community_534.edges")
         env = CascadeEnv(g, 0.1, budget=3)
         rng_chunk, rng_worlds = np.random.default_rng(5), np.random.default_rng(5)
-        chunk = env._chunk_edges(32, rng_chunk)
-        worlds = [env._world_edges(rng_worlds) + w * g.n_edges for w in range(32)]
-        assert chunk.tolist() == np.concatenate(worlds).tolist()
+        world, edge = env._chunk_edges(32, rng_chunk)
+        worlds = [env._world_edges(rng_worlds) for _ in range(32)]
+        assert world.tolist() == [w for w, ids in enumerate(worlds) for _ in ids]
+        assert edge.tolist() == np.concatenate(worlds).tolist()
         assert rng_chunk.bit_generator.state == rng_worlds.bit_generator.state
 
     @pytest.mark.parametrize("slack", [-900, -163])
@@ -918,8 +956,8 @@ class TestLiveEdgeLaw:
         # draw per edge, one bin per edge
         g = load_edge_list(DATA / "community_534.edges")
         n_worlds = 20_000
-        ids = live_ids(live_edge_variant(g, variant), n_worlds, np.random.default_rng(95))
-        counts = np.bincount(ids % g.n_edges, minlength=g.n_edges)
+        _, edge = live_ids(live_edge_variant(g, variant), n_worlds, np.random.default_rng(95))
+        counts = np.bincount(edge, minlength=g.n_edges)
         expected = np.random.default_rng(96).binomial(n_worlds, 0.1, g.n_edges)
         check = proportions_check(counts, n_worlds, expected, n_worlds, self.ALPHA)
         assert check.passes == (variant == "p=0.10"), check
@@ -928,8 +966,8 @@ class TestLiveEdgeLaw:
     def test_live_count_per_world_is_binomial(self, variant):
         g = load_edge_list(DATA / "community_534.edges")
         n_worlds = 20_000
-        ids = live_ids(live_edge_variant(g, variant), n_worlds, np.random.default_rng(97))
-        counts = np.bincount(ids // g.n_edges, minlength=n_worlds)
+        world, _ = live_ids(live_edge_variant(g, variant), n_worlds, np.random.default_rng(97))
+        counts = np.bincount(world, minlength=n_worlds)
         expected = np.random.default_rng(98).binomial(g.n_edges, 0.1, n_worlds)
         check = binned_check(counts, expected, self.ALPHA, bins=np.arange(0, g.n_edges + 9, 8))
         assert check.passes == (variant == "p=0.10"), check
@@ -985,7 +1023,7 @@ class TestSpreadKernel:
 
     @staticmethod
     def assert_counts_equal_references(env, S, live):
-        counts = env._spread_counts(S, np.flatnonzero(live), len(live))
+        counts = env._spread_counts(S, *np.nonzero(live), len(live))
         assert counts.dtype.kind == "i"
         frontier = frontier_spread_counts(env, S, live).tolist()
         walked = [live_edge_spread(env.graph, row, S) for row in live]

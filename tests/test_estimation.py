@@ -111,6 +111,20 @@ class TestShapleyEstimation:
             shapley_estimation((2, 0, 1), oracle, 3, 2, rng)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("member", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    def test_non_integral_member_rejected_before_any_draw(self, member):
+        oracle = submodular_oracle(M=4, K=2, noise=0.3)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            shapley_estimation((0, member), oracle, 3, 2, rng)
+        assert rng.bit_generator.state == before
+        # numpy integers are the ints they hold, in the caller's order
+        got = shapley_estimation(np.array([2, 0]), oracle, 3, 2, np.random.default_rng(1))
+        want = shapley_estimation([2, 0], oracle, 3, 2, np.random.default_rng(1))
+        assert got.coalition == want.coalition == (0, 2)
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+
     def test_bad_permutations_rejected(self):
         oracle = submodular_oracle()
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from ksvfair.envs import CascadeEnv, load_edge_list
 from ksvfair.games import (
     MAX_EXACT_COALITIONS,
     _linearity_gap,
+    checked_coalition,
     exact_cost,
     k_efficiency_gap,
     null_players,
@@ -81,6 +82,45 @@ class TestRestrictedGame:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             RestrictedGame(3, 4, lambda S: 0.0)
+
+
+class TestCoalitionMembers:
+    """Members are read with ``operator.index``: numpy integers are ints, and
+    a non-integral member raises ``TypeError`` instead of being truncated."""
+
+    @pytest.mark.parametrize("member", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    def test_non_integral_member_raises_type_error(self, member):
+        g = additive_game([0.2, 0.3, 0.5, 0.7], 2)
+        calls = {
+            "RestrictedGame.value": lambda m: g.value((0, m)),
+            "marginal_contribution": lambda m: marginal_contribution(g, 0, (m,)),
+            "carrier_game": lambda m: carrier_game(4, 2, (m,), 1.0).value((2, 3)),
+            "carrier_exact_values": lambda m: carrier_exact_values(4, 2, (m,), 1.0),
+        }
+        for name, call in calls.items():
+            # a numpy integer is the int it holds
+            assert np.array_equal(call(np.int64(2)), call(2)), name
+            with pytest.raises(TypeError):
+                call(member)
+
+    def test_error_order(self):
+        # unreadable member, then duplicate, then range, then size
+        cases = [
+            ((3, 2.5, 2, 99, 5, 6), TypeError, "integer"),
+            ((3, 3, 99, 5, 6), ValueError, "duplicate"),
+            ((3, 99, 5, 6), ValueError, "out of range"),
+            ((3, 4, 5), CoalitionSizeError, "exceeds budget 2"),
+        ]
+        for members, error, match in cases:
+            with pytest.raises(error, match=match) as info:
+                checked_coalition(members, 8, 2, "budget")
+            assert type(info.value) is error, members
+
+    @pytest.mark.parametrize("base", [(-1,), (5,), (0, 7)])
+    def test_carrier_values_range_check_their_base(self, base):
+        # -1 must not reach numpy's negative indexing, which credits arm 4
+        with pytest.raises(ValueError, match="out of range"):
+            carrier_exact_values(5, 2, base, 1.0)
 
 
 class TestMarginalContribution:
