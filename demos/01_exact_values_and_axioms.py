@@ -31,7 +31,9 @@ cov = coverage_game([{0, 1}, {1, 2}, {2, 3, 4}, {5}], n_elements=6, budget=2)
 phi = exact_k_shapley(cov)
 print("\ncoverage game on 4 arms, budget 2")
 print("  values:", phi.values, " sum:", phi.values.sum().round(4))
-report = verify_axioms(cov, phi, tol=1e-9)
+# linearity is checked on the mixture with a second game on the same arms
+partner = additive_game([0.1, 0.2, 0.3, 0.4], budget=2)
+report = verify_axioms(cov, phi, tol=1e-9, linearity_partner=partner)
 print("  axioms:", report)
 
 # --- carrier game: only supersets of a distinguished coalition have worth

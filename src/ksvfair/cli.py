@@ -398,7 +398,7 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
         cfg = replace(cfg, seeds=seeds)
     oracle = build_env(cfg)
     phi = true_shapley(cfg, oracle)
-    pi_star = fair_policy(phi, cfg.K).probs
+    pi_star = fair_policy(phi.values, cfg.K).probs
     # every config error, and a fair target that fails, is raised above,
     # before the output directory exists
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -494,7 +494,7 @@ def print_exact_shapley(config_path) -> None:
     cfg = load_config(config_path)
     oracle = build_env(cfg)
     phi = true_shapley(cfg, oracle)
-    pi_star = fair_policy(phi, cfg.K).probs
+    pi_star = fair_policy(phi.values, cfg.K).probs
     print(f"# env={cfg.env} M={cfg.M} K={cfg.K} kind={phi.kind}")
     print("arm,true_phi,pi_star")
     for a in range(cfg.M):

@@ -372,7 +372,7 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
 
 
-# A chunk of cascade_exact's worlds draws at most _CHUNK_DRAWS uniforms and
+# A chunk of _spread_mean's worlds draws at most _CHUNK_DRAWS uniforms and
 # labels at most as many nodes: 12 worlds on the 534-node community graph.
 # Each of its arrays then stays under 96 KiB, below glibc's default 128 KiB
 # mmap threshold, so chunks reuse heap memory instead of mapping and faulting
@@ -576,7 +576,7 @@ class CascadeEnv(ValuationOracle):
         return np.random.default_rng(np.fromiter((*self._seed_words, *S), np.uint32))
 
     def pull(self, members, rng) -> float:
-        return cascade_exact(self, members, 1, rng)
+        return _spread_mean(self, self._checked(members), 1, rng)
 
     def _pull_means(self, flat: np.ndarray, lengths: np.ndarray, n: int, rng) -> np.ndarray:
         """Each row's mean of n successive ``pull`` calls, row by row: the
@@ -589,21 +589,11 @@ class CascadeEnv(ValuationOracle):
         return _spread_mean(self, S, self.exact_sims, self._exact_rng(S))
 
 
-def cascade_exact(env: CascadeEnv, members, n_sims: int, rng) -> float:
-    """Mean activated fraction over n_sims independent cascades from the seed set.
-
-    Checks the seed set and n_sims once, before any draw.  It consumes
-    ``rng`` exactly as n_sims successive ``env.pull`` calls (each the
-    n_sims = 1 case) would and returns their mean, up to rounding.
-    """
-    S = env._checked(members)
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    return _spread_mean(env, S, n_sims, rng)
-
-
 def _spread_mean(env: CascadeEnv, S: tuple[int, ...], n_sims: int, rng) -> float:
-    """``cascade_exact`` over a checked seed set S and n_sims >= 1.
+    """Mean activated fraction over n_sims >= 1 independent cascades from a
+    checked seed set S: ``pull`` is the one-world case, ``exact`` the
+    ``exact_sims``-world case.  It consumes ``rng`` exactly as n_sims
+    successive one-world calls would and returns their mean, up to rounding.
 
     One world draws its live edges (``CascadeEnv._world_edges``) and labels
     them alone (``CascadeEnv._world_count``); more worlds are drawn a chunk

@@ -56,24 +56,15 @@ def _prefix_chains(orders: np.ndarray, M: int, sizes: np.ndarray) -> np.ndarray:
     return position[:, None, :] < sizes[:, None]
 
 
-def shapley_estimation(
-    S,
-    oracle,
-    R: int,
-    L: int,
-    rng,
-    *,
-    permutations=None,
-) -> RoundEstimates:
+def shapley_estimation(S, oracle, R: int, L: int, rng) -> RoundEstimates:
     """Estimate within-coalition marginals for every member of S.
 
-    Draws R orderings of S uniformly with replacement (or takes
-    ``permutations``, an (R, |S|) array of reorderings of S, mainly for
-    exhaustive-coverage tests).  For each ordering and each member, the
-    values of the prefix with and without the member are estimated as
-    means of L fresh pulls each, and the differences are averaged over
-    orderings.  Pull accounting is literal (``pull_cost``), every prefix
-    value drawn independently.
+    Draws R orderings of S uniformly with replacement, as one
+    ``rng.permuted`` call on R rows of positions in S.  For each ordering
+    and each member, the values of the prefix with and without the member
+    are estimated as means of L fresh pulls each, and the differences are
+    averaged over orderings.  Pull accounting is literal (``pull_cost``),
+    every prefix value drawn independently.
 
     All prefixes go to the oracle as one membership matrix, from one
     comparison, ordering by ordering: without- then with-member row per
@@ -89,15 +80,7 @@ def shapley_estimation(
     members = np.array(members, dtype=np.intp)
     if R < 1 or L < 1:
         raise ValueError("R and L must be >= 1")
-    if permutations is None:
-        orders = members[rng.permuted(np.arange(k)[None].repeat(R, 0), axis=1)]
-    else:
-        orders = np.asarray(permutations, dtype=np.intp)
-        if orders.ndim != 2 or orders.shape[1] != k or not np.array_equal(
-            np.sort(orders, axis=1), np.broadcast_to(arms, orders.shape)
-        ):
-            raise ValueError("supplied permutations must reorder S exactly")
-        R = len(orders)
+    orders = members[rng.permuted(np.arange(k)[None].repeat(R, 0), axis=1)]
 
     # prefix sizes 0, 1, 1, 2, 2, ..., k: each position's without/with pair
     masks = _prefix_chains(orders, M, np.arange(1, 2 * k + 1) // 2).reshape(-1, M)

@@ -32,9 +32,12 @@ class CoalitionSizeError(ValueError):
 
 def checked_coalition(members, n_arms: int, limit: int, limit_name: str) -> Coalition:
     """The sorted tuple of ``members``, read by ``operator.index`` (a float
-    raises ``TypeError``), checked in order for duplicates, arms outside
-    0..n_arms-1 and more than ``limit`` members (named ``limit_name``)."""
+    or a ``bool`` raises ``TypeError``), checked in order for duplicates,
+    arms outside 0..n_arms-1 and more than ``limit`` members (named
+    ``limit_name``)."""
     S = tuple(sorted(map(operator.index, members)))
+    if S and S[0] <= 1 and bool in map(type, members):  # True and False read as arms 1 and 0
+        raise TypeError("coalition members must be arm ids, not bool")
     if len(set(S)) != len(S):
         raise ValueError(f"duplicate members in coalition {S}")
     if S and (S[0] < 0 or S[-1] >= n_arms):
@@ -104,9 +107,7 @@ def exact_cost(M: int, K: int) -> int:
     return sum(math.comb(M, s) for s in range(1, K + 1))
 
 
-def exact_k_shapley(
-    game: RestrictedGame, *, max_coalitions: int = MAX_EXACT_COALITIONS
-) -> ShapleyVector:
+def exact_k_shapley(game: RestrictedGame) -> ShapleyVector:
     """Exact budget-restricted Shapley values, visiting each coalition once.
 
     Averaging an arm's within-coalition value over the C(M-1, K-1)
@@ -118,14 +119,14 @@ def exact_k_shapley(
     containing i, and the S terms are all size-s coalitions minus those
     containing i; both are per-arm sums of one value table per size.
     Cost is ``exact_cost(M, K)`` valuations plus linear numpy reductions;
-    the guard refuses games that cost more than ``max_coalitions``.
+    the guard refuses games that cost more than ``MAX_EXACT_COALITIONS``.
     """
     M, K = game.n_arms, game.budget
     cost = exact_cost(M, K)
-    if cost > max_coalitions:
+    if cost > MAX_EXACT_COALITIONS:
         raise ValueError(
-            f"enumeration guard: M={M}, K={K} needs {cost} valuations (max {max_coalitions}); "
-            "raise max_coalitions explicitly if you accept the cost"
+            f"enumeration guard: M={M}, K={K} needs {cost} valuations "
+            f"(max {MAX_EXACT_COALITIONS}); use sampled_k_shapley for larger games"
         )
     value = game.value
     # with_arm[s][i]: total worth of the size-s coalitions containing arm i
@@ -349,17 +350,16 @@ def verify_axioms(
     tol: float,
     *,
     linearity_partner: RestrictedGame | None = None,
-    mixture_weight: float = 0.3,
 ) -> AxiomReport:
     """Report-only check of the four value axioms against computed values.
 
     Symmetry and null-player checks scan all detected symmetric pairs and
     null players (exhaustive subset enumeration, so keep M small).  The
     efficiency identity is evaluated directly.  Linearity compares the
-    exact values of the mixture with ``linearity_partner`` against the
-    mixed values, with ``phi`` standing in for the game's own exact values
-    (``_linearity_gap``); when no partner is supplied the zero game is used,
-    which reduces to homogeneity.
+    exact values of the 0.3 : 0.7 mixture with ``linearity_partner``
+    against the mixed values, with ``phi`` standing in for the game's own
+    exact values (``_linearity_gap``); when no partner is supplied the zero
+    game is used, which reduces to homogeneity.
     """
     vals = phi.values
     sym_gap = 0.0
@@ -371,7 +371,7 @@ def verify_axioms(
     eff_gap = k_efficiency_gap(game, phi)
     if linearity_partner is None:
         linearity_partner = RestrictedGame(game.n_arms, game.budget, lambda S: 0.0)
-    lin_gap = _linearity_gap(game, linearity_partner, mixture_weight, vals)
+    lin_gap = _linearity_gap(game, linearity_partner, 0.3, vals)
     return AxiomReport(
         symmetry_ok=sym_gap <= tol,
         linearity_ok=lin_gap <= tol,

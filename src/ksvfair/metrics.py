@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import ShapleyVector
 from .rounding import MarginalVector, normalize_to_marginals
 
 
@@ -47,8 +46,7 @@ def fair_policy(true_phi, K: int) -> MarginalVector:
     Negative values (possible for adversarial games) are clipped to 0 first,
     matching the [0, 1] convention the bandit analysis assumes.
     """
-    phi = true_phi.values if isinstance(true_phi, ShapleyVector) else np.asarray(true_phi, float)
-    clipped = np.maximum(phi, 0.0)
+    clipped = np.maximum(np.asarray(true_phi, float), 0.0)
     if clipped.sum() <= 0:
         raise ValueError("all values are zero or negative; no fair policy exists")
     return MarginalVector(normalize_to_marginals(clipped, K))
@@ -62,7 +60,7 @@ def merit_to_selection(true_phi, counts, total_rounds: int) -> np.ndarray:
     """
     if total_rounds <= 0:
         raise ValueError("total_rounds must be positive")
-    phi = true_phi.values if isinstance(true_phi, ShapleyVector) else np.asarray(true_phi, float)
+    phi = np.asarray(true_phi, float)
     n = np.asarray(counts, dtype=float)
     if phi.shape != n.shape:
         raise ValueError("values and counts must align")

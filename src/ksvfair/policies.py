@@ -68,8 +68,9 @@ class PolicyConfig:
         return math.ceil(self.M / self.K)
 
 
-def confidence_radius(N: int, R: int, L: int, M: int, delta1: float, delta2: float) -> float:
-    """Two-term Hoeffding-style radius around a pooled marginal estimate.
+def confidence_radius(N, R: int, L: int, M: int, delta1: float, delta2: float):
+    """Two-term Hoeffding-style radius around a pooled marginal estimate,
+    for one observation count N or elementwise for an array of counts.
 
     sqrt(ln(2M/d1) / (2 N R)) covers ordering-sampling error over the
     N R sampled orderings; 2 sqrt(ln(4 N R M / d2) / (2 L)) covers the
@@ -78,13 +79,9 @@ def confidence_radius(N: int, R: int, L: int, M: int, delta1: float, delta2: flo
     small L this radius saturates the [0, 1] value range; see
     ``PolicyConfig.radius_mode`` for the variance-adaptive alternative.
     """
-    if N < 1:
-        raise ValueError("arm has no observations yet; run the round-robin phase first")
-    return float(_worst_case_radii(np.array([N]), R, L, M, delta1, delta2)[0])
-
-
-def _worst_case_radii(N, R, L, M, delta1, delta2) -> np.ndarray:
     N = np.asarray(N, dtype=float)
+    if (N < 1).any():
+        raise ValueError("arm has no observations yet; run the round-robin phase first")
     first = np.sqrt(np.log(2 * M / delta1) / (N * (2 * R)))
     second = 2 * np.sqrt(np.log(N * (4 * R * M) / delta2) / (2 * L))
     return first + second
@@ -133,9 +130,7 @@ class PolicyState:
         empirical variance V and n_log = ln(2 M (N+1) / delta1).  Arms
         with fewer than two pooled samples keep the worst-case radius.
         """
-        if (self.counts < 1).any():
-            raise ValueError("all arms need at least one observation before radii exist")
-        worst = _worst_case_radii(self.counts, cfg.R, cfg.L, cfg.M, cfg.delta1, cfg.delta2)
+        worst = confidence_radius(self.counts, cfg.R, cfg.L, cfg.M, cfg.delta1, cfg.delta2)
         if cfg.radius_mode == "worst_case":
             return worst
         n = self.pool_n.astype(float)
@@ -150,15 +145,6 @@ class PolicyState:
 def round_robin_coalition(t: int, M: int, K: int) -> tuple[int, ...]:
     """Coalition for warm-up round t (1-based): K consecutive arms mod M."""
     return tuple(sorted(((t - 1) * K + j) % M for j in range(K)))
-
-
-def _optimistic_policy(state: PolicyState, cfg: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
-    c = state.radii(cfg)
-    state.last_radius = c
-    phi_plus = np.minimum(state.mean + c, 1.0)
-    state.last_phi_plus = phi_plus
-    pi = normalize_to_marginals(phi_plus, cfg.K)
-    return pi, phi_plus
 
 
 def ksvfair_round(state: PolicyState, cfg: PolicyConfig, oracle, rng):
@@ -178,7 +164,9 @@ def ksvfair_round(state: PolicyState, cfg: PolicyConfig, oracle, rng):
         pi = np.zeros(cfg.M)
         pi[list(S)] = 1.0
     else:
-        pi, _ = _optimistic_policy(state, cfg)
+        state.last_radius = state.radii(cfg)
+        state.last_phi_plus = np.minimum(state.mean + state.last_radius, 1.0)
+        pi = normalize_to_marginals(state.last_phi_plus, cfg.K)
         S = rrs_sample(pi, cfg.K, rng)
         est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng)
     state.absorb(est)
@@ -204,10 +192,6 @@ class RunRecord:
     @property
     def pulls_cum(self) -> np.ndarray:
         return np.cumsum(self.pulls)
-
-    @property
-    def total_pulls(self) -> int:
-        return int(self.pulls.sum())
 
 
 class _Recorder:

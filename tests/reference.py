@@ -23,6 +23,11 @@ The CSV writers and the scalar Gaussian pull are the library's earlier
 ``csv.writer`` + ``format(x, ".12g")`` writers and ``np.clip`` pull, kept so
 the faster code can be pinned to them byte for byte and bit for bit.
 
+``cascade_exact`` is the library's earlier public n-world cascade mean, a
+thin wrapper over the spread mean that ``pull`` and ``exact`` share, and
+``FixedOrderings`` hands ``shapley_estimation`` chosen orderings through
+its generator, so exhaustive-ordering tests need no library keyword.
+
 The frontier sweep is the library's earlier level-by-level cascade kernel,
 kept so the component-labelling kernel can be pinned to it count for count.
 The gap walk draws one world's live edges one uniform at a time, so the
@@ -47,7 +52,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-from ksvfair.envs import SyntheticEnv, ValuationOracle, _segments
+from ksvfair.envs import SyntheticEnv, ValuationOracle, _segments, _spread_mean
 from ksvfair.games import RestrictedGame, ShapleyVector
 
 
@@ -219,6 +224,14 @@ def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:
     return np.count_nonzero(active.reshape(n_worlds, n), axis=1)
 
 
+def cascade_exact(env, members, n_sims: int, rng) -> float:
+    """Mean activated fraction over n_sims cascades from a seed set, drawn
+    as n_sims successive ``env.pull`` calls would draw them: the library's
+    n-world spread mean, which ``pull`` runs at one world and ``exact`` at
+    ``exact_sims`` worlds."""
+    return _spread_mean(env, env._checked(members), n_sims, rng)
+
+
 def table_game(n_arms: int, budget: int, table: dict) -> RestrictedGame:
     """Game backed by an explicit coalition -> worth table (missing entries are 0)."""
     tbl = {tuple(sorted(map(int, S))): float(v) for S, v in table.items()}
@@ -292,6 +305,25 @@ def _set_masks(sets, M: int) -> np.ndarray:
     for row, S in zip(masks, sets):
         row[list(S)] = True
     return masks
+
+
+class FixedOrderings:
+    """A generator whose ``permuted`` returns the given orderings of the
+    coalition S, as positions in S, and which forwards every other draw to
+    ``rng``: ``shapley_estimation`` on S then walks exactly those orderings,
+    one per row, and draws its pulls from ``rng``."""
+
+    def __init__(self, S, orderings, rng):
+        members = list(S)
+        self.positions = np.array([[members.index(a) for a in p] for p in orderings], dtype=np.intp)
+        self.rng = rng
+
+    def permuted(self, x, axis):
+        assert axis == 1 and np.shape(x) == self.positions.shape
+        return self.positions
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def scalar_shapley_estimation(S, oracle, R, L, rng, *, permutations=None):

@@ -41,7 +41,7 @@ from ksvfair import (
 from ksvfair.cli import run_experiment
 
 import golden
-from reference import prefix_shapley_within, random_table_game
+from reference import cascade_exact, prefix_shapley_within, random_table_game
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -262,7 +262,7 @@ def _pistar_se_bound():
 def test_criterion_8_cascade_environment():
     t0 = time.time()
     # analytic path-graph spread: seeding one end of 0-1-2 at p=0.5
-    from ksvfair import Graph, cascade_exact
+    from ksvfair import Graph
 
     path = Graph(n_nodes=3, edges=((0, 1), (1, 2)))
     env = CascadeEnv(path, 0.5, budget=1)

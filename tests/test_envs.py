@@ -16,7 +16,6 @@ from ksvfair import (
     Graph,
     SyntheticEnv,
     additive_game,
-    cascade_exact,
     load_edge_list,
 )
 from ksvfair import envs
@@ -25,6 +24,7 @@ from reference import (
     GameOracle,
     _gaussian_moment,
     bfs_cascade_pull,
+    cascade_exact,
     frontier_spread_counts,
     gap_live_row,
     live_edge_spread,
@@ -482,12 +482,8 @@ class TestOracleContract:
 
     @staticmethod
     def queries(oracle, rng):
-        """``exact``, ``pull`` and ``pull_mean`` of one coalition, and for the
-        cascade oracle ``cascade_exact`` at three worlds."""
-        queries = [oracle.exact, lambda S: oracle.pull(S, rng), lambda S: oracle.pull_mean(S, 3, rng)]
-        if isinstance(oracle, CascadeEnv):
-            queries.append(lambda S: cascade_exact(oracle, S, 3, rng))
-        return queries
+        """``exact``, ``pull`` and ``pull_mean`` of one coalition."""
+        return [oracle.exact, lambda S: oracle.pull(S, rng), lambda S: oracle.pull_mean(S, 3, rng)]
 
     @pytest.mark.parametrize("K", [0, -2, 9])
     @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -521,7 +517,10 @@ class TestOracleContract:
                 query(S)
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("member", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    # True and False would read as arms 1 and 0 through operator.index
+    @pytest.mark.parametrize(
+        "member", [1.5, np.float64(2.0), True, False], ids=["float", "np.float64", "True", "False"]
+    )
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_non_integral_member_rejected(self, name, member):
         # read with operator.index: a truncating read would query (0, 1)
@@ -569,12 +568,9 @@ class TestOracleContract:
 
     @pytest.mark.parametrize("n_sims", [0, -1])
     def test_cascade_world_count_below_one_rejected(self, n_sims):
-        oracle = self.ORACLES["cascade"](2)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="n_sims must be >= 1"):
-            cascade_exact(oracle, (0, 1), n_sims, rng)
-        assert rng.bit_generator.state == before
+        # a pull labels one world; exact_sims is the one world count a caller sets
+        with pytest.raises(ValueError, match="exact_sims must be >= 1"):
+            CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=2, exact_sims=n_sims)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_membership_column_past_m_rejected(self, name):

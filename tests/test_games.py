@@ -23,6 +23,7 @@ from ksvfair import (
     sampled_k_shapley,
     verify_axioms,
 )
+from ksvfair import games
 from ksvfair.envs import CascadeEnv, load_edge_list
 from ksvfair.games import (
     MAX_EXACT_COALITIONS,
@@ -86,9 +87,13 @@ class TestRestrictedGame:
 
 class TestCoalitionMembers:
     """Members are read with ``operator.index``: numpy integers are ints, and
-    a non-integral member raises ``TypeError`` instead of being truncated."""
+    a non-integral or ``bool`` member raises ``TypeError`` instead of being
+    read as an arm."""
 
-    @pytest.mark.parametrize("member", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    # True and False would read as arms 1 and 0 through operator.index
+    @pytest.mark.parametrize(
+        "member", [1.5, np.float64(2.0), True, False], ids=["float", "np.float64", "True", "False"]
+    )
     def test_non_integral_member_raises_type_error(self, member):
         g = additive_game([0.2, 0.3, 0.5, 0.7], 2)
         calls = {
@@ -198,8 +203,8 @@ class TestExactValues:
         np.testing.assert_allclose(phi, collapsed_k_shapley(g), atol=1e-12)
         np.testing.assert_allclose(phi, dividend_k_shapley(g), atol=1e-12)
 
-    def test_enumeration_guard(self):
-        # the old M <= 20, K <= 8 limits are the default cost bound
+    def test_enumeration_guard(self, monkeypatch):
+        # the old M <= 20, K <= 8 limits are the cost bound
         assert MAX_EXACT_COALITIONS == exact_cost(20, 8) == 263_949
         with pytest.raises(ValueError, match="guard"):
             exact_k_shapley(additive_game(np.full(40, 0.1), 9))
@@ -207,10 +212,13 @@ class TestExactValues:
         calls = []
         g = RestrictedGame(6, 3, lambda S: calls.append(S) or 0.1 * len(S))
         assert exact_cost(6, 3) == 41
+        # the guard reads the bound at call time
+        monkeypatch.setattr(games, "MAX_EXACT_COALITIONS", 40)
         with pytest.raises(ValueError, match="guard"):
-            exact_k_shapley(g, max_coalitions=40)
+            exact_k_shapley(g)
         calls.clear()
-        phi = exact_k_shapley(g, max_coalitions=41)
+        monkeypatch.setattr(games, "MAX_EXACT_COALITIONS", 41)
+        phi = exact_k_shapley(g)
         assert len(calls) == 41
         np.testing.assert_allclose(phi.values, np.full(6, 0.1), atol=1e-12)
 

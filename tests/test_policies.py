@@ -105,14 +105,14 @@ class TestKsvfairRound:
     def test_equal_optimistic_values_give_uniform_policy(self):
         cfg = small_cfg(M=4, K=2)
         state = PolicyState(4)
+        state.t = cfg.warm_rounds  # past warm-up: the next round is a merit round
         state.counts[:] = 3
         state.mean[:] = 0.4
         state.pool_n[:] = 3
         state.pool_sum[:] = 3 * 0.4
         state.pool_sumsq[:] = 3 * 0.16
-        from ksvfair.policies import _optimistic_policy
-
-        pi, phi_plus = _optimistic_policy(state, cfg)
+        _, pi, _ = ksvfair_round(state, cfg, small_env(M=4, K=2), np.random.default_rng(0))
+        phi_plus = state.last_phi_plus
         assert np.allclose(pi, 0.5)
         assert np.allclose(phi_plus, phi_plus[0])
 
@@ -121,8 +121,6 @@ class TestKsvfairRound:
         oracle = small_env()
         state = PolicyState(cfg.M)
         rng = np.random.default_rng(1)
-        from ksvfair.policies import _optimistic_policy
-
         for t in range(25):
             before = state.mean.copy()
             S, pi, est = ksvfair_round(state, cfg, oracle, rng)
@@ -155,7 +153,7 @@ class TestRunKsvfair:
         cfg = small_cfg(rounds=20)
         rec = run_ksvfair(cfg, small_env(), np.random.default_rng(3), seed=3)
         assert rec.n_rounds == 20
-        assert rec.total_pulls == rec.pulls.sum() <= cfg.T
+        assert rec.pulls.sum() <= cfg.T
         warm = cfg.warm_rounds
         assert np.all(rec.pulls[:warm] == 2 * cfg.K)
         assert np.all(rec.pulls[warm:] == cfg.R * cfg.K * 2 * cfg.L)
@@ -167,7 +165,7 @@ class TestRunKsvfair:
         cfg = PolicyConfig(T=warm + int(2.5 * main), M=5, K=2, R=5, L=3)
         rec = run_ksvfair(cfg, small_env(), np.random.default_rng(4))
         assert rec.n_rounds == 3 + 2
-        assert rec.total_pulls <= cfg.T
+        assert rec.pulls.sum() <= cfg.T
 
     def test_deterministic_records(self):
         cfg = small_cfg(rounds=15)
@@ -378,7 +376,7 @@ class TestEtcgBaseline:
         for T, rounds in [(36, None), (10**6, 9), (36, 9)]:
             cfg = PolicyConfig(T=T, M=5, K=2, R=1, L=1, rounds=rounds, explore_pulls=4)
             rec = etcg_baseline(cfg, oracle, np.random.default_rng(0))
-            assert rec.n_rounds == 9 and rec.total_pulls == 36
+            assert rec.n_rounds == 9 and rec.pulls.sum() == 36
             assert np.all(rec.pulls == 4)
 
     def test_non_committed_arms_rarely_selected(self):
@@ -557,9 +555,7 @@ class TestConfidenceCoverage:
                 a = est.arms
                 mean_raw[a] = (n[a] * mean_raw[a] + est.estimates[a]) / (n[a] + 1)
                 if np.all(state.counts >= 1):
-                    from ksvfair.policies import _worst_case_radii
-
-                    radii = _worst_case_radii(state.counts, cfg.R, cfg.L, cfg.M, cfg.delta1, cfg.delta2)
+                    radii = confidence_radius(state.counts, cfg.R, cfg.L, cfg.M, cfg.delta1, cfg.delta2)
                     inside += int(np.sum(np.abs(mean_raw - phi_true) <= radii))
                     total += cfg.M
         assert inside / total >= 1 - cfg.delta1 - cfg.delta2
