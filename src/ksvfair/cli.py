@@ -245,10 +245,18 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
     return sampled_k_shapley(game.value, cfg.M, cfg.K, cfg.pistar_samples, rng)
 
 
+def _fair_target(cfg: RunConfig):
+    """The run's oracle, its true values and the fair policy's selection
+    probabilities: ``(oracle, phi, pi_star)``."""
+    oracle = build_env(cfg)
+    phi = true_shapley(cfg, oracle)
+    return oracle, phi, fair_policy(phi.values, cfg.K).probs
+
+
 # Every table is written from a per-row % template: integers as %d, reals as
 # %.12g (the same text as format(x, ".12g"), nan, inf and -0 included), rows
 # ended by "\r\n", so the bytes are what csv.writer wrote with those strings.
-# rows per write in _write_rows: a block's text and its encoded copy are both
+# rows per write in _write_table: a block's text and its encoded copy are both
 # held during the write, so larger blocks raise the peak RSS
 _BLOCK_ROWS = 64
 
@@ -261,24 +269,24 @@ def _quote(field) -> str:
     return field
 
 
-def _header(fields) -> str:
-    return ",".join(_quote(f) for f in fields) + "\r\n"
-
-
-def _write_rows(fh, row: str, columns: list) -> None:
-    """``row % values`` for each row of equal-length columns, a block of at
-    most ``_BLOCK_ROWS`` rows at a time: the block's cells are interleaved
-    into one flat list and written with one ``%`` of the repeated row
-    template and one ``fh.write``, so no whole-table string is built."""
+def _write_table(path, header: list, row: str, columns: list) -> None:
+    """Write one CSV table to ``path``: the ``_quote``d ``header`` fields
+    and ``"\r\n"``, then ``row % values`` for each row of equal-length
+    columns (``row`` ends its own line).  The rows go ``_BLOCK_ROWS`` at a
+    time: the block's cells are interleaved into one flat list and written
+    with one ``%`` of the repeated row template and one ``fh.write``, so no
+    whole-table string is built."""
     width, n = len(columns), len(columns[0])
     template, cells = row * _BLOCK_ROWS, [None] * (width * _BLOCK_ROWS)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        if stop - start < _BLOCK_ROWS:  # the last block is short
-            template, cells = row * (stop - start), cells[: width * (stop - start)]
-        for j, column in enumerate(columns):
-            cells[j::width] = column[start:stop]
-        fh.write(template % tuple(cells))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_quote(f) for f in header) + "\r\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            if stop - start < _BLOCK_ROWS:  # the last block is short
+                template, cells = row * (stop - start), cells[: width * (stop - start)]
+            for j, column in enumerate(columns):
+                cells[j::width] = column[start:stop]
+            fh.write(template % tuple(cells))
 
 
 def _run_one(cfg: RunConfig, oracle, seed: int) -> RunRecord:
@@ -329,15 +337,9 @@ def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLed
         pi_texts,
         _bit_texts(record.selected),
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            _header(
-                ["round", "pulls_cum", "l1_to_pistar", "fr_cum"]
-                + [f"pi_{a}" for a in range(M)]
-                + [f"sel_{a}" for a in range(M)]
-            )
-        )
-        _write_rows(fh, "%d,%d%s,%.12g%s%s", columns)
+    header = ["round", "pulls_cum", "l1_to_pistar", "fr_cum"]
+    header += [f"pi_{a}" for a in range(M)] + [f"sel_{a}" for a in range(M)]
+    _write_table(path, header, "%d,%d%s,%.12g%s%s", columns)
     return ledger
 
 
@@ -350,9 +352,8 @@ def write_arms_csv(path, record: RunRecord, true_phi: np.ndarray) -> None:
         np.asarray(record.counts, dtype=int).tolist(),
         ratios.tolist(),
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"]))
-        _write_rows(fh, "%d,%.12g,%.12g,%d,%.12g\r\n", columns)
+    header = ["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"]
+    _write_table(path, header, "%d,%.12g,%.12g,%d,%.12g\r\n", columns)
 
 
 def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
@@ -366,9 +367,7 @@ def write_aggregate_csv(path, algo: str, ledgers: list[FairnessLedger]) -> None:
         fr.mean(axis=0).tolist(),
         fr.var(axis=0).tolist(),
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(["algo", "round", "fr_mean", "fr_var"]))
-        _write_rows(fh, "%s,%d,%.12g,%.12g\r\n", columns)
+    _write_table(path, ["algo", "round", "fr_mean", "fr_var"], "%s,%d,%.12g,%.12g\r\n", columns)
 
 
 def _worker_count(n_seeds: int) -> int:
@@ -396,9 +395,7 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
         if min(seeds) < 0:
             raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(seeds)} negative")
         cfg = replace(cfg, seeds=seeds)
-    oracle = build_env(cfg)
-    phi = true_shapley(cfg, oracle)
-    pi_star = fair_policy(phi.values, cfg.K).probs
+    oracle, phi, pi_star = _fair_target(cfg)
     # every config error, and a fair target that fails, is raised above,
     # before the output directory exists
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -468,33 +465,26 @@ def compare_runs(run_dirs, out_prefix="comparison") -> tuple[Path, Path]:
         labels.append(label)
 
     fr_path = Path(f"{out_prefix}.csv")
-    columns = [base_rounds.tolist()]
-    for _, _, _, mean, var in loaded:
+    header, columns = ["round"], [base_rounds.tolist()]
+    for label, (_, _, _, mean, var) in zip(labels, loaded):
+        header += [f"fr_mean_{label}", f"fr_std_{label}"]
         columns += [mean.tolist(), np.sqrt(var).tolist()]
-    with open(fr_path, "w", newline="") as fh:
-        header = ["round"]
-        for label in labels:
-            header += [f"fr_mean_{label}", f"fr_std_{label}"]
-        fh.write(_header(header))
-        _write_rows(fh, "%d" + ",%.12g,%.12g" * len(loaded) + "\r\n", columns)
+    _write_table(fr_path, header, "%d" + ",%.12g,%.12g" * len(loaded) + "\r\n", columns)
 
     arms_path = Path(f"{out_prefix}_arms.csv")
     ratios = [_read_arm_ratios(d) for d, *_ in loaded]
     n_arms = len(ratios[0])
     if any(len(r) != n_arms for r in ratios):
         raise ValueError("per-arm tables disagree on arm count")
+    header = ["arm"] + [f"ratio_{label}" for label in labels]
     columns = [range(n_arms)] + [r.tolist() for r in ratios]
-    with open(arms_path, "w", newline="") as fh:
-        fh.write(_header(["arm"] + [f"ratio_{label}" for label in labels]))
-        _write_rows(fh, "%d" + ",%.12g" * len(ratios) + "\r\n", columns)
+    _write_table(arms_path, header, "%d" + ",%.12g" * len(ratios) + "\r\n", columns)
     return fr_path, arms_path
 
 
 def print_exact_shapley(config_path) -> None:
     cfg = load_config(config_path)
-    oracle = build_env(cfg)
-    phi = true_shapley(cfg, oracle)
-    pi_star = fair_policy(phi.values, cfg.K).probs
+    _, phi, pi_star = _fair_target(cfg)
     print(f"# env={cfg.env} M={cfg.M} K={cfg.K} kind={phi.kind}")
     print("arm,true_phi,pi_star")
     for a in range(cfg.M):

@@ -96,17 +96,17 @@ def shapley_estimation(S, oracle, R: int, L: int, rng) -> RoundEstimates:
     return RoundEstimates(est, sq, arms, R, pull_cost(R * k, L), coalition=coalition)
 
 
-def muras_round(oracle, M: int, K: int, L: int, rng) -> RoundEstimates:
+def muras_round(oracle, L: int, rng) -> RoundEstimates:
     """One uniform-sampling estimation round covering all M arms.
 
-    Samples a random ordering of all arms, keeps a uniform K-subsequence S
-    (relative order preserved).  Arms inside S get prefix marginals along
-    S; arms outside get the marginal of joining the full S, a coalition of
-    size K + 1, which the oracle must accept.  Every marginal is the mean
-    of L paired fresh pulls, so the round consumes 2 * L * M pulls.
+    Reads M and K from the oracle's ``n_arms`` and ``budget``.  Samples a
+    random ordering of all arms, keeps a uniform K-subsequence S (relative
+    order preserved).  Arms inside S get prefix marginals along S; arms
+    outside get the marginal of joining the full S, a coalition of size
+    K + 1, which the oracle must accept.  Every marginal is the mean of L
+    paired fresh pulls, so the round consumes 2 * L * M pulls.
     """
-    if K > M:
-        raise ValueError(f"K={K} exceeds M={M}")
+    M, K = oracle.n_arms, oracle.budget
     if L < 1:
         raise ValueError("L must be >= 1")
     order = rng.permutation(M)

@@ -31,10 +31,11 @@ class CoalitionSizeError(ValueError):
 
 
 def checked_coalition(members, n_arms: int, limit: int, limit_name: str) -> Coalition:
-    """The sorted tuple of ``members``, read by ``operator.index`` (a float
-    or a ``bool`` raises ``TypeError``), checked in order for duplicates,
-    arms outside 0..n_arms-1 and more than ``limit`` members (named
-    ``limit_name``)."""
+    """The sorted tuple of ``members``, read once (an iterator is consumed)
+    and by ``operator.index`` (a float or a ``bool`` raises ``TypeError``),
+    checked in order for duplicates, arms outside 0..n_arms-1 and more than
+    ``limit`` members (named ``limit_name``)."""
+    members = tuple(members)
     S = tuple(sorted(map(operator.index, members)))
     if S and S[0] <= 1 and bool in map(type, members):  # True and False read as arms 1 and 0
         raise TypeError("coalition members must be arm ids, not bool")

@@ -335,7 +335,7 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
     state = PolicyState(M)
     uniform = np.full(M, K / M)
     for _ in costs[: cfg.R]:
-        est = muras_round(oracle, M, K, cfg.L, rng)
+        est = muras_round(oracle, cfg.L, rng)
         state.absorb(est)
         rec.log(uniform, est.coalition)
 

@@ -18,10 +18,16 @@ sampler's values and its ddof-1 standard errors can be pinned separately.
 
 The round-by-round stop rule is the runners' earlier ``while`` loop over
 ``_round_allowed``, kept so the up-front schedule can be checked against it.
+``reference_run_ksvfair`` writes the optimistic merit loop in plain floats
+from the paper and the docstrings (warm-up, radii, optimistic values,
+water-filling, running means and pools) over the scalar estimator and
+sampler, making the library's generator calls in the library's order.
 
 The CSV writers and the scalar Gaussian pull are the library's earlier
 ``csv.writer`` + ``format(x, ".12g")`` writers and ``np.clip`` pull, kept so
-the faster code can be pinned to them byte for byte and bit for bit.
+the faster code can be pinned to them byte for byte and bit for bit.  The
+comparison writer reads the finished runs with ``csv.DictReader`` itself,
+not through the library's readers.
 
 ``cascade_exact`` is the library's earlier public n-world cascade mean, a
 thin wrapper over the spread mean that ``pull`` and ``exact`` share, and
@@ -411,6 +417,97 @@ def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     return picked
 
 
+def scalar_normalize_to_marginals(raw, K: int) -> list[float]:
+    """Water-filling in plain floats: scale to sum K, cap entries above 1 and
+    rescale the uncapped rest until none exceeds 1, then add the float drift
+    to the largest uncapped entries, each up to the cap.  Sums run left to
+    right, which need not be numpy's order."""
+    M = len(raw)
+    probs = [K * r / sum(raw) for r in raw]
+    capped = [False] * M
+    while any(p > 1.0 and not c for p, c in zip(probs, capped)):
+        capped = [c or p > 1.0 for p, c in zip(probs, capped)]
+        mass = K - sum(capped)
+        free_total = sum(r for r, c in zip(raw, capped) if not c)
+        stuck = mass <= 0 or free_total <= 0  # nothing left to share: the rest get 0
+        probs = [1.0 if c else 0.0 if stuck else mass * r / free_total for r, c in zip(raw, capped)]
+        if stuck:
+            break
+    drift = K - sum(probs)
+    if drift != 0.0:
+        free = [a for a in range(M) if not capped[a] and probs[a] > 0]
+        free = free or [max(range(M), key=lambda a: probs[a])]
+        for a in sorted(free, key=lambda a: -probs[a]):
+            shifted = probs[a] + drift
+            probs[a] = min(shifted, 1.0)
+            drift = shifted - probs[a]
+            if drift == 0.0:
+                break
+    return probs
+
+
+def reference_run_ksvfair(cfg, oracle, rng, seed=None) -> SimpleNamespace:
+    """``run_ksvfair`` round by round in plain floats, over
+    ``scalar_shapley_estimation`` and ``scalar_rrs_sample``.
+
+    Rounds 1..ceil(M/K) play K consecutive arms mod M, one ordering at one
+    pull per mean.  Every later round forms each arm's optimistic value
+    min(mean + radius, 1), water-fills it into marginals summing to K, draws
+    the coalition and estimates it with R orderings of L pulls.  The radius
+    is the two-term Hoeffding radius; in 'adaptive' mode an arm with two or
+    more pooled marginals takes the smaller of it and the Bernstein bonus.
+    Each round's estimates join the running means as one observation per
+    member, clipped at 0, and their per-ordering sums join the pools.
+    Returns the ``RunRecord`` fields as lists.
+    """
+    M, K, R, L = cfg.M, cfg.K, cfg.R, cfg.L
+    warm = -(-M // K)
+    costs = loop_round_costs(cfg, [2 * K] * warm, 2 * R * K * L)
+    counts, mean = [0] * M, [0.0] * M
+    pool_n, pool_sum, pool_sumsq = [0] * M, [0.0] * M, [0.0] * M
+    pis, selected = [], []
+
+    def radius(a):
+        N = counts[a]
+        first = math.sqrt(math.log(2 * M / cfg.delta1) / (N * (2 * R)))
+        worst = first + 2 * math.sqrt(math.log(N * (4 * R * M) / cfg.delta2) / (2 * L))
+        n = pool_n[a]
+        if cfg.radius_mode == "worst_case" or n < 2:
+            return worst
+        m = pool_sum[a] / n
+        var = max(pool_sumsq[a] / n - m * m, 0.0)
+        logt = math.log(2 * M * (counts[a] + 1) / cfg.delta1)
+        return min(worst, math.sqrt(2 * var * logt / n) + 2 * logt / n)
+
+    for t in range(1, len(costs) + 1):
+        if t <= warm:
+            S = tuple(sorted(((t - 1) * K + j) % M for j in range(K)))
+            est = scalar_shapley_estimation(S, oracle, 1, 1, rng)
+            pi = [1.0 if a in S else 0.0 for a in range(M)]
+        else:
+            phi_plus = [min(mean[a] + radius(a), 1.0) for a in range(M)]
+            pi = scalar_normalize_to_marginals(phi_plus, K)
+            S = scalar_rrs_sample(np.array(pi), K, rng)
+            est = scalar_shapley_estimation(S, oracle, R, L, rng)
+        for a in S:
+            value = float(est.estimates[a])
+            mean[a] = (counts[a] * mean[a] + max(value, 0.0)) / (counts[a] + 1)
+            counts[a] += 1
+            pool_n[a] += est.n_perms
+            pool_sum[a] += est.n_perms * value
+            pool_sumsq[a] += est.n_perms * float(est.squares[a])
+        pis.append(pi)
+        selected.append([int(a in S) for a in range(M)])
+    return SimpleNamespace(
+        seed=seed,
+        pi=pis,
+        selected=selected,
+        pulls=costs,
+        counts=[sum(col) for col in zip(*selected)],
+        est_phi=mean,
+    )
+
+
 def _round_allowed(used: int, cost: int, t: int, cfg) -> bool:
     if cfg.rounds is not None and t > cfg.rounds:
         return False
@@ -485,11 +582,20 @@ def csv_aggregate_table(path, algo, ledgers) -> None:
             w.writerow([algo, t + 1, _fmt(mean[t]), _fmt(var[t])])
 
 
-def csv_compare_tables(run_dirs, out_prefix) -> tuple[Path, Path]:
-    """``compare_runs``'s two tables, written row by row with ``csv.writer``."""
-    from ksvfair.cli import _read_aggregate, _read_arm_ratios
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
-    loaded = [(Path(d), *_read_aggregate(Path(d) / "aggregate.csv")) for d in run_dirs]
+
+def csv_compare_tables(run_dirs, out_prefix) -> tuple[Path, Path]:
+    """``compare_runs``'s two tables, read with ``csv.DictReader`` and
+    written row by row with ``csv.writer``."""
+    loaded = []
+    for d in map(Path, run_dirs):
+        rows = _csv_rows(d / "aggregate.csv")
+        mean = [float(r["fr_mean"]) for r in rows]
+        var = [float(r["fr_var"]) for r in rows]
+        loaded.append((d, rows[0]["algo"], [int(r["round"]) for r in rows], mean, var))
     base_rounds = loaded[0][2]
     labels = []
     for _, algo, *_ in loaded:
@@ -512,7 +618,12 @@ def csv_compare_tables(run_dirs, out_prefix) -> tuple[Path, Path]:
                 row += [_fmt(mean[t]), _fmt(np.sqrt(var[t]))]
             w.writerow(row)
     arms_path = Path(f"{out_prefix}_arms.csv")
-    ratios = [_read_arm_ratios(d) for d, *_ in loaded]
+    ratios = []
+    for d, *_ in loaded:
+        per_seed = [
+            [float(r["merit_sel_ratio"]) for r in _csv_rows(f)] for f in sorted(d.glob("arms_seed*.csv"))
+        ]
+        ratios.append(np.nanmean(np.array(per_seed), axis=0))
     with open(arms_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["arm"] + [f"ratio_{label}" for label in labels])

@@ -776,6 +776,29 @@ class TestDependencies:
         }
         assert sorted(keywords - passed) == []
 
+    def test_one_table_writer(self):
+        # every file the library writes is a CSV table opened by cli._write_table,
+        # so no table can skip newline="" and the CRLF row ends; a mode that is
+        # not a literal counts as a write
+        def mode(call):
+            given = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            if not given:
+                return "r"
+            return given[0].value if isinstance(given[0], ast.Constant) else "w"
+
+        writers = []
+        for path in sorted((SRC / "ksvfair").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "open" and set(mode(node)) & set("wax+"):
+                    inside = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                    owner = max(inside, key=lambda d: d.lineno).name if inside else "<module>"
+                    writers.append(f"{path.name}:{owner}")
+        assert writers == ["cli.py:_write_table"]
+
 
 # values whose %.12g / format(x, ".12g") text is easy to get wrong
 SPECIALS = [

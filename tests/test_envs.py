@@ -528,8 +528,10 @@ class TestOracleContract:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         for query in self.queries(oracle, rng):
-            with pytest.raises(TypeError):
-                query((0, member))
+            # an iterator is read once, and its members are checked as a tuple's are
+            for members in ((0, member), iter((0, member))):
+                with pytest.raises(TypeError):
+                    query(members)
         assert rng.bit_generator.state == before
         # a numpy integer is the int it holds
         assert oracle.exact((np.int64(0), np.intp(2))) == oracle.exact((0, 2))

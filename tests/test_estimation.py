@@ -199,7 +199,7 @@ class TestArrayMatchesScalar:
         oracle = noisy_oracle(kind, K, extra=K < 8)
         for seed in range(3):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = muras_round(oracle, 8, K, 3, rng_new)
+            new = muras_round(oracle, 3, rng_new)
             old = scalar_muras_round(oracle, 8, K, 3, rng_old)
             assert_same_round(new, old, rng_new, rng_old, 8)
             assert new.coalition == old.coalition
@@ -227,7 +227,7 @@ class TestArrayMatchesScalar:
         oracle, _, L = self.shipped_game()
         for seed in range(3):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = muras_round(oracle, 20, 5, L, rng_new)
+            new = muras_round(oracle, L, rng_new)
             old = scalar_muras_round(oracle, 20, 5, L, rng_old)
             assert_same_round(new, old, rng_new, rng_old, 20)
             assert new.coalition == old.coalition
@@ -276,7 +276,7 @@ class TestMurasRound:
         w = [0.1, 0.2, 0.3, 0.4]
         game = additive_game(w, 3)  # room for the K+1 probe
         oracle = GameOracle(game, budget=2, allow_extra_query=True)
-        est = muras_round(oracle, 4, 2, 3, np.random.default_rng(0))
+        est = muras_round(oracle, 3, np.random.default_rng(0))
         assert est.arms.tolist() == [0, 1, 2, 3]
         for a in range(4):
             assert est.estimates[a] == pytest.approx(w[a], abs=1e-12)
@@ -285,7 +285,7 @@ class TestMurasRound:
         game = additive_game([0.4, 0.0, 0.6], 3)
         oracle = GameOracle(game, budget=2, allow_extra_query=True)
         for seed in range(5):
-            est = muras_round(oracle, 3, 2, 2, np.random.default_rng(seed))
+            est = muras_round(oracle, 2, np.random.default_rng(seed))
             assert est.estimates[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_round_average_matches_enumeration_oracle(self):
@@ -296,25 +296,25 @@ class TestMurasRound:
         R = 500
         acc = np.zeros(M)
         for _ in range(R):
-            est = muras_round(oracle, M, K, 1, rng)
+            est = muras_round(oracle, 1, rng)
             acc += est.estimates / R
         np.testing.assert_allclose(acc, muras_expectation(game, M, K), atol=0.02)
 
     def test_pull_accounting(self):
         game = additive_game([0.2, 0.3, 0.4, 0.1], 3)
         oracle = GameOracle(game, budget=2, allow_extra_query=True)
-        est = muras_round(oracle, 4, 2, 5, np.random.default_rng(0))
+        est = muras_round(oracle, 5, np.random.default_rng(0))
         assert est.pulls_consumed == 2 * 5 * 4
 
     def test_oversize_probe_rejected_in_strict_mode(self):
         oracle = GameOracle(additive_game([0.2, 0.3, 0.4], 2))
         with pytest.raises(ValueError):
-            muras_round(oracle, 3, 2, 1, np.random.default_rng(0))
+            muras_round(oracle, 1, np.random.default_rng(0))
 
     def test_coalition_reported(self):
         game = additive_game([0.2, 0.3, 0.4, 0.1], 3)
         oracle = GameOracle(game, budget=2, allow_extra_query=True)
-        est = muras_round(oracle, 4, 2, 1, np.random.default_rng(0))
+        est = muras_round(oracle, 1, np.random.default_rng(0))
         assert len(est.coalition) == 2
 
 

@@ -88,7 +88,7 @@ class TestRestrictedGame:
 class TestCoalitionMembers:
     """Members are read with ``operator.index``: numpy integers are ints, and
     a non-integral or ``bool`` member raises ``TypeError`` instead of being
-    read as an arm."""
+    read as an arm, whether the members come as a tuple or an iterator."""
 
     # True and False would read as arms 1 and 0 through operator.index
     @pytest.mark.parametrize(
@@ -97,16 +97,18 @@ class TestCoalitionMembers:
     def test_non_integral_member_raises_type_error(self, member):
         g = additive_game([0.2, 0.3, 0.5, 0.7], 2)
         calls = {
-            "RestrictedGame.value": lambda m: g.value((0, m)),
-            "marginal_contribution": lambda m: marginal_contribution(g, 0, (m,)),
-            "carrier_game": lambda m: carrier_game(4, 2, (m,), 1.0).value((2, 3)),
-            "carrier_exact_values": lambda m: carrier_exact_values(4, 2, (m,), 1.0),
+            "RestrictedGame.value": lambda wrap, m: g.value(wrap((0, m))),
+            "marginal_contribution": lambda wrap, m: marginal_contribution(g, 0, wrap((m,))),
+            "carrier_game": lambda wrap, m: carrier_game(4, 2, wrap((m,)), 1.0).value((2, 3)),
+            "carrier_exact_values": lambda wrap, m: carrier_exact_values(4, 2, wrap((m,)), 1.0),
         }
         for name, call in calls.items():
-            # a numpy integer is the int it holds
-            assert np.array_equal(call(np.int64(2)), call(2)), name
-            with pytest.raises(TypeError):
-                call(member)
+            # an iterator is read once, and its members are checked as a tuple's are
+            for wrap in (tuple, iter):
+                # a numpy integer is the int it holds
+                assert np.array_equal(call(wrap, np.int64(2)), call(wrap, 2)), name
+                with pytest.raises(TypeError):
+                    call(wrap, member)
 
     def test_error_order(self):
         # unreadable member, then duplicate, then range, then size

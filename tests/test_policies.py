@@ -5,6 +5,7 @@ import logging
 import math
 import re
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ksvfair import (
     PolicyConfig,
     PolicyState,
+    RunRecord,
     SyntheticEnv,
     additive_game,
     confidence_radius,
@@ -26,7 +28,7 @@ from ksvfair import (
 )
 from ksvfair import policies
 from ksvfair.policies import _Recorder, _round_costs, round_robin_coalition
-from reference import GameOracle, loop_round_costs
+from reference import GameOracle, loop_round_costs, reference_run_ksvfair
 
 
 def small_env(M=5, K=2, noise=0.15, allow_extra_query=False):
@@ -219,6 +221,37 @@ class TestRunKsvfair:
         assert caplog.records == []
 
 
+class TestRunKsvfairReference:
+    """``run_ksvfair`` against ``reference.reference_run_ksvfair``, the loop
+    in plain floats: every ``RunRecord`` field and the generator state after
+    the run.  ``pi`` may differ by ``PI_ULPS`` units of 1.0, since numpy adds
+    the water-filling sums in its own order and takes its own logs (at M = 8
+    the rows differ by up to 4); every other field matches bit for bit."""
+
+    PI_ULPS = 8
+
+    # L = 4000 keeps the worst-case radius below the cap, so pi is not uniform
+    @pytest.mark.parametrize("mode, L", [("adaptive", 3), ("worst_case", 4000)])
+    @pytest.mark.parametrize("M, K", [(5, 2), (8, 3), (7, 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference(self, M, K, mode, L, seed):
+        cfg = small_cfg(M, K, R=4, L=L, rounds=25, radius_mode=mode)
+        env = small_env(M, K, noise=0.2)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rec = run_ksvfair(cfg, env, rng, seed=seed)
+        ref = reference_run_ksvfair(cfg, env, rng_ref, seed=seed)
+        assert [f.name for f in fields(RunRecord)] == ["seed", "pi", "selected", "pulls", "counts", "est_phi"]
+        assert rec.seed == ref.seed
+        assert np.abs(rec.pi - np.array(ref.pi)).max() <= self.PI_ULPS * np.spacing(1.0)
+        assert rec.selected.tolist() == ref.selected
+        assert rec.pulls.tolist() == ref.pulls
+        assert rec.counts.tolist() == ref.counts
+        assert rec.est_phi.tobytes() == np.array(ref.est_phi).tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # the merit rounds play unequal marginals, so the radii reach the draws
+        assert np.ptp(rec.pi[cfg.warm_rounds :], axis=1).max() > 0.01
+
+
 class TestMuras:
     def make_oracle(self, w=(0.1, 0.2, 0.3, 0.4), K=2):
         game = additive_game(w, K + 1)
@@ -247,7 +280,7 @@ class TestMuras:
     def test_phase1_budget_is_the_round_cost(self):
         cfg = PolicyConfig(T=50, M=4, K=2, R=6, L=2)
         oracle = self.make_oracle()
-        per_round = muras_round(oracle, cfg.M, cfg.K, cfg.L, np.random.default_rng(0)).pulls_consumed
+        per_round = muras_round(oracle, cfg.L, np.random.default_rng(0)).pulls_consumed
         with pytest.raises(ValueError, match=rf"\({cfg.R * per_round} pulls\)"):
             muras_run(cfg, oracle, np.random.default_rng(0))
         # a budget of exactly the phase-1 rounds is accepted and spent
