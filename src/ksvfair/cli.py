@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``run --config cfg.ini [--seed-offset N] [--out DIR]`` executes one
+* ``run --config cfg.ini [--out DIR]`` executes one
   algorithm on one environment across the configured seeds and writes
   per-seed round/arm CSVs plus a seed-aggregated regret CSV.
 * ``compare DIR...`` joins the aggregates of several finished runs into
@@ -27,7 +27,7 @@ import contextlib
 import csv
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -234,12 +234,7 @@ def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
         phi = exact_k_shapley(game)
         if cfg.env == "cascade":
             se = 1.0 / np.sqrt(2 * cfg.pistar_sims)
-            return ShapleyVector(
-                phi.values,
-                "estimated",
-                samples=cfg.pistar_sims,
-                stderr=np.full(cfg.M, se),
-            )
+            return ShapleyVector(phi.values, "estimated", stderr=np.full(cfg.M, se))
         return phi
     rng = np.random.default_rng(0)
     return sampled_k_shapley(game.value, cfg.M, cfg.K, cfg.pistar_samples, rng)
@@ -344,12 +339,13 @@ def write_round_csv(path, record: RunRecord, pi_star: np.ndarray) -> FairnessLed
 
 
 def write_arms_csv(path, record: RunRecord, true_phi: np.ndarray) -> None:
-    ratios = merit_to_selection(true_phi, record.counts, record.n_rounds)
+    counts = record.counts
+    ratios = merit_to_selection(true_phi, counts, record.n_rounds)
     columns = [
         range(len(true_phi)),
         np.asarray(true_phi, dtype=float).tolist(),
         np.asarray(record.est_phi, dtype=float).tolist(),
-        np.asarray(record.counts, dtype=int).tolist(),
+        counts.tolist(),
         ratios.tolist(),
     ]
     header = ["arm", "true_phi", "est_phi", "count", "merit_sel_ratio"]
@@ -377,7 +373,7 @@ def _worker_count(n_seeds: int) -> int:
     return min(n_seeds, os.cpu_count() or 1)  # no affinity call on this platform
 
 
-def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
+def run_experiment(config_path, out_dir=None) -> Path:
     """Execute the configured runs and write all CSVs; returns the output dir.
 
     Files appear seed by seed, in seed order: each seed's ``run_seed*.csv``
@@ -390,11 +386,6 @@ def run_experiment(config_path, seed_offset: int = 0, out_dir=None) -> Path:
     stay, and no ``aggregate.csv`` is written.
     """
     cfg = load_config(config_path)
-    if seed_offset:
-        seeds = tuple(s + seed_offset for s in cfg.seeds)
-        if min(seeds) < 0:
-            raise ConfigError(f"--seed-offset {seed_offset} makes seed {min(seeds)} negative")
-        cfg = replace(cfg, seeds=seeds)
     oracle, phi, pi_star = _fair_target(cfg)
     # every config error, and a fair target that fails, is raised above,
     # before the output directory exists
@@ -496,7 +487,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute the configured experiment")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed-offset", type=int, default=0)
     p_run.add_argument("--out", default=None)
     p_cmp = sub.add_parser("compare", help="join finished run directories")
     p_cmp.add_argument("run_dirs", nargs="+")
@@ -506,7 +496,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            out = run_experiment(args.config, seed_offset=args.seed_offset, out_dir=args.out)
+            out = run_experiment(args.config, out_dir=args.out)
             print(f"wrote results to {out}")
         elif args.command == "compare":
             fr, arms = compare_runs(args.run_dirs, out_prefix=args.out_prefix)

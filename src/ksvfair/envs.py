@@ -435,8 +435,8 @@ class CascadeEnv(ValuationOracle):
         super().__init__(graph.n_nodes, budget, allow_extra_query=allow_extra_query)
         if exact_sims < 1:
             raise ValueError("exact_sims must be >= 1")
-        if exact_seed < 0:
-            raise ValueError("exact_seed must be >= 0")
+        if not 0 <= exact_seed < 2**32:  # one uint32 word of _exact_rng's entropy
+            raise ValueError(f"exact_seed must lie in [0, 2**32), got {exact_seed}")
         ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
         # batched worlds share one id range, so a stray endpoint would join two worlds
         if ends.size and (ends.min() < 0 or ends.max() >= graph.n_nodes):
@@ -445,12 +445,6 @@ class CascadeEnv(ValuationOracle):
         self.activation_p = float(activation_p)
         self.exact_sims = int(exact_sims)
         self.exact_seed = int(exact_seed)
-        # the seed as SeedSequence splits an int: 32-bit words, low first, at least one
-        words, rest = [], self.exact_seed
-        while not words or rest:
-            words.append(rest & 0xFFFFFFFF)
-            rest >>= 32
-        self._seed_words = tuple(words)
         # the nodes renumbered by descending degree, ties in id order: hubs
         # take the smallest labels, so _component_labels needs fewer passes
         degree = np.bincount(ends.ravel(), minlength=graph.n_nodes)
@@ -573,7 +567,7 @@ class CascadeEnv(ValuationOracle):
         """The generator ``exact`` draws S's worlds from: the stream of
         ``default_rng((exact_seed, *S))``, seeded from one uint32 array
         built in one ``np.fromiter`` call."""
-        return np.random.default_rng(np.fromiter((*self._seed_words, *S), np.uint32))
+        return np.random.default_rng(np.fromiter((self.exact_seed, *S), np.uint32))
 
     def pull(self, members, rng) -> float:
         return _spread_mean(self, self._checked(members), 1, rng)

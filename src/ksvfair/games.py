@@ -77,7 +77,6 @@ class ShapleyVector:
 
     values: np.ndarray
     kind: str
-    samples: int | None = None
     stderr: np.ndarray | None = None
 
     def __post_init__(self):
@@ -228,7 +227,7 @@ def sampled_k_shapley(
         out=np.full(M, np.inf),
         where=hits > 1,
     )
-    return ShapleyVector(mean, "estimated", samples=int(n_samples), stderr=np.sqrt(var / hits))
+    return ShapleyVector(mean, "estimated", stderr=np.sqrt(var / hits))
 
 
 def carrier_game(n_arms: int, budget: int, base, alpha: float) -> RestrictedGame:

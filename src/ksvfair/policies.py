@@ -182,7 +182,6 @@ class RunRecord:
     pi: np.ndarray
     selected: np.ndarray
     pulls: np.ndarray
-    counts: np.ndarray
     est_phi: np.ndarray
 
     @property
@@ -193,13 +192,17 @@ class RunRecord:
     def pulls_cum(self) -> np.ndarray:
         return np.cumsum(self.pulls)
 
+    @property
+    def counts(self) -> np.ndarray:
+        return self.selected.sum(axis=0, dtype=int)
+
 
 class _Recorder:
     """Per-round log of one run, built at its final size.  The runner's
     schedule fixes every round before round 1, so the ``(rounds, M)``
     ``pi`` and ``selected`` arrays are allocated once from ``costs`` and
     each ``log`` writes its rows in place; ``finish`` wraps them, uncopied,
-    in the ``RunRecord`` and reads the per-arm selection counts off them."""
+    in the ``RunRecord``."""
 
     def __init__(self, M: int, costs: list[int]):
         self.costs = costs
@@ -226,7 +229,6 @@ def _record(seed, costs, pi, selected, est_phi) -> RunRecord:
         pi=pi,
         selected=selected,
         pulls=np.array(costs, dtype=int),
-        counts=selected.sum(axis=0, dtype=int),
         est_phi=np.asarray(est_phi, dtype=float).copy(),
     )
 

@@ -51,9 +51,10 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
     excess mass is redistributed proportionally over the uncapped entries,
     iterating until all entries fit (water-filling).  Zero scores stay at
     probability zero, so at least K entries must be positive; otherwise no
-    valid vector exists and a ValueError is raised.  The result preserves
-    the ranking of the raw scores up to ties created by capping.  The
-    array is valid by construction; ``rrs_sample`` checks what it is given.
+    valid vector exists and a ValueError is raised, as it is for scores
+    whose sum is not finite.  The result preserves the ranking of the raw
+    scores up to ties created by capping.  The array is valid by
+    construction; ``rrs_sample`` checks what it is given.
     """
     raw = np.asarray(raw, dtype=float)
     M = len(raw)
@@ -61,9 +62,10 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
         raise ValueError("raw scores must be nonnegative")
     if not 1 <= K <= M:
         raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
-    total = float(raw.sum())
-    if total <= 0:
-        raise ValueError("raw scores sum to zero")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
+        total = float(raw.sum())
+    if not 0 < total < np.inf:  # a NaN score or an overflowing sum fails too
+        raise ValueError(f"raw scores must have a positive finite sum, got {total}")
     support = int(np.count_nonzero(raw))
     if support < K:
         raise ValueError(
@@ -89,8 +91,6 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
     drift = K - float(probs.sum())
     if drift != 0.0:
         free_idx = np.flatnonzero(~capped & (probs > 0))
-        if len(free_idx) == 0:
-            free_idx = np.array([int(np.argmax(probs))])
         for target in free_idx[np.argsort(-probs[free_idx], kind="stable")]:
             shifted = probs[target] + drift
             probs[target] = min(shifted, 1.0)

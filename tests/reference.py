@@ -287,7 +287,7 @@ def scalar_sampled_k_shapley(valuation, n_arms: int, budget: int, n_samples: int
     mean = sums / hits
     var = np.maximum(sqs / hits - mean**2, 0.0)
     stderr = np.sqrt(var / hits)
-    return ShapleyVector(mean, "estimated", samples=int(n_samples), stderr=stderr)
+    return ShapleyVector(mean, "estimated", stderr=stderr)
 
 
 def sampled_marginals(worth: dict, n_arms: int, budget: int, n_samples: int, rng) -> list[list[float]]:
@@ -436,7 +436,6 @@ def scalar_normalize_to_marginals(raw, K: int) -> list[float]:
     drift = K - sum(probs)
     if drift != 0.0:
         free = [a for a in range(M) if not capped[a] and probs[a] > 0]
-        free = free or [max(range(M), key=lambda a: probs[a])]
         for a in sorted(free, key=lambda a: -probs[a]):
             shifted = probs[a] + drift
             probs[a] = min(shifted, 1.0)
@@ -508,6 +507,93 @@ def reference_run_ksvfair(cfg, oracle, rng, seed=None) -> SimpleNamespace:
     )
 
 
+def reference_run_muras(cfg, oracle, rng, seed=None) -> SimpleNamespace:
+    """``muras_run`` round by round in plain floats, over
+    ``scalar_muras_round``, ``scalar_normalize_to_marginals``,
+    ``scalar_rrs_sample`` and ``scalar_shapley_estimation``.
+
+    The first R rounds play the uniform marginals K/M and estimate every arm
+    from one ordering; each estimate joins its arm's running mean as one
+    observation, clipped at 0, and the round's coalition counts as selected.
+    Every later round water-fills the running means into marginals, or plays
+    K/M when fewer than K means are positive, draws the coalition and
+    estimates it with R orderings of L pulls; each member's estimate joins
+    its running mean as R observations.  Returns the ``RunRecord`` fields as
+    lists.
+    """
+    M, K, R, L = cfg.M, cfg.K, cfg.R, cfg.L
+    costs = loop_round_costs(cfg, [2 * L * M] * R, 2 * R * K * L)
+    counts, mean = [0] * M, [0.0] * M
+    uniform = [K / M] * M
+    pis, selected = [], []
+
+    def absorb(est, arms, weight):
+        for a in arms:
+            value = max(float(est.estimates[a]), 0.0)
+            mean[a] = (counts[a] * mean[a] + weight * value) / (counts[a] + weight)
+            counts[a] += weight
+
+    for t in range(1, len(costs) + 1):
+        if t <= R:
+            est = scalar_muras_round(oracle, M, K, L, rng)
+            absorb(est, range(M), 1)
+            pi, S = uniform, est.coalition
+        else:
+            positive = sum(m != 0.0 for m in mean)
+            pi = scalar_normalize_to_marginals(mean, K) if positive >= K else uniform
+            S = scalar_rrs_sample(np.array(pi), K, rng)
+            est = scalar_shapley_estimation(S, oracle, R, L, rng)
+            absorb(est, S, est.n_perms)
+        pis.append(pi)
+        selected.append([int(a in S) for a in range(M)])
+    return SimpleNamespace(seed=seed, pi=pis, selected=selected, pulls=costs, est_phi=mean)
+
+
+def reference_run_uniform(cfg, oracle, rng, seed=None) -> SimpleNamespace:
+    """``uniform_baseline`` round by round: each round plays the first K arms
+    of one ``rng.permutation(M)`` under the marginals K/M, one pull charged
+    and none drawn.  Returns the ``RunRecord`` fields as lists."""
+    M, K = cfg.M, cfg.K
+    costs = loop_round_costs(cfg, [], 1)
+    selected = []
+    for _ in costs:
+        S = rng.permutation(M).tolist()[:K]
+        selected.append([int(a in S) for a in range(M)])
+    pis = [[K / M] * M for _ in costs]
+    return SimpleNamespace(seed=seed, pi=pis, selected=selected, pulls=costs, est_phi=[math.nan] * M)
+
+
+def reference_run_etcg(cfg, oracle, rng, seed=None) -> SimpleNamespace:
+    """``etcg_baseline`` round by round over ``scalar_gaussian_pull``.
+
+    K sweeps grow a prefix: each candidate outside it is played on top of
+    it for one round, as the mean of ``explore_pulls`` scalar pulls added
+    left to right, and the first candidate with the strictly largest mean
+    joins the prefix.  Every later round plays the committed set with one
+    pull.  A round logs its played set's indicator as ``pi``.  Returns the
+    ``RunRecord`` fields as lists.
+    """
+    M, K, n = cfg.M, cfg.K, cfg.explore_pulls
+    costs = loop_round_costs(cfg, [n] * sum(M - k for k in range(K)), 1)
+    pis = []
+    prefix: list[int] = []
+    for _ in range(K):
+        best_arm, best_mean = None, -math.inf
+        for cand in [a for a in range(M) if a not in prefix]:
+            played = prefix + [cand]
+            m = sum(scalar_gaussian_pull(oracle, played, rng) for _ in range(n)) / n
+            pis.append([float(a in played) for a in range(M)])
+            if m > best_mean:
+                best_arm, best_mean = cand, m
+        prefix.append(best_arm)
+    committed = [float(a in prefix) for a in range(M)]
+    for _ in costs[len(pis) :]:
+        scalar_gaussian_pull(oracle, prefix, rng)
+    pis += [committed] * (len(costs) - len(pis))
+    selected = [[int(x) for x in pi] for pi in pis]
+    return SimpleNamespace(seed=seed, pi=pis, selected=selected, pulls=costs, est_phi=[math.nan] * M)
+
+
 def _round_allowed(used: int, cost: int, t: int, cfg) -> bool:
     if cfg.rounds is not None and t > cfg.rounds:
         return False
@@ -571,14 +657,15 @@ def csv_arms_table(path, record, true_phi) -> None:
 
 
 def csv_aggregate_table(path, algo, ledgers) -> None:
-    n = min(l.n_rounds for l in ledgers)
-    fr = np.stack([l.fr_cum[:n] for l in ledgers])
+    """``write_aggregate_csv`` row by row: the ledgers are stacked as they
+    are, so unequal lengths raise before the file opens."""
+    fr = np.stack([l.fr_cum for l in ledgers])
     mean = fr.mean(axis=0)
     var = fr.var(axis=0)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["algo", "round", "fr_mean", "fr_var"])
-        for t in range(n):
+        for t in range(fr.shape[1]):
             w.writerow([algo, t + 1, _fmt(mean[t]), _fmt(var[t])])
 
 

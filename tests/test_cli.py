@@ -286,20 +286,6 @@ class TestRunExperiment:
         for name in ("run_seed1.csv", "arms_seed2.csv", "aggregate.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_seed_offset(self, tmp_path):
-        cfg = write_config(tmp_path, seeds="1")
-        out = run_experiment(cfg, seed_offset=100, out_dir=tmp_path / "shifted")
-        assert (out / "run_seed101.csv").exists()
-
-    def test_negative_seed_offset_rejected_before_any_work(self, tmp_path):
-        out = tmp_path / "shifted"
-        cfg = write_config(tmp_path, seeds="1,4")
-        with pytest.raises(ConfigError, match="seed-offset -2 makes seed -1 negative"):
-            run_experiment(cfg, seed_offset=-2, out_dir=out)
-        argv = ["run", "--config", str(cfg), "--seed-offset", "-2", "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert not out.exists()
-
     def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, rounds=12)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
@@ -469,6 +455,12 @@ class TestAggregate:
         ledgers = [FairnessLedger(np.full(n, 0.5)) for n in (5, 3, 4)]
         with pytest.raises(ValueError):
             write_aggregate_csv(tmp_path / "aggregate.csv", "muras", ledgers)
+        assert not (tmp_path / "aggregate.csv").exists()
+
+    def test_reference_rejects_unequal_ledgers_too(self, tmp_path):
+        ledgers = [FairnessLedger(np.full(n, 0.5)) for n in (5, 3, 4)]
+        with pytest.raises(ValueError):
+            csv_aggregate_table(tmp_path / "aggregate.csv", "muras", ledgers)
         assert not (tmp_path / "aggregate.csv").exists()
 
     def test_equal_lengths_no_warning(self, tmp_path, caplog):
@@ -821,14 +813,13 @@ SPECIALS = [
 def special_record(M, rng):
     n = 2 * len(SPECIALS)
     pi = rng.choice(SPECIALS + list(rng.random(5)), size=(n, M))
-    counts = rng.integers(0, 3, size=M)
-    counts[0] = 0  # an arm never selected has a NaN merit ratio
+    selected = rng.integers(0, 2, size=(n, M)).astype(np.uint8)
+    selected[:, 0] = 0  # an arm never selected has a NaN merit ratio
     return RunRecord(
         seed=0,
         pi=pi,
-        selected=rng.integers(0, 2, size=(n, M)).astype(np.uint8),
+        selected=selected,
         pulls=rng.integers(1, 10**6, size=n),
-        counts=counts,
         est_phi=rng.choice(SPECIALS, size=M),
     )
 
@@ -841,7 +832,6 @@ def rows_record(pi, selected):
         pi=pi,
         selected=np.asarray(selected, dtype=np.uint8).reshape(n, M),
         pulls=np.ones(n, dtype=int),
-        counts=np.zeros(M, dtype=int),
         est_phi=np.zeros(M),
     )
 
@@ -1007,7 +997,6 @@ class TestWriterBytes:
                 pi=np.full((1, n), 0.5),
                 selected=np.ones((1, n), dtype=np.uint8),
                 pulls=np.ones(1, dtype=int),
-                counts=rng.integers(1, 5, size=n),
                 est_phi=rng.random(n),
             )
             write_arms_csv(d / "arms_seed0.csv", record, rng.random(n))

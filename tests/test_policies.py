@@ -28,7 +28,14 @@ from ksvfair import (
 )
 from ksvfair import policies
 from ksvfair.policies import _Recorder, _round_costs, round_robin_coalition
-from reference import GameOracle, loop_round_costs, reference_run_ksvfair
+from reference import (
+    GameOracle,
+    loop_round_costs,
+    reference_run_etcg,
+    reference_run_ksvfair,
+    reference_run_muras,
+    reference_run_uniform,
+)
 
 
 def small_env(M=5, K=2, noise=0.15, allow_extra_query=False):
@@ -240,7 +247,7 @@ class TestRunKsvfairReference:
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         rec = run_ksvfair(cfg, env, rng, seed=seed)
         ref = reference_run_ksvfair(cfg, env, rng_ref, seed=seed)
-        assert [f.name for f in fields(RunRecord)] == ["seed", "pi", "selected", "pulls", "counts", "est_phi"]
+        assert [f.name for f in fields(RunRecord)] == ["seed", "pi", "selected", "pulls", "est_phi"]
         assert rec.seed == ref.seed
         assert np.abs(rec.pi - np.array(ref.pi)).max() <= self.PI_ULPS * np.spacing(1.0)
         assert rec.selected.tolist() == ref.selected
@@ -250,6 +257,80 @@ class TestRunKsvfairReference:
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         # the merit rounds play unequal marginals, so the radii reach the draws
         assert np.ptp(rec.pi[cfg.warm_rounds :], axis=1).max() > 0.01
+
+
+class TestBaselineReferences:
+    """``muras_run``, ``uniform_baseline`` and ``etcg_baseline`` against their
+    plain-float loops in ``reference``: every ``RunRecord`` field, the
+    selection counts and the generator state after the run, bit for bit.
+    Only muras' merit rounds may differ, by ``PI_ULPS`` units of 1.0 in
+    ``pi``, and only at M = 8, where numpy adds the water-filling sums
+    pairwise and the reference left to right."""
+
+    PI_ULPS = 8
+
+    @staticmethod
+    def assert_same_run(rec, ref, rng, rng_ref, pi_ulps=0):
+        assert [f.name for f in fields(RunRecord)] == ["seed", "pi", "selected", "pulls", "est_phi"]
+        assert rec.seed == ref.seed
+        pi = np.array(ref.pi, dtype=float)
+        if pi_ulps:
+            assert np.abs(rec.pi - pi).max() <= pi_ulps * np.spacing(1.0)
+        else:
+            assert rec.pi.tobytes() == pi.tobytes()
+        assert rec.selected.tolist() == ref.selected
+        assert rec.pulls.tolist() == ref.pulls
+        assert rec.counts.tolist() == np.sum(ref.selected, axis=0).tolist()
+        assert rec.est_phi.tobytes() == np.array(ref.est_phi).tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @staticmethod
+    def run_both(runner, reference, cfg, oracle, seed):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rec = runner(cfg, oracle, rng, seed=seed)
+        return rec, reference(cfg, oracle, rng_ref, seed=seed), rng, rng_ref
+
+    @pytest.mark.parametrize("M, K", [(5, 2), (7, 3), (8, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_muras_matches_reference(self, M, K, seed):
+        cfg = small_cfg(M, K, R=3, L=2, rounds=12)
+        env = small_env(M, K, noise=0.2, allow_extra_query=True)
+        rec, ref, rng, rng_ref = self.run_both(muras_run, reference_run_muras, cfg, env, seed)
+        # the uniform rounds are exact at every M
+        assert rec.pi[: cfg.R].tobytes() == np.array(ref.pi[: cfg.R]).tobytes()
+        self.assert_same_run(rec, ref, rng, rng_ref, self.PI_ULPS if M == 8 else 0)
+        # the merit rounds play unequal marginals
+        assert np.ptp(rec.pi[cfg.R :], axis=1).min() > 0.01
+
+    def test_muras_uniform_fallback_matches_reference(self):
+        # one positive arm with K = 2: every merit round falls back to K/M
+        cfg = PolicyConfig(T=10**9, M=4, K=2, R=2, L=1, rounds=6)
+        oracle = GameOracle(additive_game([0.0, 0.0, 0.5, 0.0], 3), budget=2, allow_extra_query=True)
+        rec, ref, rng, rng_ref = self.run_both(muras_run, reference_run_muras, cfg, oracle, 3)
+        self.assert_same_run(rec, ref, rng, rng_ref)
+        assert np.all(rec.pi == 0.5)
+
+    @pytest.mark.parametrize("M, K", [(5, 2), (8, 3)])
+    def test_uniform_matches_reference(self, M, K):
+        cfg = small_cfg(M, K, rounds=40)
+        rec, ref, rng, rng_ref = self.run_both(uniform_baseline, reference_run_uniform, cfg, small_env(M, K), 4)
+        self.assert_same_run(rec, ref, rng, rng_ref)
+
+    @pytest.mark.parametrize("M, K", [(5, 2), (8, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_etcg_matches_reference(self, M, K, seed):
+        cfg = small_cfg(M, K, rounds=40, explore_pulls=9)
+        env = small_env(M, K, noise=0.3)
+        rec, ref, rng, rng_ref = self.run_both(etcg_baseline, reference_run_etcg, cfg, env, seed)
+        self.assert_same_run(rec, ref, rng, rng_ref)
+
+    def test_etcg_tie_matches_reference(self):
+        # noiseless, with arms 1, 2 and 4 worth the same: the first of them wins each tie
+        oracle = GameOracle(additive_game([0.1, 0.3, 0.3, 0.05, 0.3], 2))
+        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=1, rounds=15, explore_pulls=4)
+        rec, ref, rng, rng_ref = self.run_both(etcg_baseline, reference_run_etcg, cfg, oracle, 0)
+        self.assert_same_run(rec, ref, rng, rng_ref)
+        assert np.flatnonzero(rec.selected[-1]).tolist() == [1, 2]
 
 
 class TestMuras:

@@ -84,6 +84,16 @@ class TestNormalizeToMarginals:
         with pytest.raises(ValueError, match="positive"):
             normalize_to_marginals([1.0, 0.0, 0.0], 2)
 
+    @pytest.mark.parametrize(
+        "raw, K",
+        [([np.nan, 1.0, 1.0], 1), ([1e308, 1e308, 1.0], 2), ([np.inf, 1.0, 1.0], 2)],
+        ids=["nan", "overflowing-sum", "inf"],
+    )
+    @pytest.mark.filterwarnings("error")  # the error comes with no warning before it
+    def test_non_finite_sum_rejected(self, raw, K):
+        with pytest.raises(ValueError, match="positive finite sum, got (nan|inf)"):
+            normalize_to_marginals(raw, K)
+
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError):
             normalize_to_marginals([0.5, -0.1, 0.6], 2)
