@@ -7,12 +7,14 @@ in it, the snippet's replacement, and the test ids that must fail once the
 replacement is in.  A test id is a pytest node id; a parametrised test
 counts as failing when any of its cases fails.
 
-The script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, then applies one mutant at a time there and runs that mutant's
-tests in one pytest subprocess.  A mutant is killed when each of its test
-ids fails, and survives otherwise.  The script exits 1 if any mutant
-survives or any snippet does not occur exactly once in its file, and 0
-when every mutant is killed.
+The script copies ``src/``, ``tests/``, ``data/`` and ``pyproject.toml`` to a
+temporary directory and first runs every registered test there unmutated:
+a test that fails before any mutant is applied could not tell a mutant
+apart, so the script stops with exit 1.  It then applies one mutant at a
+time and runs that mutant's tests in one pytest subprocess.  A mutant is
+killed when each of its test ids fails, and survives otherwise.  The
+script exits 1 if any mutant survives or any snippet does not occur exactly
+once in its file, and 0 when every mutant is killed.
 """
 
 from __future__ import annotations
@@ -67,12 +69,66 @@ MUTANTS = (
         "    if total <= 0:",
         ("tests/test_rounding.py::TestNormalizeToMarginals::test_non_finite_sum_rejected",),
     ),
+    Mutant(
+        "etcg-commit-rows-one-round-late",
+        "src/ksvfair/policies.py",
+        "rec.selected[t:, prefix] = 1",
+        "rec.selected[t + 1 :, prefix] = 1",
+        (
+            "tests/test_policies.py::TestRecorder::test_selected_marks_played_coalitions",
+            "tests/test_policies.py::TestBaselineReferences::test_etcg_matches_reference",
+        ),
+    ),
+    Mutant(
+        "rrs-sample-without-clip",
+        "src/ksvfair/rounding.py",
+        "probs[perm].clip(0.0, 1.0).cumsum()",
+        "probs[perm].cumsum()",
+        ("tests/test_rounding.py::TestRrsSample::test_entries_clipped_to_unit_interval",),
+    ),
+    Mutant(
+        "sampled-stderr-ddof-0",
+        "src/ksvfair/games.py",
+        "        hits - 1,\n",
+        "        hits,\n",
+        ("tests/test_games.py::TestSampledMatchesScalar::test_random_table_games",),
+    ),
+    Mutant(
+        "row-texts-compare-values",
+        "src/ksvfair/cli.py",
+        "new[1:] = (bits[1:] != bits[:-1]).any(axis=1)",
+        "new[1:] = (rows[1:] != rows[:-1]).any(axis=1)",
+        ("tests/test_cli.py::TestWriterBytes::test_negative_zero_l1_after_zero",),
+    ),
+    Mutant(
+        "cascade-env-without-reduce",
+        "src/ksvfair/envs.py",
+        "    def __reduce__(self):",
+        "    def _reduce_unused(self):",
+        ("tests/test_envs.py::TestCascadePickle::test_round_trip_rebuilds_the_env",),
+    ),
+    Mutant(
+        "synthetic-pull-means-without-clip",
+        "src/ksvfair/envs.py",
+        "means = draws.clip(0.0, 1.0, out=draws).sum(axis=1) / n",
+        "means = draws.sum(axis=1) / n",
+        ("tests/test_envs.py::TestBatchedGaussianPrimitive::test_mixed_batch",),
+    ),
 )
 
 
 def _failed_ids(output: str) -> list[str]:
     """The node ids of the failed cases in pytest's ``-rf`` summary."""
     return re.findall(r"^FAILED (\S+)", output, flags=re.MULTILINE)
+
+
+def _pytest(work: Path, tests) -> subprocess.CompletedProcess:
+    """Run ``tests`` in the copy at ``work`` in one pytest subprocess."""
+    # no bytecode cache: a .pyc keyed on whole-second mtimes could outlive a mutant
+    path = os.pathsep.join([str(work / "src"), str(work / "tests")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
 
 
 def run_mutant(mutant: Mutant, work: Path) -> tuple[bool, str]:
@@ -84,11 +140,7 @@ def run_mutant(mutant: Mutant, work: Path) -> tuple[bool, str]:
         return False, f"snippet occurs {original.count(mutant.snippet)} times in {mutant.path}"
     target.write_text(original.replace(mutant.snippet, mutant.replacement))
     try:
-        # no bytecode cache: a .pyc keyed on whole-second mtimes could outlive a mutant
-        path = os.pathsep.join([str(work / "src"), str(work / "tests")])
-        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.tests]
-        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+        proc = _pytest(work, mutant.tests)
     finally:
         target.write_text(original)
     if proc.returncode not in (0, 1):  # 1: tests failed; anything else is an error
@@ -104,9 +156,16 @@ def main() -> int:
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for folder in ("src", "tests"):
+        for folder in ("src", "tests", "data"):
             shutil.copytree(ROOT / folder, work / folder, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
+        start = time.perf_counter()
+        unmutated = _pytest(work, list(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+        if unmutated.returncode != 0:
+            print(f"the registered tests fail unmutated (pytest exited {unmutated.returncode}):")
+            print(unmutated.stdout + unmutated.stderr)
+            return 1
+        print(f"registered tests pass unmutated ({time.perf_counter() - start:.1f} s)")
         for mutant in MUTANTS:
             start = time.perf_counter()
             killed, note = run_mutant(mutant, work)

@@ -35,23 +35,11 @@ import numpy as np
 from .envs import CascadeEnv, SyntheticEnv, load_edge_list
 from .games import MAX_EXACT_COALITIONS, ShapleyVector, exact_cost, exact_k_shapley, sampled_k_shapley
 from .metrics import FairnessLedger, fair_policy, merit_to_selection
-from .policies import (
-    SCHEDULES,
-    PolicyConfig,
-    RunRecord,
-    etcg_baseline,
-    muras_run,
-    run_ksvfair,
-    uniform_baseline,
-)
+from .policies import ALGORITHMS, PolicyConfig, RunRecord
 
-_RUNNERS = {
-    "ksvfair": run_ksvfair,
-    "muras": muras_run,
-    "uniform": uniform_baseline,
-    "etcg": etcg_baseline,
-}
-ALGOS = tuple(_RUNNERS)
+# read by _run_one at call time, so a runner can be wrapped in place
+_RUNNERS = {algo: runner for algo, (runner, _) in ALGORITHMS.items()}
+ALGOS = tuple(ALGORITHMS)
 ENVS = ("synthetic", "cascade")
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 1
@@ -102,7 +90,7 @@ class RunConfig:
             )
         if self.env == "cascade" and not self.graph_path:
             raise ValueError("key 'graph_path' is required for the cascade environment")
-        SCHEDULES[self.algo](self.policy)  # rejects a budget too small for the fixed phase
+        ALGORITHMS[self.algo][1](self.policy)  # the schedule rejects a budget too small for the fixed phase
 
     @property
     def M(self) -> int:
@@ -158,7 +146,11 @@ _KEYS = {
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     values = {}
     for section in parser.sections():

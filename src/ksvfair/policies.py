@@ -8,10 +8,10 @@ etcg's exploration sweep does not: each sweep round plays the committed
 prefix plus one candidate, 1 to K arms, and logs that set's indicator, so
 its ``pi`` row sums to the set's size rather than to K; its commit rounds
 play K arms.  Budget currency is oracle pulls: a round's literal pull cost
-depends only on the config, so each runner's schedule function
-(``SCHEDULES``) fixes the rounds before round 1, stopping before the first
-round that would pass the pull budget T or the optional round cap (both
-limits are exposed because pull budget and round count differ by the
+depends only on the config, so each runner's schedule function (paired
+with it in ``ALGORITHMS``) fixes the rounds before round 1, stopping before
+the first round that would pass the pull budget T or the optional round cap
+(both limits are exposed because pull budget and round count differ by the
 per-round estimation cost).  A config too small for a runner's fixed phase
 (ksvfair's warm-up, muras' uniform rounds, etcg's sweep) is rejected by
 its schedule, before any pull.
@@ -103,7 +103,6 @@ class PolicyState:
         self.pool_n = np.zeros(M, dtype=int)
         self.pool_sum = np.zeros(M)
         self.pool_sumsq = np.zeros(M)
-        self.last_radius = np.full(M, np.nan)
         self.last_phi_plus = np.full(M, np.nan)
 
     def absorb(self, est: RoundEstimates, weight: int = 1) -> None:
@@ -164,8 +163,7 @@ def ksvfair_round(state: PolicyState, cfg: PolicyConfig, oracle, rng):
         pi = np.zeros(cfg.M)
         pi[list(S)] = 1.0
     else:
-        state.last_radius = state.radii(cfg)
-        state.last_phi_plus = np.minimum(state.mean + state.last_radius, 1.0)
+        state.last_phi_plus = np.minimum(state.mean + state.radii(cfg), 1.0)
         pi = normalize_to_marginals(state.last_phi_plus, cfg.K)
         S = rrs_sample(pi, cfg.K, rng)
         est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng)
@@ -184,6 +182,15 @@ class RunRecord:
     pulls: np.ndarray
     est_phi: np.ndarray
 
+    @classmethod
+    def scheduled(cls, seed: int | None, costs: list[int], M: int) -> RunRecord:
+        """The record of a run whose schedule is ``costs``, at its final size.
+        The runner writes round t's ``pi[t]`` and ``selected[t]`` (all 0 until
+        then) in place, and a learner sets ``est_phi`` (NaN until then) at the end."""
+        n = len(costs)
+        pi, selected = np.empty((n, M)), np.zeros((n, M), dtype=np.uint8)
+        return cls(seed, pi, selected, np.array(costs, dtype=int), np.full(M, np.nan))
+
     @property
     def n_rounds(self) -> int:
         return len(self.pulls)
@@ -195,42 +202,6 @@ class RunRecord:
     @property
     def counts(self) -> np.ndarray:
         return self.selected.sum(axis=0, dtype=int)
-
-
-class _Recorder:
-    """Per-round log of one run, built at its final size.  The runner's
-    schedule fixes every round before round 1, so the ``(rounds, M)``
-    ``pi`` and ``selected`` arrays are allocated once from ``costs`` and
-    each ``log`` writes its rows in place; ``finish`` wraps them, uncopied,
-    in the ``RunRecord``."""
-
-    def __init__(self, M: int, costs: list[int]):
-        self.costs = costs
-        self.pi = np.empty((len(costs), M))
-        self.selected = np.zeros((len(costs), M), dtype=np.uint8)
-        self.n = 0
-
-    def log(self, pi: np.ndarray, S, repeat: int = 1) -> None:
-        """Log ``repeat`` rounds (one by default) that played ``pi`` and ``S``."""
-        rows = slice(self.n, self.n + repeat)
-        self.pi[rows] = pi
-        self.selected[rows, list(S)] = 1
-        self.n += repeat
-
-    def finish(self, seed, est_phi) -> RunRecord:
-        if self.n != len(self.costs):
-            raise RuntimeError(f"run logged {self.n} of its {len(self.costs)} scheduled rounds")
-        return _record(seed, self.costs, self.pi, self.selected, est_phi)
-
-
-def _record(seed, costs, pi, selected, est_phi) -> RunRecord:
-    return RunRecord(
-        seed=seed,
-        pi=pi,
-        selected=selected,
-        pulls=np.array(costs, dtype=int),
-        est_phi=np.asarray(est_phi, dtype=float).copy(),
-    )
 
 
 def _check_oracle(cfg: PolicyConfig, oracle, query_limit: int | None = None) -> None:
@@ -295,11 +266,10 @@ def etcg_schedule(cfg: PolicyConfig) -> list[int]:
 def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
     """Run the optimistic merit policy until the pull budget or round cap binds."""
     _check_oracle(cfg, oracle)
-    costs = ksvfair_schedule(cfg)
+    rec = RunRecord.scheduled(seed, ksvfair_schedule(cfg), cfg.M)
     state = PolicyState(cfg.M)
-    rec = _Recorder(cfg.M, costs)
     pooled, saturated, all_pooled = 0, 0, False
-    for _ in costs:
+    for t in range(rec.n_rounds):
         # an arm with fewer than two pooled marginals keeps the worst-case radius and
         # caps at 1 by design; only count rounds where none does (pool_n never drops)
         all_pooled = all_pooled or (state.t >= cfg.warm_rounds and (state.pool_n >= 2).all())
@@ -307,7 +277,8 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
         if all_pooled:
             pooled += 1
             saturated += bool((state.last_phi_plus >= 1.0).all())
-        rec.log(pi, S)
+        rec.pi[t] = pi
+        rec.selected[t, list(S)] = 1
     if saturated:
         log.warning(
             "run_ksvfair (seed %s) played uniform in %d of %d merit rounds with every "
@@ -317,7 +288,8 @@ def run_ksvfair(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunR
             pooled,
             cfg.radius_mode,
         )
-    return rec.finish(seed, state.mean)
+    rec.est_phi[:] = state.mean
+    return rec
 
 
 def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -332,17 +304,17 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
     """
     _check_oracle(cfg, oracle, query_limit=min(cfg.K + 1, cfg.M))
     M, K = cfg.M, cfg.K
-    costs = muras_schedule(cfg)
-    rec = _Recorder(M, costs)
+    rec = RunRecord.scheduled(seed, muras_schedule(cfg), M)
     state = PolicyState(M)
     uniform = np.full(M, K / M)
-    for _ in costs[: cfg.R]:
+    rec.pi[: cfg.R] = uniform
+    for t in range(cfg.R):
         est = muras_round(oracle, cfg.L, rng)
         state.absorb(est)
-        rec.log(uniform, est.coalition)
+        rec.selected[t, list(est.coalition)] = 1
 
     fallbacks = 0
-    for _ in costs[cfg.R :]:
+    for t in range(cfg.R, rec.n_rounds):
         if np.count_nonzero(state.mean) >= K:
             pi = normalize_to_marginals(state.mean, K)
         else:
@@ -351,17 +323,19 @@ def muras_run(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRec
         S = rrs_sample(pi, K, rng)
         est = shapley_estimation(S, oracle, cfg.R, cfg.L, rng)
         state.absorb(est, weight=est.n_perms)
-        rec.log(pi, S)
+        rec.pi[t] = pi
+        rec.selected[t, list(S)] = 1
     if fallbacks:
         log.warning(
             "muras_run (seed %s) fell back to uniform in %d of %d merit rounds: "
             "fewer than K=%d arms had a positive estimate",
             seed,
             fallbacks,
-            len(costs) - cfg.R,
+            rec.n_rounds - cfg.R,
             K,
         )
-    return rec.finish(seed, state.mean)
+    rec.est_phi[:] = state.mean
+    return rec
 
 
 def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -374,12 +348,11 @@ def uniform_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) ->
     """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
-    costs = uniform_schedule(cfg)
-    n = len(costs)
-    arms = rng.permuted(np.tile(np.arange(M), (n, 1)), axis=1)[:, :K]
-    selected = np.zeros((n, M), dtype=np.uint8)
-    np.put_along_axis(selected, arms, 1, axis=1)
-    return _record(seed, costs, np.full((n, M), K / M), selected, np.full(M, np.nan))
+    rec = RunRecord.scheduled(seed, uniform_schedule(cfg), M)
+    arms = rng.permuted(np.tile(np.arange(M), (rec.n_rounds, 1)), axis=1)[:, :K]
+    np.put_along_axis(rec.selected, arms, 1, axis=1)
+    rec.pi[:] = K / M
+    return rec
 
 
 def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> RunRecord:
@@ -394,36 +367,33 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     """
     _check_oracle(cfg, oracle)
     M, K = cfg.M, cfg.K
-    costs = etcg_schedule(cfg)
-    rec = _Recorder(M, costs)
+    rec = RunRecord.scheduled(seed, etcg_schedule(cfg), M)
     prefix: list[int] = []
+    t = 0  # the next round's row
     for _ in range(K):
         candidates = [a for a in range(M) if a not in prefix]
         best_arm, best_mean = candidates[0], -np.inf
         for cand in candidates:
             played = prefix + [cand]
             m = oracle.pull_mean(played, cfg.explore_pulls, rng)
-            indicator = np.zeros(M)
-            indicator[played] = 1.0
-            rec.log(indicator, played)
+            rec.selected[t, played] = 1
+            t += 1
             if m > best_mean:
                 best_arm, best_mean = cand, m
         prefix.append(best_arm)
 
     committed = tuple(sorted(prefix))
-    indicator = np.zeros(M)
-    indicator[list(committed)] = 1.0
-    commit_rounds = len(costs) - rec.n  # the rounds after the sweep
-    for _ in range(commit_rounds):
+    for _ in range(t, rec.n_rounds):  # the commit rounds, after the sweep
         oracle.pull(committed, rng)
-    rec.log(indicator, committed, repeat=commit_rounds)
-    return rec.finish(seed, np.full(M, np.nan))
+    rec.selected[t:, prefix] = 1
+    rec.pi[:] = rec.selected  # each round's policy is the indicator of its set
+    return rec
 
 
-# each runner's round schedule, by algorithm name, for checking a config
-SCHEDULES = {
-    "ksvfair": ksvfair_schedule,
-    "muras": muras_schedule,
-    "uniform": uniform_schedule,
-    "etcg": etcg_schedule,
+# each algorithm's runner and round schedule, by the name a config gives it
+ALGORITHMS = {
+    "ksvfair": (run_ksvfair, ksvfair_schedule),
+    "muras": (muras_run, muras_schedule),
+    "uniform": (uniform_baseline, uniform_schedule),
+    "etcg": (etcg_baseline, etcg_schedule),
 }

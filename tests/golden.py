@@ -27,22 +27,16 @@ digests too.  Regenerate it with
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import platform
 from pathlib import Path
 
 import numpy as np
 
-from ksvfair import (
-    SyntheticEnv,
-    etcg_baseline,
-    exact_k_shapley,
-    fair_policy,
-    muras_run,
-    run_ksvfair,
-    uniform_baseline,
-)
+from ksvfair import exact_k_shapley, fair_policy
 from ksvfair.cli import build_env, load_config, run_experiment, write_arms_csv, write_round_csv
+from ksvfair.policies import ALGORITHMS
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
@@ -66,24 +60,9 @@ def benchmark_runs() -> dict:
     cfg = load_config(BENCHMARK_CONFIG)
     phi = exact_k_shapley(build_env(cfg).restricted_game()).values
     out = {"phi": phi, "pi_star": fair_policy(phi, cfg.K).probs, "cfg": cfg}
-    runners = {
-        "ksvfair": (run_ksvfair, False),
-        "muras": (muras_run, True),
-        "uniform": (uniform_baseline, False),
-        "etcg": (etcg_baseline, False),
-    }
-    for name, (fn, extra) in runners.items():
-        records = []
-        for seed in cfg.seeds:
-            env = SyntheticEnv(
-                cfg.means,
-                cfg.noise_stds,
-                budget=cfg.K,
-                curvature=cfg.curvature,
-                allow_extra_query=extra,
-            )
-            records.append(fn(cfg.policy, env, np.random.default_rng(seed), seed=seed))
-        out[name] = records
+    for name, (runner, _) in ALGORITHMS.items():
+        env = build_env(dataclasses.replace(cfg, algo=name))  # build_env lets muras query K + 1 arms
+        out[name] = [runner(cfg.policy, env, np.random.default_rng(seed), seed=seed) for seed in cfg.seeds]
     return out
 
 

@@ -33,7 +33,6 @@ from ksvfair.cli import (
     write_round_csv,
 )
 from ksvfair.games import exact_cost
-from ksvfair.policies import SCHEDULES
 from reference import csv_aggregate_table, csv_arms_table, csv_compare_tables, csv_round_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,11 +93,6 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
-
-    def test_one_schedule_per_runner(self):
-        # RunConfig checks algo against ALGOS, the runners' names, then its budget
-        # with SCHEDULES[algo]
-        assert SCHEDULES.keys() == cli._RUNNERS.keys()
 
     def test_unknown_algo(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -668,6 +662,21 @@ class TestConfigErrorsBeforeOutput:
         with pytest.raises(ConfigError, match=r"key 'pistar_samples': .* 10 coalitions of k=20 .* m=534"):
             load_config(p)
         assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"algo = ksvfair\n[run]\nenv = synthetic\n",
+            b"[run]\nalgo = ksvfair\nalgo = uniform\n",
+            b"[run]\nalgo = ksvfair\nenv = synth\xffetic\n",
+        ],
+        ids=["key-before-section", "repeated-key", "non-utf8-byte"],
+    )
+    def test_unparsable_ini(self, tmp_path, monkeypatch, capsys, text):
+        p = tmp_path / "c.ini"
+        p.write_bytes(text)
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot parse config file {p}: ")
 
     def test_relative_graph_path_read_from_current_directory(self, tmp_path, monkeypatch, capsys):
         # the shipped config names data/toy_8.edges, relative to the checkout root

@@ -27,7 +27,7 @@ from ksvfair import (
     uniform_baseline,
 )
 from ksvfair import policies
-from ksvfair.policies import _Recorder, _round_costs, round_robin_coalition
+from ksvfair.policies import _round_costs, round_robin_coalition
 from reference import (
     GameOracle,
     loop_round_costs,
@@ -564,12 +564,7 @@ class TestRecorder:
 
         monkeypatch.setattr(policies, "shapley_estimation", spy_estimation)
         monkeypatch.setattr(policies, "muras_round", spy_round)
-        runner = {
-            "ksvfair": run_ksvfair,
-            "muras": muras_run,
-            "uniform": uniform_baseline,
-            "etcg": etcg_baseline,
-        }[algo]
+        runner, _ = policies.ALGORITHMS[algo]
         cfg = PolicyConfig(T=10**6, M=self.M, K=self.K, R=5, L=3, rounds=60, explore_pulls=4)
         rec = runner(cfg, env, np.random.default_rng(1), seed=1)
         if algo == "uniform":  # plays without pulling: its coalitions are the first K of each shuffle
@@ -577,7 +572,7 @@ class TestRecorder:
             return rec, [tuple(sorted(row[: self.K].tolist())) for row in shuffles]
         return rec, env.played
 
-    @pytest.mark.parametrize("algo", ["ksvfair", "muras", "uniform", "etcg"])
+    @pytest.mark.parametrize("algo", list(policies.ALGORITHMS))
     def test_selected_marks_played_coalitions(self, algo, monkeypatch):
         rec, played = self.run(algo, monkeypatch)
         assert rec.selected.dtype == np.uint8
@@ -588,28 +583,12 @@ class TestRecorder:
         np.testing.assert_array_equal(rec.counts, rec.selected.sum(axis=0))
 
     def test_empty_run_shape(self):
-        rec = _Recorder(4, []).finish(None, np.zeros(4))
+        rec = RunRecord.scheduled(None, [], 4)
         assert rec.selected.shape == (0, 4) and rec.selected.dtype == np.uint8
         assert rec.pi.shape == (0, 4)
         assert rec.pulls.shape == (0,) and rec.n_rounds == 0
+        assert rec.est_phi.shape == (4,) and np.isnan(rec.est_phi).all()
         np.testing.assert_array_equal(rec.counts, np.zeros(4, dtype=int))
-
-    def test_rows_filled_in_place(self):
-        # the record wraps the arrays the recorder allocated from the schedule
-        rec = _Recorder(4, [1, 1, 1])
-        rec.log(np.array([0.5, 0.5, 0.5, 0.5]), (0, 2))
-        rec.log(np.array([1.0, 0.0, 0.0, 1.0]), (0, 3), repeat=2)
-        out = rec.finish(None, np.zeros(4))
-        assert out.pi is rec.pi and out.selected is rec.selected
-        np.testing.assert_array_equal(out.pi, [[0.5] * 4, [1, 0, 0, 1], [1, 0, 0, 1]])
-        np.testing.assert_array_equal(out.selected, [[1, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1]])
-        np.testing.assert_array_equal(out.counts, [3, 0, 1, 2])
-
-    def test_unlogged_round_rejected(self):
-        rec = _Recorder(4, [1, 1])
-        rec.log(np.array([0.5, 0.5, 0.5, 0.5]), (0, 2))
-        with pytest.raises(RuntimeError, match="logged 1 of its 2 scheduled rounds"):
-            rec.finish(None, np.zeros(4))
 
 
 class TestRoundCosts:
