@@ -7,10 +7,10 @@ in it, the snippet's replacement, and the test ids that must fail once the
 replacement is in.  A test id is a pytest node id; a parametrised test
 counts as failing when any of its cases fails.
 
-The script copies ``src/``, ``tests/``, ``data/`` and ``pyproject.toml`` to a
-temporary directory and first runs every registered test there unmutated:
-a test that fails before any mutant is applied could not tell a mutant
-apart, so the script stops with exit 1.  It then applies one mutant at a
+The script copies ``src/``, ``tests/``, ``data/``, ``configs/`` and
+``pyproject.toml`` to a temporary directory and first runs every registered
+test there unmutated: a test that fails before any mutant is applied could
+not tell a mutant apart, so the script stops with exit 1.  It then applies one mutant at a
 time and runs that mutant's tests in one pytest subprocess.  A mutant is
 killed when each of its test ids fails, and survives otherwise.  The
 script exits 1 if any mutant survives or any snippet does not occur exactly
@@ -114,6 +114,59 @@ MUTANTS = (
         "means = draws.sum(axis=1) / n",
         ("tests/test_envs.py::TestBatchedGaussianPrimitive::test_mixed_batch",),
     ),
+    Mutant(
+        "rrs-sample-without-last-cut",
+        "src/ksvfair/rounding.py",
+        "    cuts[-1] = K\n",
+        "",
+        ("tests/test_rounding.py::TestRrsSample::test_last_cut_absorbs_a_sum_below_budget",),
+    ),
+    Mutant(
+        "synthetic-pull-draws-when-noiseless",
+        "src/ksvfair/envs.py",
+        "        mu, sigma = self._moment(self._checked(members))\n"
+        "        if sigma == 0.0:\n"
+        "            return min(max(mu, 0.0), 1.0)\n",
+        "        mu, sigma = self._moment(self._checked(members))\n",
+        ("tests/test_envs.py::TestScalarSumBits::test_shipped_game_every_coalition",),
+    ),
+    Mutant(
+        "cascade-gaps-without-plus-one",
+        "src/ksvfair/envs.py",
+        "        ids += self._ramp\n",
+        "",
+        (
+            "tests/test_envs.py::TestLiveEdgeLaw::test_each_edge_live_at_rate_p",
+            "tests/test_envs.py::TestLiveEdgeLaw::test_live_count_per_world_is_binomial",
+        ),
+    ),
+    Mutant(
+        "one-world-count-without-renumbering",
+        "src/ksvfair/envs.py",
+        "reached[label.take(self._node.take(S))] = True",
+        "reached[label.take(np.asarray(S))] = True",
+        (
+            "tests/test_envs.py::TestCascade::test_community_values_pinned",
+            "tests/test_envs.py::TestCascade::test_community_one_world_values_pinned",
+        ),
+    ),
+    Mutant(
+        "sampled-shapley-pairwise-sum",
+        "src/ksvfair/games.py",
+        "mean = np.bincount(arms, weights=d, minlength=M) / hits",
+        "mean = np.array([d[arms == a].sum() for a in range(M)]) / hits",
+        (
+            "tests/test_games.py::TestSampledMatchesScalar::test_random_table_games",
+            "tests/test_games.py::TestSampledMatchesScalar::test_cut_community_target",
+        ),
+    ),
+    Mutant(
+        "synthetic-pull-mean-python-sum",
+        "src/ksvfair/envs.py",
+        "return float(draws.clip(0.0, 1.0, out=draws).sum() / n)",
+        "return float(sum(draws.clip(0.0, 1.0, out=draws).tolist()) / n)",
+        ("tests/test_envs.py::TestOneRowPull::test_synthetic_row_at_sweep_pull_counts",),
+    ),
 )
 
 
@@ -156,7 +209,7 @@ def main() -> int:
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for folder in ("src", "tests", "data"):
+        for folder in ("src", "tests", "data", "configs"):
             shutil.copytree(ROOT / folder, work / folder, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         start = time.perf_counter()

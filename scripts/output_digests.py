@@ -7,7 +7,11 @@ For each config this runs ``ksvfair run`` and ``ksvfair exact-shapley`` in
 a temporary directory, and ``ksvfair compare`` over every two or more runs
 that share a round grid.  It prints one ``sha256  config/file`` line per
 output, sorted by path, so the outputs of two checkouts are compared with
-one ``diff``:
+one ``diff``.  A config whose fair target is sampled rather than enumerated
+(``exact_cost(M, K) > MAX_EXACT_COALITIONS``, as for
+``cascade_community.ini``) gets no ``exact_shapley.txt`` digest: its target
+takes minutes to build, and the run's ``arms_seed*.csv`` already holds the
+same ``true_phi`` text, from the same ``default_rng(0)`` draw.
 
     python scripts/output_digests.py --root ../parent configs/*.ini > parent.txt
     python scripts/output_digests.py configs/*.ini > change.txt
@@ -20,7 +24,8 @@ read from there.  The config files themselves are read from the paths given.
 
 ``--write-golden`` instead regenerates ``tests/golden_digests.txt``, the
 digests the Tier-1 test ``test_golden_output_digests`` compares against
-(see ``tests/golden.py``), from this checkout's ``src/``.
+(see ``tests/golden.py``), from this checkout's ``src/``: one set for the
+host's numpy SIMD target and one for numpy's baseline target.
 """
 
 from __future__ import annotations
@@ -40,6 +45,19 @@ def _ksvfair(root: Path, *args: str, stdout=None) -> None:
     subprocess.run(
         [sys.executable, "-m", "ksvfair.cli", *args], cwd=root, env=env, stdout=stdout, check=True
     )
+
+
+def _enumerated(root: Path, config: Path) -> bool:
+    """Whether ``root``'s library enumerates ``config``'s fair target."""
+    code = (
+        "import sys; from ksvfair.cli import load_config; "
+        "from ksvfair.games import MAX_EXACT_COALITIONS, exact_cost; "
+        "cfg = load_config(sys.argv[1]); print(exact_cost(cfg.M, cfg.K) <= MAX_EXACT_COALITIONS)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(config)], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip() == "True"
 
 
 def _write_config(src: Path, dest: Path, n_seeds: int | None) -> None:
@@ -64,8 +82,9 @@ def digests(configs, n_seeds: int | None = None, root: Path | None = None) -> li
             cfg = tmp / f"{out.name}.ini"
             _write_config(Path(config).resolve(), cfg, n_seeds)
             _ksvfair(root, "run", "--config", str(cfg), "--out", str(out), stdout=subprocess.DEVNULL)
-            with open(out / "exact_shapley.txt", "w") as fh:
-                _ksvfair(root, "exact-shapley", "--config", str(cfg), stdout=fh)
+            if _enumerated(root, cfg):
+                with open(out / "exact_shapley.txt", "w") as fh:
+                    _ksvfair(root, "exact-shapley", "--config", str(cfg), stdout=fh)
             n_rows = len((out / "aggregate.csv").read_bytes().splitlines())
             grids.setdefault(n_rows, []).append(out)
         for runs in grids.values():

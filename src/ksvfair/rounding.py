@@ -53,8 +53,8 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
     probability zero, so at least K entries must be positive; otherwise no
     valid vector exists and a ValueError is raised, as it is for scores
     whose sum is not finite.  The result preserves the ranking of the raw
-    scores up to ties created by capping.  The array is valid by
-    construction; ``rrs_sample`` checks what it is given.
+    scores up to ties created by capping.  Valid by construction, it may
+    sum a few ulp off K; ``rrs_sample`` absorbs that at its last cut.
     """
     raw = np.asarray(raw, dtype=float)
     M = len(raw)
@@ -86,17 +86,6 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
             probs[free] = 0.0
             break
         probs[free] = mass * raw[free] / free_total
-    # absorb float drift into the largest uncapped entry; whatever the cap at 1
-    # leaves over moves on to the next largest uncapped entry with room
-    drift = K - float(probs.sum())
-    if drift != 0.0:
-        free_idx = np.flatnonzero(~capped & (probs > 0))
-        for target in free_idx[np.argsort(-probs[free_idx], kind="stable")]:
-            shifted = probs[target] + drift
-            probs[target] = min(shifted, 1.0)
-            drift = shifted - probs[target]
-            if drift == 0.0:
-                break
     return probs
 
 

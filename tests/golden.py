@@ -11,25 +11,33 @@ The file pins four sets of outputs:
 * each seed of ``configs/cascade_tiny.ini`` run through ``run_experiment``,
   over its ``run_seed*.csv`` and ``arms_seed*.csv``, and the run's
   ``aggregate.csv``;
-* seed 1 of ``configs/cascade_community.ini`` at the benchmark's cuts
-  (``CASCADE_CUTS``), over its ``run_seed1.csv`` and ``arms_seed1.csv``: the
-  sampled fair target and the one-world cascade pulls on the 534-node graph.
+* seed 1 of ``configs/cascade_community.ini`` as the cascade-community
+  benchmark workload writes it (``perfbench/workloads.py``), over its
+  ``run_seed1.csv`` and ``arms_seed1.csv``: the sampled fair target and the
+  one-world cascade pulls on the 534-node graph.
 
 Its header records the Python and numpy versions it was made with, since a
-different numpy may move the floating-point bits, and the SIMD targets numpy
-dispatches ``expm1`` and ``log1p`` to: the synthetic transform and the
-cascade gap draw call them, and their results differ between targets (and
-from libm's) in the last bits, so the same numpy on another CPU may move the
-digests too.  Regenerate it with
-``python scripts/output_digests.py --write-golden``.
+different numpy may move the floating-point bits.  The digests come in one
+set per SIMD target that numpy dispatches ``expm1`` and ``log1p`` to, each
+set headed by its ``# simd`` line: the synthetic transform and the cascade
+gap draw call them, and their results differ between targets (and from
+libm's) in the last bits, so the same numpy on another CPU moves the
+digests too.  A run is checked against the set of its own target.
+Regenerate the file with ``python scripts/output_digests.py --write-golden``:
+it writes the set of the host's target and, from a subprocess with
+``NPY_DISABLE_CPU_FEATURES`` set, that of numpy's baseline target, and keeps
+the sets of other targets when the Python and numpy versions are unchanged.
 """
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import hashlib
+import importlib.util
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,17 +50,6 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
 BENCHMARK_CONFIG = REPO / "configs" / "synthetic_ksvfair.ini"
 CASCADE_CONFIG = REPO / "configs" / "cascade_tiny.ini"
-COMMUNITY_CONFIG = REPO / "configs" / "cascade_community.ini"
-# the cascade-community benchmark workload's cuts at workload seed 0, as
-# literals; test_acceptance checks them against perfbench/workloads.py
-CASCADE_CUTS = {
-    ("run", "seeds"): "1",
-    ("run", "rounds"): "30",
-    ("algo", "r"): "2",
-    ("algo", "l"): "1",
-    ("env", "pistar_sims"): "1",
-    ("env", "pistar_samples"): "180",
-}
 
 
 def benchmark_runs() -> dict:
@@ -111,68 +108,85 @@ def cascade_digests(out_dir: Path) -> list[str]:
 
 
 def community_cut_config(out_dir: Path) -> Path:
-    """Write ``cascade_community.ini`` at ``CASCADE_CUTS`` to ``out_dir``;
-    its graph_path stays relative to the repository root."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read(COMMUNITY_CONFIG)
-    for (section, key), value in CASCADE_CUTS.items():
-        parser[section][key] = value
+    """Write the cascade-community benchmark workload's INI, at workload
+    seed 0, to ``out_dir``: ``cascade_community.ini`` at the benchmark's
+    cuts, seed 1, with an absolute graph_path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up by name
+    spec.loader.exec_module(workloads)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = out_dir / "cascade_community_cut.ini"
-    with open(config, "w") as fh:
-        parser.write(fh)
+    [config] = workloads.write_configs(workloads.WORKLOADS["cascade-community"], REPO, out_dir, 0)
     return config
 
 
 def community_cut_digests(out_dir: Path) -> list[str]:
-    """One line for seed 1 of ``cascade_community.ini`` at ``CASCADE_CUTS``,
-    run from an INI written to ``out_dir``; run from the repository root."""
+    """One line for seed 1 of ``cascade_community.ini`` at the benchmark's
+    cuts, run from an INI written to ``out_dir``."""
     out = run_experiment(community_cut_config(out_dir), out_dir=out_dir / "run")
     tables = [(out / f"{kind}_seed1.csv").read_bytes() for kind in ("run", "arms")]
     return [f"{_sha256(*tables)}  cascade_community_cut/seed1"]
 
 
-def simd_targets() -> str:
-    """The SIMD target of numpy's float64 ``expm1`` and ``log1p`` loops on
-    this host, ``unknown`` before numpy 2.0, which cannot report it."""
+def _loops() -> list[dict]:
+    """numpy's float64 ``expm1`` and ``log1p`` loops, as ``opt_func_info``
+    reports them; empty before numpy 2.0, which cannot report them."""
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:
-        return "unknown"
+        return []
     info = opt_func_info(func_name="expm1|log1p", signature="float64")
     # each function has one float64 loop, keyed by its type characters ("dd")
-    return " ".join(
-        f"{name}={loop['current']}" for name in ("expm1", "log1p") for loop in info[name].values()
-    )
+    return [loop for name in ("expm1", "log1p") for loop in info[name].values()]
+
+
+def simd_targets() -> str:
+    """The SIMD target of numpy's float64 ``expm1`` and ``log1p`` loops on
+    this host, ``unknown`` before numpy 2.0."""
+    loops = _loops()
+    if not loops:
+        return "unknown"
+    return " ".join(f"{name}={loop['current']}" for name, loop in zip(("expm1", "log1p"), loops))
 
 
 def versions() -> list[str]:
-    return [
-        f"# python {platform.python_version()}",
-        f"# numpy {np.__version__}",
-        f"# simd {simd_targets()}",
-    ]
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
 
 
-def read_golden() -> tuple[list[str], list[str]]:
-    """The golden file's version lines and digest lines."""
-    lines = GOLDEN.read_text().splitlines()
-    return [l for l in lines if l.startswith("#")], [l for l in lines if l and not l.startswith("#")]
+def read_golden() -> tuple[list[str], dict[str, list[str]]]:
+    """The golden file's version lines, and its digest lines per SIMD target."""
+    header, sets = [], {}
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("# simd "):
+            digest_set = sets.setdefault(line.removeprefix("# simd "), [])
+        elif line.startswith("#"):
+            header.append(line)
+        elif line:
+            digest_set.append(line)
+    return header, sets
 
 
 def mismatch(lines: list[str]) -> str | None:
-    """None when ``lines`` equal the golden digests; otherwise a message
-    naming the first differing run and both sets of version lines (Python,
-    numpy and SIMD targets)."""
-    golden_versions, golden = read_golden()
+    """None when ``lines`` equal the golden digests of this host's SIMD
+    target; otherwise a message naming the target when the file has no set
+    for it, or else the first differing run and both sets of version lines."""
+    golden_versions, sets = read_golden()
+    target = simd_targets()
+    if target not in sets:
+        return (
+            f"{GOLDEN.name} has no digests for simd {target} (only for {'; '.join(sets)}); "
+            "add them with `python scripts/output_digests.py --write-golden` on this host"
+        )
+    golden = sets[target]
     if lines == golden:
         return None
     want = {name: digest for digest, name in (l.split("  ", 1) for l in golden)}
     got = {name: digest for digest, name in (l.split("  ", 1) for l in lines)}
     first = next((n for n in [*want, *got] if want.get(n) != got.get(n)), "the run order")
     return (
-        f"output digests differ from {GOLDEN.name}, first at {first}; golden file made with "
-        f"{', '.join(v[2:] for v in golden_versions)}; this run {', '.join(v[2:] for v in versions())}"
+        f"output digests differ from {GOLDEN.name}'s simd {target} set, first at {first}; "
+        f"golden file made with {', '.join(v[2:] for v in golden_versions)}; "
+        f"this run {', '.join(v[2:] for v in versions())}"
     )
 
 
@@ -186,7 +200,40 @@ def digests(runs: dict, tmp_dir: Path) -> list[str]:
     )
 
 
+def host_set(tmp_dir: Path) -> list[str]:
+    """This process's digest set, headed by its ``# simd`` line."""
+    return [f"# simd {simd_targets()}", *digests(benchmark_runs(), tmp_dir)]
+
+
+def _baseline_set(tmp_dir: Path) -> list[str]:
+    """The digest set of numpy's baseline target, made by this module run as
+    a script with every other target of the two loops disabled; empty when
+    numpy cannot name those targets."""
+    above = {t for loop in _loops() for t in loop["available"].split() if not t.startswith("baseline")}
+    if not above:
+        return []
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(sorted(above)), PYTHONPATH=str(REPO / "src"))
+    tmp_dir.mkdir(parents=True)
+    subprocess.run([sys.executable, __file__, str(tmp_dir)], cwd=REPO, env=env, check=True)
+    return (tmp_dir / "set.txt").read_text().splitlines()
+
+
 def write_golden(tmp_dir: Path) -> Path:
-    lines = digests(benchmark_runs(), tmp_dir)
-    GOLDEN.write_text("\n".join(versions() + lines) + "\n")
+    """Write the host's set and the baseline's, keeping the file's sets of
+    other targets when they were made with this Python and numpy; run from
+    the repository root."""
+    sets = {}
+    for head, *lines in filter(None, (host_set(tmp_dir / "host"), _baseline_set(tmp_dir / "baseline"))):
+        sets.setdefault(head.removeprefix("# simd "), lines)
+    header, kept = read_golden() if GOLDEN.exists() else ([], {})
+    if header == versions():
+        for target, lines in kept.items():
+            sets.setdefault(target, lines)
+    body = [line for target, lines in sets.items() for line in (f"# simd {target}", *lines)]
+    GOLDEN.write_text("\n".join(versions() + body) + "\n")
     return GOLDEN
+
+
+if __name__ == "__main__":  # python tests/golden.py TMP_DIR, from the repository root
+    out = Path(sys.argv[1])
+    (out / "set.txt").write_text("\n".join(host_set(out)) + "\n")

@@ -419,8 +419,8 @@ def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
 
 def scalar_normalize_to_marginals(raw, K: int) -> list[float]:
     """Water-filling in plain floats: scale to sum K, cap entries above 1 and
-    rescale the uncapped rest until none exceeds 1, then add the float drift
-    to the largest uncapped entries, each up to the cap.  Sums run left to
+    rescale the uncapped rest until none exceeds 1.  The sum may sit a few
+    ulp off K, as ``normalize_to_marginals``'s does.  Sums run left to
     right, which need not be numpy's order."""
     M = len(raw)
     probs = [K * r / sum(raw) for r in raw]
@@ -433,15 +433,6 @@ def scalar_normalize_to_marginals(raw, K: int) -> list[float]:
         probs = [1.0 if c else 0.0 if stuck else mass * r / free_total for r, c in zip(raw, capped)]
         if stuck:
             break
-    drift = K - sum(probs)
-    if drift != 0.0:
-        free = [a for a in range(M) if not capped[a] and probs[a] > 0]
-        for a in sorted(free, key=lambda a: -probs[a]):
-            shifted = probs[a] + drift
-            probs[a] = min(shifted, 1.0)
-            drift = shifted - probs[a]
-            if drift == 0.0:
-                break
     return probs
 
 
