@@ -167,6 +167,68 @@ MUTANTS = (
         "return float(sum(draws.clip(0.0, 1.0, out=draws).tolist()) / n)",
         ("tests/test_envs.py::TestOneRowPull::test_synthetic_row_at_sweep_pull_counts",),
     ),
+    Mutant(
+        "estimation-squares-divided-first",
+        "src/ksvfair/estimation.py",
+        "weights=(d * d / R).ravel()",
+        "weights=(d / R * d).ravel()",
+        (
+            "tests/test_estimation.py::TestArrayMatchesScalar::test_shapley_estimation",
+            "tests/test_estimation.py::TestArrayMatchesScalar::test_shapley_estimation_at_benchmark_shape",
+        ),
+    ),
+    Mutant(
+        "muras-outsiders-in-id-order",
+        "src/ksvfair/estimation.py",
+        "outside = order[~inside[order]]",
+        "outside = np.flatnonzero(~inside)",
+        (
+            "tests/test_estimation.py::TestArrayMatchesScalar::test_muras_round",
+            "tests/test_estimation.py::TestArrayMatchesScalar::test_muras_round_at_benchmark_shape",
+        ),
+    ),
+    Mutant(
+        "rrs-sample-moved-marginals",
+        "src/ksvfair/rounding.py",
+        "cuts = probs[perm].clip(0.0, 1.0).cumsum()",
+        "cuts = (probs[perm] + 0.01 * (perm == 2) - 0.01 * (perm == 3)).clip(0.0, 1.0).cumsum()",
+        ("tests/test_rounding.py::TestInclusionLaw::test_inclusion_counts_match_marginals",),
+    ),
+    Mutant(
+        "synthetic-moments-left-to-right",
+        "src/ksvfair/envs.py",
+        "sum_means[nonempty] = np.add.reduceat(self.means[flat], starts)",
+        "sum_means[nonempty] = [sum(row) for row in np.split(self.means[flat], starts[1:])]",
+        ("tests/test_envs.py::TestScalarSumBits::test_batched_moments_pinned_on_the_shipped_game",),
+    ),
+    Mutant(
+        "sampled-shapley-values-before-coverage-check",
+        "src/ksvfair/games.py",
+        "    hits = np.bincount(arms, minlength=M)\n",
+        "    valuation(tuple(arms[:1].tolist()))\n    hits = np.bincount(arms, minlength=M)\n",
+        ("tests/test_games.py::TestSampledValues::test_unsampled_arm_fails_before_any_valuation",),
+    ),
+    Mutant(
+        "synthetic-moment-fsum",
+        "src/ksvfair/envs.py",
+        "        return float(self._transform(x)), math.sqrt(q / len(S))\n",
+        "        return float(self._transform(math.fsum(means[i] for i in S))), math.sqrt(q / len(S))\n",
+        ("tests/test_envs.py::TestScalarPullBits::test_synthetic_every_coalition",),
+    ),
+    Mutant(
+        "etcg-explores-with-twenty-pulls",
+        "src/ksvfair/policies.py",
+        "m = oracle.pull_mean(played, cfg.L, rng)",
+        "m = oracle.pull_mean(played, 20, rng)",
+        ("tests/test_policies.py::TestBaselineReferences::test_etcg_matches_reference",),
+    ),
+    Mutant(
+        "rrs-sample-without-point-clamp",
+        "src/ksvfair/rounding.py",
+        "points = np.minimum(rng.random() + np.arange(K), np.nextafter(K, 0))",
+        "points = rng.random() + np.arange(K)",
+        ("tests/test_rounding.py::TestRrsSample::test_largest_offset_keeps_the_last_point_below_k",),
+    ),
 )
 
 

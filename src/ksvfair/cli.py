@@ -128,7 +128,6 @@ _KEYS = {
         "delta1": ("delta1", float),
         "delta2": ("delta2", float),
         "radius_mode": ("radius_mode", str),
-        "explore_pulls": ("explore_pulls", int),
     },
     "env": {
         "m": ("M", int),

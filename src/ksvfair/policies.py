@@ -44,7 +44,6 @@ class PolicyConfig:
     delta2: float = 0.05
     rounds: int | None = None
     radius_mode: str = "adaptive"
-    explore_pulls: int = 20
 
     def __post_init__(self):
         if self.T <= self.K:
@@ -60,8 +59,6 @@ class PolicyConfig:
             raise ValueError("round cap must be >= 1")
         if self.radius_mode not in RADIUS_MODES:
             raise ValueError(f"radius_mode must be one of {RADIUS_MODES}")
-        if self.explore_pulls < 1:
-            raise ValueError("explore_pulls must be >= 1")
 
     @property
     def warm_rounds(self) -> int:
@@ -257,9 +254,9 @@ def uniform_schedule(cfg: PolicyConfig) -> list[int]:
 
 
 def etcg_schedule(cfg: PolicyConfig) -> list[int]:
-    """Round costs of ``etcg_baseline``: one exploration sweep of
-    ``explore_pulls`` per candidate, then one pull per commit round."""
-    sweep = [cfg.explore_pulls] * sum(cfg.M - k for k in range(cfg.K))
+    """Round costs of ``etcg_baseline``: one exploration sweep of L pulls
+    per candidate, then one pull per commit round."""
+    sweep = [cfg.L] * sum(cfg.M - k for k in range(cfg.K))
     return _round_costs(cfg, sweep, 1, "exploration sweep")
 
 
@@ -359,7 +356,7 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
     """Phased greedy: explore marginal gains on the growing prefix, then commit.
 
     Each exploration round evaluates one candidate on top of the committed
-    prefix with ``explore_pulls`` pulls; after sweeping the candidates the
+    prefix with the mean of L pulls; after sweeping the candidates the
     best joins the prefix.  Once K arms are committed the set is played
     forever.  Probabilities are logged as the played set's indicator, so
     the policy is deliberately degenerate, and a sweep round's ``pi`` sums
@@ -375,7 +372,7 @@ def etcg_baseline(cfg: PolicyConfig, oracle, rng, seed: int | None = None) -> Ru
         best_arm, best_mean = candidates[0], -np.inf
         for cand in candidates:
             played = prefix + [cand]
-            m = oracle.pull_mean(played, cfg.explore_pulls, rng)
+            m = oracle.pull_mean(played, cfg.L, rng)
             rec.selected[t, played] = 1
             t += 1
             if m > best_mean:

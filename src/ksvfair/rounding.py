@@ -99,7 +99,9 @@ def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     # entries may sit up to SUM_TOL outside [0, 1]; clip before laying them end to end
     cuts = probs[perm].clip(0.0, 1.0).cumsum()
     cuts[-1] = K
-    picked = np.sort(perm[cuts.searchsorted(rng.random() + np.arange(K), side="right")]).tolist()
+    # an offset within about K 2**-53 of 1 rounds the last point up to K, past every cut
+    points = np.minimum(rng.random() + np.arange(K), np.nextafter(K, 0))
+    picked = np.sort(perm[cuts.searchsorted(points, side="right")]).tolist()
     if len(set(picked)) < K:
         raise RepeatedPickError(
             f"arm picked twice in {tuple(picked)}; marginals drifted off their sum"

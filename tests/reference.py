@@ -411,6 +411,7 @@ def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     cuts[-1] = float(K)
     offset = rng.random()
     points = offset + np.arange(K)
+    points[-1] = min(points[-1], math.nextafter(K, 0))
     picked = tuple(sorted(perm[np.searchsorted(cuts, points, side="right")].tolist()))
     if any(picked[j] == picked[j + 1] for j in range(K - 1)):
         raise RepeatedPickError(f"arm picked twice in {picked}")
@@ -558,13 +559,13 @@ def reference_run_etcg(cfg, oracle, rng, seed=None) -> SimpleNamespace:
     """``etcg_baseline`` round by round over ``scalar_gaussian_pull``.
 
     K sweeps grow a prefix: each candidate outside it is played on top of
-    it for one round, as the mean of ``explore_pulls`` scalar pulls added
+    it for one round, as the mean of L scalar pulls added
     left to right, and the first candidate with the strictly largest mean
     joins the prefix.  Every later round plays the committed set with one
     pull.  A round logs its played set's indicator as ``pi``.  Returns the
     ``RunRecord`` fields as lists.
     """
-    M, K, n = cfg.M, cfg.K, cfg.explore_pulls
+    M, K, n = cfg.M, cfg.K, cfg.L
     costs = loop_round_costs(cfg, [n] * sum(M - k for k in range(K)), 1)
     pis = []
     prefix: list[int] = []

@@ -319,7 +319,7 @@ class TestBaselineReferences:
     @pytest.mark.parametrize("M, K", [(5, 2), (8, 3)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_etcg_matches_reference(self, M, K, seed):
-        cfg = small_cfg(M, K, rounds=40, explore_pulls=9)
+        cfg = small_cfg(M, K, L=9, rounds=40)
         env = small_env(M, K, noise=0.3)
         rec, ref, rng, rng_ref = self.run_both(etcg_baseline, reference_run_etcg, cfg, env, seed)
         self.assert_same_run(rec, ref, rng, rng_ref)
@@ -327,7 +327,7 @@ class TestBaselineReferences:
     def test_etcg_tie_matches_reference(self):
         # noiseless, with arms 1, 2 and 4 worth the same: the first of them wins each tie
         oracle = GameOracle(additive_game([0.1, 0.3, 0.3, 0.05, 0.3], 2))
-        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=1, rounds=15, explore_pulls=4)
+        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=4, rounds=15)
         rec, ref, rng, rng_ref = self.run_both(etcg_baseline, reference_run_etcg, cfg, oracle, 0)
         self.assert_same_run(rec, ref, rng, rng_ref)
         assert np.flatnonzero(rec.selected[-1]).tolist() == [1, 2]
@@ -466,7 +466,7 @@ class TestUniformBaseline:
 class TestEtcgBaseline:
     def test_commits_to_top_k_on_noiseless_additive(self):
         w = [0.05, 0.4, 0.1, 0.3, 0.15]
-        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=1, rounds=60, explore_pulls=4)
+        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=4, rounds=60)
         oracle = GameOracle(additive_game(w, 2))
         rec = etcg_baseline(cfg, oracle, np.random.default_rng(0), seed=0)
         explore_rounds = 5 + 4
@@ -479,7 +479,7 @@ class TestEtcgBaseline:
         assert np.all(rec.pulls[explore_rounds:] == 1)
 
     def test_budget_too_small_for_sweep(self):
-        cfg = PolicyConfig(T=30, M=5, K=2, R=1, L=1, explore_pulls=4)
+        cfg = PolicyConfig(T=30, M=5, K=2, R=1, L=4)
         oracle = GameOracle(additive_game([0.1] * 5, 2))
         with pytest.raises(ValueError, match="exploration"):
             etcg_baseline(cfg, oracle, np.random.default_rng(0))
@@ -488,14 +488,14 @@ class TestEtcgBaseline:
         # 5 + 4 exploration rounds of 4 pulls: the sweep and not one commit round
         oracle = GameOracle(additive_game([0.05, 0.4, 0.1, 0.3, 0.15], 2))
         for T, rounds in [(36, None), (10**6, 9), (36, 9)]:
-            cfg = PolicyConfig(T=T, M=5, K=2, R=1, L=1, rounds=rounds, explore_pulls=4)
+            cfg = PolicyConfig(T=T, M=5, K=2, R=1, L=4, rounds=rounds)
             rec = etcg_baseline(cfg, oracle, np.random.default_rng(0))
             assert rec.n_rounds == 9 and rec.pulls.sum() == 36
             assert np.all(rec.pulls == 4)
 
     def test_non_committed_arms_rarely_selected(self):
         w = [0.05, 0.4, 0.1, 0.3, 0.15]
-        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=1, rounds=200, explore_pulls=4)
+        cfg = PolicyConfig(T=10**6, M=5, K=2, R=1, L=4, rounds=200)
         oracle = GameOracle(additive_game(w, 2))
         rec = etcg_baseline(cfg, oracle, np.random.default_rng(0))
         counts = rec.counts
@@ -565,7 +565,7 @@ class TestRecorder:
         monkeypatch.setattr(policies, "shapley_estimation", spy_estimation)
         monkeypatch.setattr(policies, "muras_round", spy_round)
         runner, _ = policies.ALGORITHMS[algo]
-        cfg = PolicyConfig(T=10**6, M=self.M, K=self.K, R=5, L=3, rounds=60, explore_pulls=4)
+        cfg = PolicyConfig(T=10**6, M=self.M, K=self.K, R=5, L=3, rounds=60)
         rec = runner(cfg, env, np.random.default_rng(1), seed=1)
         if algo == "uniform":  # plays without pulling: its coalitions are the first K of each shuffle
             shuffles = np.random.default_rng(1).permuted(np.tile(np.arange(self.M), (60, 1)), axis=1)

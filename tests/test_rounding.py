@@ -166,6 +166,17 @@ class TestRrsSample:
         assert pi.sum() < 3
         assert rrs_sample(pi, 3, _FixedRng(1 - 2**-51)) == (1, 2, 3)
 
+    @pytest.mark.parametrize(
+        "K, picks", [(1, (1,)), (2, (1, 3)), (3, (1, 4, 5)), (5, (1, 4, 6, 8, 9))]
+    )
+    def test_largest_offset_keeps_the_last_point_below_k(self, K, picks):
+        # at numpy's largest random(), 1 - 2**-53, the last point u + K - 1
+        # rounds up to K, which no cut passes; the middle points round up to
+        # whole numbers too, so the picks are not exactly the odd arms
+        pi = np.full(2 * K, 0.5)
+        assert rrs_sample(pi, K, _FixedRng(1 - 2**-53)) == picks
+        assert scalar_rrs_sample(pi, K, _FixedRng(1 - 2**-53)) == picks
+
     def test_entries_clipped_to_unit_interval(self):
         # unclipped, the -5e-10 entry pulls arm 1's cut below the offset and
         # the point lands in arm 2's interval instead

@@ -38,7 +38,7 @@ def configs(draw, algo, env):
         f"rounds = {-1 if bad == 'rounds < 0' else draw(st.one_of(st.just(0), tiny))}\n"
         f"seeds = {draw(st.integers(0, 3))}\n"
         f"[algo]\nr = {0 if bad == 'r = 0' else draw(st.integers(1, 3))}\n"
-        f"l = {draw(st.integers(1, 2))}\nexplore_pulls = {draw(st.integers(1, 3))}\n"
+        f"l = {draw(st.integers(1, 2))}\n"
         f"[env]\nm = {n_arms + (bad == 'm')}\nk = {k}\n{env_keys}"
     )
 
