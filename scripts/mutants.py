@@ -115,13 +115,6 @@ MUTANTS = (
         ("tests/test_envs.py::TestBatchedGaussianPrimitive::test_mixed_batch",),
     ),
     Mutant(
-        "rrs-sample-without-last-cut",
-        "src/ksvfair/rounding.py",
-        "    cuts[-1] = K\n",
-        "",
-        ("tests/test_rounding.py::TestRrsSample::test_last_cut_absorbs_a_sum_below_budget",),
-    ),
-    Mutant(
         "synthetic-pull-draws-when-noiseless",
         "src/ksvfair/envs.py",
         "        mu, sigma = self._moment(self._checked(members))\n"
@@ -225,9 +218,26 @@ MUTANTS = (
     Mutant(
         "rrs-sample-without-point-clamp",
         "src/ksvfair/rounding.py",
-        "points = np.minimum(rng.random() + np.arange(K), np.nextafter(K, 0))",
+        "points = np.minimum(rng.random() + np.arange(K), np.nextafter(cuts[-1], 0))",
         "points = rng.random() + np.arange(K)",
         ("tests/test_rounding.py::TestRrsSample::test_largest_offset_keeps_the_last_point_below_k",),
+    ),
+    Mutant(
+        "rrs-sample-clamps-at-budget",
+        "src/ksvfair/rounding.py",
+        "np.nextafter(cuts[-1], 0)",
+        "np.nextafter(K, 0)",
+        ("tests/test_rounding.py::TestRrsSample::test_zero_marginal_arm_after_a_short_sum_never_picked",),
+    ),
+    Mutant(
+        "water-fill-without-mass-guard",
+        "src/ksvfair/rounding.py",
+        "        if mass <= 0:\n            probs[free] = 0.0\n            break\n",
+        "",
+        (
+            "tests/test_rounding.py::TestNormalizeToMarginals::"
+            "test_every_positive_score_capped_by_rounding_leaves_the_rest_at_zero",
+        ),
     ),
 )
 

@@ -364,6 +364,16 @@ def _worker_count(n_seeds: int) -> int:
     return min(n_seeds, os.cpu_count() or 1)  # no affinity call on this platform
 
 
+def run_seeds(cfg: RunConfig, oracle):
+    """Each seed's record of ``cfg`` played on ``oracle`` (never mutated), in seed order."""
+    n = len(cfg.seeds)
+    workers = _worker_count(n)
+    if workers > 1:  # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        yield from (pool.map if pool else map)(_run_one, [cfg] * n, [oracle] * n, cfg.seeds)
+
+
 def run_experiment(config_path, out_dir=None) -> Path:
     """Execute the configured runs and write all CSVs; returns the output dir.
 
@@ -382,20 +392,11 @@ def run_experiment(config_path, out_dir=None) -> Path:
     # before the output directory exists
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    # every seed plays the oracle the target was built from: it never mutates
-    n = len(cfg.seeds)
-    workers = _worker_count(n)
-    if workers > 1:
-        # imported here: it loads multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        records = (pool.map if pool else map)(_run_one, [cfg] * n, [oracle] * n, cfg.seeds)
-        ledgers = []
-        for record in records:
-            ledgers.append(write_round_csv(out / f"run_seed{record.seed}.csv", record, pi_star))
-            write_arms_csv(out / f"arms_seed{record.seed}.csv", record, phi.values)
-            del record  # freed before the next seed's record is made
+    ledgers = []
+    for record in run_seeds(cfg, oracle):  # every seed plays the oracle the target was built from
+        ledgers.append(write_round_csv(out / f"run_seed{record.seed}.csv", record, pi_star))
+        write_arms_csv(out / f"arms_seed{record.seed}.csv", record, phi.values)
+        del record  # freed before the next seed's record is made
     write_aggregate_csv(out / "aggregate.csv", cfg.algo, ledgers)
     return out
 

@@ -2,9 +2,9 @@
 
 The sampler is systematic: permute the arms, lay their probabilities end to
 end on [0, K), and slice with K points spaced exactly one apart at a random
-offset.  Total mass K gives exactly K picks; entries capped at 1 make a
-double pick impossible; each arm's interval length equals its probability,
-so marginals are matched exactly.
+offset, each kept below the last cut.  Total mass K gives exactly K picks;
+entries capped at 1 make a double pick impossible; each arm's interval
+length equals its probability, so marginals are matched exactly.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
     valid vector exists and a ValueError is raised, as it is for scores
     whose sum is not finite.  The result preserves the ranking of the raw
     scores up to ties created by capping.  Valid by construction, it may
-    sum a few ulp off K; ``rrs_sample`` absorbs that at its last cut.
+    sum a few ulp off K; ``rrs_sample`` keeps its points below that sum.
     """
     raw = np.asarray(raw, dtype=float)
     M = len(raw)
@@ -74,18 +74,17 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
     probs = K * raw / total
     capped = np.zeros(M, dtype=bool)
     while True:
-        over = (probs > 1.0) & ~capped
+        over = probs > 1.0
         if not over.any():
             break
         capped |= over
         probs[capped] = 1.0
         free = ~capped
         mass = K - int(capped.sum())
-        free_total = float(raw[free].sum())
-        if mass <= 0 or free_total <= 0:
+        if mass <= 0:
             probs[free] = 0.0
             break
-        probs[free] = mass * raw[free] / free_total
+        probs[free] = mass * raw[free] / raw[free].sum()
     return probs
 
 
@@ -98,12 +97,11 @@ def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     perm = rng.permutation(len(probs))
     # entries may sit up to SUM_TOL outside [0, 1]; clip before laying them end to end
     cuts = probs[perm].clip(0.0, 1.0).cumsum()
-    cuts[-1] = K
-    # an offset within about K 2**-53 of 1 rounds the last point up to K, past every cut
-    points = np.minimum(rng.random() + np.arange(K), np.nextafter(K, 0))
+    # a point that drift or rounding puts on or past the last cut goes to the last arm with mass
+    points = np.minimum(rng.random() + np.arange(K), np.nextafter(cuts[-1], 0))
     picked = np.sort(perm[cuts.searchsorted(points, side="right")]).tolist()
     if len(set(picked)) < K:
         raise RepeatedPickError(
-            f"arm picked twice in {tuple(picked)}; marginals drifted off their sum"
+            f"arm picked twice in {tuple(picked)}; two points rounded or clamped into one interval"
         )
     return tuple(picked)

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from ksvfair import exact_k_shapley, fair_policy
-from ksvfair.cli import build_env, load_config, run_experiment, write_arms_csv, write_round_csv
+from ksvfair.cli import build_env, load_config, run_experiment, run_seeds, write_arms_csv, write_round_csv
 from ksvfair.policies import ALGORITHMS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -53,13 +53,14 @@ CASCADE_CONFIG = REPO / "configs" / "cascade_tiny.ini"
 
 
 def benchmark_runs() -> dict:
-    """30-seed runs of all four policies at the shipped benchmark config."""
+    """30-seed runs of all four policies at the shipped benchmark config,
+    played through the CLI's seed loop."""
     cfg = load_config(BENCHMARK_CONFIG)
     phi = exact_k_shapley(build_env(cfg).restricted_game()).values
     out = {"phi": phi, "pi_star": fair_policy(phi, cfg.K).probs, "cfg": cfg}
-    for name, (runner, _) in ALGORITHMS.items():
-        env = build_env(dataclasses.replace(cfg, algo=name))  # build_env lets muras query K + 1 arms
-        out[name] = [runner(cfg.policy, env, np.random.default_rng(seed), seed=seed) for seed in cfg.seeds]
+    for name in ALGORITHMS:
+        algo_cfg = dataclasses.replace(cfg, algo=name)
+        out[name] = list(run_seeds(algo_cfg, build_env(algo_cfg)))  # build_env lets muras query K + 1 arms
     return out
 
 

@@ -408,10 +408,9 @@ def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     probs = np.clip(probs, 0.0, 1.0)
     perm = rng.permutation(len(probs))
     cuts = np.cumsum(probs[perm])
-    cuts[-1] = float(K)
     offset = rng.random()
     points = offset + np.arange(K)
-    points[-1] = min(points[-1], math.nextafter(K, 0))
+    points[-1] = min(points[-1], math.nextafter(cuts[-1], 0))
     picked = tuple(sorted(perm[np.searchsorted(cuts, points, side="right")].tolist()))
     if any(picked[j] == picked[j + 1] for j in range(K - 1)):
         raise RepeatedPickError(f"arm picked twice in {picked}")
@@ -426,14 +425,13 @@ def scalar_normalize_to_marginals(raw, K: int) -> list[float]:
     M = len(raw)
     probs = [K * r / sum(raw) for r in raw]
     capped = [False] * M
-    while any(p > 1.0 and not c for p, c in zip(probs, capped)):
+    while any(p > 1.0 for p in probs):  # a capped entry is exactly 1.0
         capped = [c or p > 1.0 for p, c in zip(probs, capped)]
         mass = K - sum(capped)
+        if mass <= 0:  # nothing left to share: the rest get 0
+            return [1.0 if c else 0.0 for c in capped]
         free_total = sum(r for r, c in zip(raw, capped) if not c)
-        stuck = mass <= 0 or free_total <= 0  # nothing left to share: the rest get 0
-        probs = [1.0 if c else 0.0 if stuck else mass * r / free_total for r, c in zip(raw, capped)]
-        if stuck:
-            break
+        probs = [1.0 if c else mass * r / free_total for r, c in zip(raw, capped)]
     return probs
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ksvfair import MarginalVector, RepeatedPickError, normalize_to_marginals, rrs_sample
@@ -113,11 +113,19 @@ class TestNormalizeToMarginals:
         assert np.all(probs >= 0.0)
         assert np.all(probs <= 1.0 + 1e-12)
 
+    def test_every_positive_score_capped_by_rounding_leaves_the_rest_at_zero(self):
+        # seven positive scores at K = 7: the first pass caps the score-1
+        # arm, the six 2/3 scores then rescale to 1 + 1 ulp and cap too, so
+        # no mass is left for the zero scores (and no 0 / 0 NaN)
+        raw = [2 / 3, 0, 2 / 3, 1, 0, 0, 0, 2 / 3, 2 / 3, 2 / 3, 2 / 3]
+        probs = normalize_to_marginals(raw, 7)
+        assert probs.tolist() == [1.0 if r > 0 else 0.0 for r in raw]
+
     def test_drift_stays_within_four_ulp_and_never_repeats_a_pick(self):
         # water-filling leaves the sum a few ulp off K for about a fifth of
-        # these inputs, and rrs_sample's last cut, stretched to K, absorbs all
-        # of that drift; pin the size of the drift and that no draw picks an
-        # arm twice because of it
+        # these inputs, and rrs_sample keeps its points below the last cut;
+        # pin the size of the drift and that no draw picks an arm twice
+        # because of it
         rng = np.random.default_rng(2026)
         worst, tried = 0.0, 0
         while tried < 20_000:
@@ -136,13 +144,14 @@ class TestNormalizeToMarginals:
 
 
 class _FixedRng:
-    """Identity permutation and a fixed offset, to place the cut points by hand."""
+    """A fixed permutation, the identity unless given, and a fixed offset,
+    to place the cut points by hand."""
 
-    def __init__(self, offset):
-        self.offset = offset
+    def __init__(self, offset, perm=None):
+        self.offset, self.perm = offset, perm
 
     def permutation(self, n):
-        return np.arange(n)
+        return np.arange(n) if self.perm is None else self.perm
 
     def random(self):
         return self.offset
@@ -150,21 +159,31 @@ class _FixedRng:
 
 class TestRrsSample:
     def test_repeated_pick_raises(self):
-        # the sum is 1e-10 short of K, within tolerance; stretching the last
-        # cut to K widens the capped arm's interval past 1, so an offset just
-        # below 1 puts both points in it
+        # the sum is 1e-10 short of K, within tolerance; an offset just below
+        # 1 puts the first point in the capped last arm, and the clamp below
+        # the last cut keeps the second point there too
         pi = np.array([0.5 - 1e-10, 0.5, 1.0])
         with pytest.raises(RepeatedPickError, match="picked twice"):
             rrs_sample(pi, 2, _FixedRng(1 - 1e-11))
         assert rrs_sample(pi, 2, _FixedRng(0.5)) == (1, 2)
 
-    def test_last_cut_absorbs_a_sum_below_budget(self):
+    def test_last_point_stays_below_a_sum_short_of_budget(self):
         # water-filling leaves [1/3, 1 - 2 ulp, 1, 2/3], 4.4e-16 short of K;
         # at this offset the last point lands on that short sum, past every
-        # cut unless the last one is stretched to K
+        # cut unless it is kept below the last one
         pi = normalize_to_marginals([0.1, 0.3, 3.0, 0.2], 3)
         assert pi.sum() < 3
         assert rrs_sample(pi, 3, _FixedRng(1 - 2**-51)) == (1, 2, 3)
+
+    @pytest.mark.parametrize("exponent", [51, 52, 53])
+    def test_zero_marginal_arm_after_a_short_sum_never_picked(self, exponent):
+        # the same short sum with a zero arm last: its cut equals arm 3's, so
+        # a last point kept below K rather than below the last cut lands in
+        # arm 4's zero-width interval [3 - 4.4e-16, 3)
+        pi = normalize_to_marginals([0.1, 0.3, 3.0, 0.2, 0.0], 3)
+        assert pi[4] == 0.0 and pi.sum() < 3
+        assert rrs_sample(pi, 3, _FixedRng(1 - 2.0**-exponent)) == (1, 2, 3)
+        assert scalar_rrs_sample(pi, 3, _FixedRng(1 - 2.0**-exponent)) == (1, 2, 3)
 
     @pytest.mark.parametrize(
         "K, picks", [(1, (1,)), (2, (1, 3)), (3, (1, 4, 5)), (5, (1, 4, 6, 8, 9))]
@@ -254,6 +273,34 @@ class TestRrsSample:
         S = rrs_sample(pi, K, rng)
         assert len(S) == K and len(set(S)) == K
         assert all(0 <= a < M for a in S)
+
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0)), min_size=2, max_size=12
+        ),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.integers(min_value=1, max_value=53).map(lambda e: 1 - 2.0**-e),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_zero_marginal_arms_never_picked(self, raw, K, seed, offset):
+        # water-filled scores with zeros, at any offset and at offsets
+        # 1 - 2**-e up to numpy's largest: a draw returns K distinct arms
+        # with positive marginals, or raises RepeatedPickError (an offset
+        # near 1 can round a middle point onto the next cut)
+        K = min(K, np.count_nonzero(raw))
+        assume(K > 0)
+        pi = normalize_to_marginals(raw, K)
+        perm = np.random.default_rng(seed).permutation(len(raw))
+        try:
+            S = rrs_sample(pi, K, _FixedRng(offset, perm))
+        except RepeatedPickError:
+            return
+        assert len(set(S)) == K
+        assert (pi[list(S)] > 0).all()
 
 
 class TestInclusionLaw:
