@@ -216,18 +216,25 @@ MUTANTS = (
         ("tests/test_policies.py::TestBaselineReferences::test_etcg_matches_reference",),
     ),
     Mutant(
-        "rrs-sample-without-point-clamp",
+        "rrs-sample-cuts-not-rescaled",
         "src/ksvfair/rounding.py",
-        "points = np.minimum(rng.random() + np.arange(K), np.nextafter(cuts[-1], 0))",
-        "points = rng.random() + np.arange(K)",
+        "cuts = np.rint(cuts / cuts[-1] * (K * q))",
+        "cuts = np.rint(cuts * (K * q))",
         ("tests/test_rounding.py::TestRrsSample::test_largest_offset_keeps_the_last_point_below_k",),
     ),
     Mutant(
-        "rrs-sample-clamps-at-budget",
+        "rrs-sample-cuts-not-divided-by-sum",
         "src/ksvfair/rounding.py",
-        "np.nextafter(cuts[-1], 0)",
-        "np.nextafter(K, 0)",
-        ("tests/test_rounding.py::TestRrsSample::test_zero_marginal_arm_after_a_short_sum_never_picked",),
+        "np.rint(cuts / cuts[-1] * (K * q))",
+        "np.rint(cuts * q)",
+        ("tests/test_rounding.py::TestRrsSample::test_repeated_pick_raises",),
+    ),
+    Mutant(
+        "rrs-sample-offset-rounded-up",
+        "src/ksvfair/rounding.py",
+        "math.floor(rng.random() * q)",
+        "math.ceil(rng.random() * q)",
+        ("tests/test_rounding.py::TestRrsSample::test_forced_draws_at_offsets_near_one",),
     ),
     Mutant(
         "water-fill-without-mass-guard",

@@ -88,6 +88,8 @@ class RunConfig:
                 f"key 'pistar_samples': the sampled fair target draws {self.pistar_samples} "
                 f"coalitions of k={self.K} arms, which cannot cover m={self.M} arms"
             )
+        if self.env == "synthetic" and not self.means:
+            raise ValueError("key 'means' is required for the synthetic environment")
         if self.env == "cascade" and not self.graph_path:
             raise ValueError("key 'graph_path' is required for the cascade environment")
         ALGORITHMS[self.algo][1](self.policy)  # the schedule rejects a budget too small for the fixed phase
@@ -401,9 +403,18 @@ def run_experiment(config_path, out_dir=None) -> Path:
     return out
 
 
-def _read_aggregate(path: Path):
+def _read_rows(path: Path, columns) -> list[dict]:
+    """The rows of the CSV table at ``path``, which must have ``columns``."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        for column in columns:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: missing column {column!r}")
+        return list(reader)
+
+
+def _read_aggregate(path: Path):
+    rows = _read_rows(path, ["algo", "round", "fr_mean", "fr_var"])
     if not rows:
         raise ValueError(f"{path}: empty aggregate")
     algo = rows[0]["algo"]
@@ -417,11 +428,7 @@ def _read_arm_ratios(run_dir: Path) -> np.ndarray:
     files = sorted(run_dir.glob("arms_seed*.csv"))
     if not files:
         raise ValueError(f"{run_dir}: no per-arm summaries found")
-    per_seed = []
-    for f in files:
-        with open(f, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        per_seed.append([float(r["merit_sel_ratio"]) for r in rows])
+    per_seed = [[float(r["merit_sel_ratio"]) for r in _read_rows(f, ["merit_sel_ratio"])] for f in files]
     return np.nanmean(np.array(per_seed), axis=0)
 
 

@@ -2,13 +2,15 @@
 
 The sampler is systematic: permute the arms, lay their probabilities end to
 end on [0, K), and slice with K points spaced exactly one apart at a random
-offset, each kept below the last cut.  Total mass K gives exactly K picks;
-entries capped at 1 make a double pick impossible; each arm's interval
-length equals its probability, so marginals are matched exactly.
+offset, all counted in whole quanta so that no rounding moves a point across
+a cut.  Total mass K gives exactly K picks; entries capped at 1 make a double
+pick impossible; each arm's interval length equals its probability to within
+a quantum, so marginals are matched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,7 @@ def normalize_to_marginals(raw, K: int) -> np.ndarray:
     valid vector exists and a ValueError is raised, as it is for scores
     whose sum is not finite.  The result preserves the ranking of the raw
     scores up to ties created by capping.  Valid by construction, it may
-    sum a few ulp off K; ``rrs_sample`` keeps its points below that sum.
+    sum a few ulp off K; ``rrs_sample`` rescales its cuts to exactly K.
     """
     raw = np.asarray(raw, dtype=float)
     M = len(raw)
@@ -92,16 +94,21 @@ def rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
     """Draw exactly K distinct arms with inclusion probabilities matching pi."""
     probs = np.asarray(pi, dtype=float)
     total = _check_marginals(probs)
+    if not 1 <= K <= len(probs):
+        raise ValueError(f"need 1 <= K <= M, got K={K}, M={len(probs)}")
     if abs(total - K) > SUM_TOL:
         raise ValueError(f"marginals sum to {total}, expected budget {K}")
     perm = rng.permutation(len(probs))
     # entries may sit up to SUM_TOL outside [0, 1]; clip before laying them end to end
     cuts = probs[perm].clip(0.0, 1.0).cumsum()
-    # a point that drift or rounding puts on or past the last cut goes to the last arm with mass
-    points = np.minimum(rng.random() + np.arange(K), np.nextafter(cuts[-1], 0))
-    picked = np.sort(perm[cuts.searchsorted(points, side="right")]).tolist()
+    # count in whole quanta, q per unit: every value is a whole number below
+    # 2**52, so exact, and x / x == 1 puts the last cut at exactly K * q
+    q = 2 ** (52 - int(K).bit_length())
+    cuts = np.rint(cuts / cuts[-1] * (K * q))
+    points = np.arange(math.floor(rng.random() * q), K * q, q, dtype=float)
+    picked = sorted(perm[cuts.searchsorted(points, side="right")].tolist())
     if len(set(picked)) < K:
         raise RepeatedPickError(
-            f"arm picked twice in {tuple(picked)}; two points rounded or clamped into one interval"
+            f"arm picked twice in {tuple(picked)}; an arm's interval spans more than one unit"
         )
     return tuple(picked)

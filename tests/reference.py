@@ -51,6 +51,7 @@ dividend and definitional oracles are the independent checks.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -398,20 +399,23 @@ def scalar_muras_round(oracle, M, K, L, rng):
 
 
 def scalar_rrs_sample(pi, K: int, rng) -> tuple[int, ...]:
-    """Systematic sampler that builds a MarginalVector and checks picks pairwise."""
+    """Systematic sampler in Python integers: builds a MarginalVector, rounds
+    the running sums onto q quanta per unit with the last at K * q, walks
+    the points q apart with ``bisect`` and checks picks pairwise."""
     from ksvfair import MarginalVector, RepeatedPickError
 
     probs = MarginalVector(np.asarray(pi, dtype=float)).probs
     total = float(probs.sum())
+    if not 1 <= K <= len(probs):
+        raise ValueError(f"need 1 <= K <= M, got K={K}, M={len(probs)}")
     if abs(total - K) > 1e-9:
         raise ValueError(f"marginals sum to {total}, expected budget {K}")
-    probs = np.clip(probs, 0.0, 1.0)
-    perm = rng.permutation(len(probs))
-    cuts = np.cumsum(probs[perm])
-    offset = rng.random()
-    points = offset + np.arange(K)
-    points[-1] = min(points[-1], math.nextafter(cuts[-1], 0))
-    picked = tuple(sorted(perm[np.searchsorted(cuts, points, side="right")].tolist()))
+    perm = rng.permutation(len(probs)).tolist()
+    sums = list(itertools.accumulate(min(max(p, 0.0), 1.0) for p in probs[perm].tolist()))
+    q = 2 ** (52 - int(K).bit_length())
+    cuts = [round(s / sums[-1] * (K * q)) for s in sums]  # round() halves to even, as np.rint
+    start = math.floor(rng.random() * q)
+    picked = tuple(sorted(perm[bisect.bisect_right(cuts, start + j * q)] for j in range(K)))
     if any(picked[j] == picked[j + 1] for j in range(K - 1)):
         raise RepeatedPickError(f"arm picked twice in {picked}")
     return picked

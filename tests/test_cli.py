@@ -512,6 +512,20 @@ class TestCompare:
         with pytest.raises(ValueError, match="grid"):
             compare_runs([a, b], out_prefix=str(tmp_path / "cmp3"))
 
+    @pytest.mark.parametrize(
+        "table, column", [("aggregate.csv", "fr_mean"), ("arms_seed2.csv", "merit_sel_ratio")]
+    )
+    def test_missing_column_named_with_its_file(self, tmp_path, capsys, table, column):
+        a = run_experiment(write_config(tmp_path, rounds=8, name="a.ini"))
+        b = run_experiment(write_config(tmp_path, algo="uniform", rounds=8, name="b.ini"))
+        rows = read_rows(b / table)
+        with open(b / table, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, [c for c in rows[0] if c != column], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["compare", str(a), str(b), "--out-prefix", str(tmp_path / "cmp")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {b / table}: missing column {column!r}\n"
+
 
 class TestMainEntry:
     def test_run_and_exact_shapley_exit_zero(self, tmp_path, capsys):
@@ -683,6 +697,17 @@ class TestConfigErrorsBeforeOutput:
         p.write_bytes(text)
         assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: cannot parse config file {p}: ")
+
+    @pytest.mark.parametrize(
+        "config, key", [("synthetic_small.ini", "means"), ("cascade_tiny.ini", "graph_path")]
+    )
+    def test_required_env_key_left_out(self, tmp_path, monkeypatch, capsys, config, key):
+        text = (ROOT / "configs" / config).read_text()
+        p = tmp_path / "c.ini"
+        p.write_text("".join(line for line in text.splitlines(True) if not line.startswith(f"{key} =")))
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+        env = config.split("_")[0]
+        assert capsys.readouterr().err == f"config error: key {key!r} is required for the {env} environment\n"
 
     def test_relative_graph_path_read_from_current_directory(self, tmp_path, monkeypatch, capsys):
         # the shipped config names data/toy_8.edges, relative to the checkout root

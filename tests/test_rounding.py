@@ -123,9 +123,9 @@ class TestNormalizeToMarginals:
 
     def test_drift_stays_within_four_ulp_and_never_repeats_a_pick(self):
         # water-filling leaves the sum a few ulp off K for about a fifth of
-        # these inputs, and rrs_sample keeps its points below the last cut;
-        # pin the size of the drift and that no draw picks an arm twice
-        # because of it
+        # these inputs, and rrs_sample rescales its cuts to exactly K; pin
+        # the size of the drift and that no draw picks an arm twice because
+        # of it
         rng = np.random.default_rng(2026)
         worst, tried = 0.0, 0
         while tried < 20_000:
@@ -159,9 +159,10 @@ class _FixedRng:
 
 class TestRrsSample:
     def test_repeated_pick_raises(self):
-        # the sum is 1e-10 short of K, within tolerance; an offset just below
-        # 1 puts the first point in the capped last arm, and the clamp below
-        # the last cut keeps the second point there too
+        # the sum is 1e-10 short of K, within tolerance; rescaling the cuts
+        # to K stretches the capped last arm 5e-11 past one unit, and an
+        # offset just below 1 puts the first point within that much of its
+        # start, so the second point, one unit on, lands in it too
         pi = np.array([0.5 - 1e-10, 0.5, 1.0])
         with pytest.raises(RepeatedPickError, match="picked twice"):
             rrs_sample(pi, 2, _FixedRng(1 - 1e-11))
@@ -169,32 +170,55 @@ class TestRrsSample:
 
     def test_last_point_stays_below_a_sum_short_of_budget(self):
         # water-filling leaves [1/3, 1 - 2 ulp, 1, 2/3], 4.4e-16 short of K;
-        # at this offset the last point lands on that short sum, past every
-        # cut unless it is kept below the last one
+        # at this offset the last float point u + 2 would round onto that
+        # short sum, past every cut; rescaled, the last cut is exactly K
         pi = normalize_to_marginals([0.1, 0.3, 3.0, 0.2], 3)
         assert pi.sum() < 3
         assert rrs_sample(pi, 3, _FixedRng(1 - 2**-51)) == (1, 2, 3)
 
     @pytest.mark.parametrize("exponent", [51, 52, 53])
     def test_zero_marginal_arm_after_a_short_sum_never_picked(self, exponent):
-        # the same short sum with a zero arm last: its cut equals arm 3's, so
-        # a last point kept below K rather than below the last cut lands in
-        # arm 4's zero-width interval [3 - 4.4e-16, 3)
+        # the same short sum with a zero arm last: its cut equals arm 3's,
+        # and rescaling keeps them equal, so arm 4's interval stays empty; a
+        # last cut forced to K would make it [3 - 4.4e-16, 3)
         pi = normalize_to_marginals([0.1, 0.3, 3.0, 0.2, 0.0], 3)
         assert pi[4] == 0.0 and pi.sum() < 3
         assert rrs_sample(pi, 3, _FixedRng(1 - 2.0**-exponent)) == (1, 2, 3)
         assert scalar_rrs_sample(pi, 3, _FixedRng(1 - 2.0**-exponent)) == (1, 2, 3)
 
     @pytest.mark.parametrize(
-        "K, picks", [(1, (1,)), (2, (1, 3)), (3, (1, 4, 5)), (5, (1, 4, 6, 8, 9))]
+        "K, picks", [(1, (1,)), (2, (1, 3)), (3, (1, 3, 5)), (5, (1, 3, 5, 7, 9))]
     )
     def test_largest_offset_keeps_the_last_point_below_k(self, K, picks):
-        # at numpy's largest random(), 1 - 2**-53, the last point u + K - 1
-        # rounds up to K, which no cut passes; the middle points round up to
-        # whole numbers too, so the picks are not exactly the odd arms
+        # at numpy's largest random(), 1 - 2**-53, the float point u + K - 1
+        # would round up to K, which no cut passes, and the middle points
+        # onto whole-number cuts; on the grid every point stays one quantum
+        # below its cut, so the picks are exactly the odd arms
         pi = np.full(2 * K, 0.5)
         assert rrs_sample(pi, K, _FixedRng(1 - 2**-53)) == picks
         assert scalar_rrs_sample(pi, K, _FixedRng(1 - 2**-53)) == picks
+
+    @pytest.mark.parametrize("K", range(1, 41))
+    def test_forced_draws_at_offsets_near_one(self, K):
+        # K arms at 1, or 2K arms at 1/2: with the identity permutation the
+        # picks are forced at every offset up to numpy's largest; a float
+        # point u + j rounds onto the next cut once 2**-e is below half an
+        # ulp of j + 1 (at e = 52 for every K >= 4, from e = 48 for K >= 34)
+        halves = tuple(range(1, 2 * K, 2))
+        for pi, picks in [(np.ones(K), tuple(range(K))), (np.full(2 * K, 0.5), halves)]:
+            for e in range(1, 54):
+                rng = _FixedRng(1 - 2.0**-e)
+                assert rrs_sample(pi, K, rng) == picks, (len(pi), e)
+                assert scalar_rrs_sample(pi, K, rng) == picks, (len(pi), e)
+
+    def test_budget_below_one_rejected_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="need 1 <= K <= M, got K=0"):
+            rrs_sample(np.zeros(3), 0, rng)
+        with pytest.raises(ValueError, match="need 1 <= K <= M, got K=0"):
+            scalar_rrs_sample(np.zeros(3), 0, rng)
+        assert rng.bit_generator.state == state
 
     def test_entries_clipped_to_unit_interval(self):
         # unclipped, the -5e-10 entry pulls arm 1's cut below the offset and
@@ -289,8 +313,9 @@ class TestRrsSample:
     def test_property_zero_marginal_arms_never_picked(self, raw, K, seed, offset):
         # water-filled scores with zeros, at any offset and at offsets
         # 1 - 2**-e up to numpy's largest: a draw returns K distinct arms
-        # with positive marginals, or raises RepeatedPickError (an offset
-        # near 1 can round a middle point onto the next cut)
+        # with positive marginals, or raises RepeatedPickError (rescaling a
+        # sum a few ulp short of K can stretch a capped arm a quantum past
+        # one unit; no such draw is known)
         K = min(K, np.count_nonzero(raw))
         assume(K > 0)
         pi = normalize_to_marginals(raw, K)
