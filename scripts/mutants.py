@@ -246,6 +246,20 @@ MUTANTS = (
             "test_every_positive_score_capped_by_rounding_leaves_the_rest_at_zero",
         ),
     ),
+    Mutant(
+        "cascade-arm-count-one-short",
+        "src/ksvfair/cli.py",
+        'else values["graph"].n_nodes',
+        'else values["graph"].n_nodes - 1',
+        ("tests/test_cli.py::TestLoadConfig::test_shipped_configs_load",),
+    ),
+    Mutant(
+        "compare-ratio-mean-warns",
+        "src/ksvfair/cli.py",
+        "return np.divide(np.nansum(ratios, axis=0), seen, out=np.full(len(seen), np.nan), where=seen > 0)",
+        "return np.nanmean(ratios, axis=0)",
+        ("tests/test_cli.py::TestCompare::test_arm_no_seed_selected_has_nan_ratio_and_no_warning",),
+    ),
 )
 
 

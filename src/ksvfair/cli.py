@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import CascadeEnv, SyntheticEnv, load_edge_list
+from .envs import CascadeEnv, Graph, SyntheticEnv, load_edge_list
 from .games import MAX_EXACT_COALITIONS, ShapleyVector, exact_cost, exact_k_shapley, sampled_k_shapley
 from .metrics import FairnessLedger, fair_policy, merit_to_selection
 from .policies import ALGORITHMS, PolicyConfig, RunRecord
@@ -68,12 +68,11 @@ class RunConfig:
     activation_p: float = 0.1
     pistar_sims: int = 10_000
     pistar_samples: int = 4_000
+    graph: Graph | None = None  # read from graph_path by load_config
 
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"key 'algo' must be one of {ALGOS}, got {self.algo!r}")
-        if self.env not in ENVS:
-            raise ValueError(f"key 'env' must be one of {ENVS}, got {self.env!r}")
         if not self.seeds:
             raise ValueError("key 'seeds' must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -88,10 +87,6 @@ class RunConfig:
                 f"key 'pistar_samples': the sampled fair target draws {self.pistar_samples} "
                 f"coalitions of k={self.K} arms, which cannot cover m={self.M} arms"
             )
-        if self.env == "synthetic" and not self.means:
-            raise ValueError("key 'means' is required for the synthetic environment")
-        if self.env == "cascade" and not self.graph_path:
-            raise ValueError("key 'graph_path' is required for the cascade environment")
         ALGORITHMS[self.algo][1](self.policy)  # the schedule rejects a budget too small for the fixed phase
 
     @property
@@ -132,7 +127,6 @@ _KEYS = {
         "radius_mode": ("radius_mode", str),
     },
     "env": {
-        "m": ("M", int),
         "k": ("K", int),
         "means": ("means", _list_of(float)),
         "noise_stds": ("noise_stds", _list_of(float)),
@@ -142,6 +136,12 @@ _KEYS = {
         "pistar_sims": ("pistar_sims", int),
         "pistar_samples": ("pistar_samples", int),
     },
+}
+# the [env] keys that one environment alone reads; the first is required and
+# gives the arms, one per value or one per node of the graph
+_ENV_ONLY = {
+    "synthetic": ("means", "noise_stds", "lambda"),
+    "cascade": ("graph_path", "activation_p", "pistar_sims"),
 }
 
 
@@ -169,6 +169,23 @@ def load_config(path) -> RunConfig:
         for key, (field, _) in keys.items():
             if field not in values and defaults[field] is MISSING:
                 raise ConfigError(f"missing required key '{key}' in section [{section}]")
+    env = values["env"]
+    if env not in ENVS:
+        raise ConfigError(f"key 'env' must be one of {ENVS}, got {env!r}")
+    stray = [key for other in ENVS if other != env for key in _ENV_ONLY[other] if key in parser["env"]]
+    if stray:
+        raise ConfigError(f"key '{stray[0]}' in section [env] is not read by the {env} environment")
+    arms_key = _ENV_ONLY[env][0]
+    if not values.get(arms_key):
+        raise ConfigError(f"key '{arms_key}' is required for the {env} environment")
+    if env == "cascade":
+        try:
+            values["graph"] = load_edge_list(values["graph_path"])
+        except (OSError, ValueError) as exc:
+            relative = not Path(values["graph_path"]).is_absolute()
+            where = f", read from the current directory {Path.cwd()}" if relative else ""
+            raise ConfigError(f"key 'graph_path': {exc}{where}") from exc
+    values["M"] = len(values["means"]) if env == "synthetic" else values["graph"].n_nodes
     policy_fields = {f.name for f in fields(PolicyConfig)}
     try:
         policy = PolicyConfig(**{k: v for k, v in values.items() if k in policy_fields})
@@ -179,36 +196,26 @@ def load_config(path) -> RunConfig:
 
 def build_env(cfg: RunConfig):
     """The run's environment.  Its constructor checks the env values, and a
-    value it rejects, an unreadable graph, or an arm count other than ``m``
-    is a ``ConfigError``."""
+    value it rejects is a ``ConfigError``."""
     allow_extra = cfg.algo == "muras" and cfg.K < cfg.M
     try:
         if cfg.env == "synthetic":
-            env = SyntheticEnv(
+            return SyntheticEnv(
                 cfg.means,
                 cfg.noise_stds if cfg.noise_stds else None,
                 budget=cfg.K,
                 curvature=cfg.curvature,
                 allow_extra_query=allow_extra,
             )
-        else:
-            env = CascadeEnv(
-                load_edge_list(cfg.graph_path),
-                cfg.activation_p,
-                budget=cfg.K,
-                exact_sims=cfg.pistar_sims,
-                allow_extra_query=allow_extra,
-            )
-    except OSError as exc:
-        relative = not Path(cfg.graph_path).is_absolute()
-        where = f", read from the current directory {Path.cwd()}" if relative else ""
-        raise ConfigError(f"key 'graph_path': {exc}{where}") from exc
+        return CascadeEnv(
+            cfg.graph,
+            cfg.activation_p,
+            budget=cfg.K,
+            exact_sims=cfg.pistar_sims,
+            allow_extra_query=allow_extra,
+        )
     except ValueError as exc:
         raise ConfigError(f"{cfg.env} environment: {exc}") from exc
-    if env.n_arms != cfg.M:
-        arms = "values in 'means'" if cfg.env == "synthetic" else f"nodes in {cfg.graph_path}"
-        raise ConfigError(f"key 'm': config says m={cfg.M}, but there are {env.n_arms} {arms}")
-    return env
 
 
 def true_shapley(cfg: RunConfig, oracle) -> ShapleyVector:
@@ -429,7 +436,10 @@ def _read_arm_ratios(run_dir: Path) -> np.ndarray:
     if not files:
         raise ValueError(f"{run_dir}: no per-arm summaries found")
     per_seed = [[float(r["merit_sel_ratio"]) for r in _read_rows(f, ["merit_sel_ratio"])] for f in files]
-    return np.nanmean(np.array(per_seed), axis=0)
+    ratios = np.array(per_seed)
+    # np.nanmean's sum over count, without its warning for an arm no seed selected, whose mean is nan
+    seen = (~np.isnan(ratios)).sum(axis=0)
+    return np.divide(np.nansum(ratios, axis=0), seen, out=np.full(len(seen), np.nan), where=seen > 0)
 
 
 def compare_runs(run_dirs, out_prefix="comparison") -> tuple[Path, Path]:

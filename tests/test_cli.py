@@ -53,7 +53,6 @@ r = 4
 l = 2
 
 [env]
-m = 5
 k = 2
 means = 0.2,0.35,0.5,0.7,0.9
 noise_stds = 0.1,0.15,0.2,0.25,0.3
@@ -119,10 +118,23 @@ class TestLoadConfig:
             "[run]\nalgo = ksvfair\nenv = cascade\nt = 1000\nseeds = 1\n"
             f"out_dir = {out}\n"
             "[algo]\nr = 2\nl = 1\n"
-            "[env]\nm = 8\nk = 2\ngraph_path = missing.edges\n"
+            "[env]\nk = 2\ngraph_path = missing.edges\n"
         )
         with pytest.raises(ConfigError, match="graph_path"):
             build_env(load_config(p))
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_malformed_graph_is_a_config_error(self, tmp_path):
+        graph, out = tmp_path / "g.edges", tmp_path / "out"
+        graph.write_text("0 1\n1 2 3\n")
+        p = tmp_path / "c.ini"
+        p.write_text(
+            f"[run]\nalgo = ksvfair\nenv = cascade\nt = 1000\nseeds = 1\nout_dir = {out}\n"
+            f"[env]\nk = 2\ngraph_path = {graph}\n"
+        )
+        with pytest.raises(ConfigError, match=r"^key 'graph_path': .*g\.edges:2: expected two tokens"):
+            load_config(p)
         assert main(["run", "--config", str(p)]) == EXIT_CONFIG
         assert not out.exists()
 
@@ -164,6 +176,7 @@ class TestLoadConfig:
             ("algo", "reuse_prefix"),
             ("algo", "explore_pulls"),
             ("env", "max_exact_arms"),
+            ("env", "m"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, section, key):
@@ -177,8 +190,11 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.ini")))
     def test_shipped_configs_load(self, monkeypatch, name):
+        # the arm count read off the data is the built environment's
         monkeypatch.chdir(ROOT)
-        assert load_config(Path("configs") / name).seeds
+        cfg = load_config(Path("configs") / name)
+        assert cfg.seeds
+        assert build_env(cfg).n_arms == cfg.M
 
     @pytest.mark.parametrize("key", ["pistar_sims", "pistar_samples"])
     def test_cascade_fair_target_size_checked_at_load(self, tmp_path, monkeypatch, key):
@@ -189,7 +205,7 @@ class TestLoadConfig:
             "[run]\nalgo = ksvfair\nenv = cascade\nt = 500000\nrounds = 12\nseeds = 1\n"
             f"out_dir = {out}\n"
             "[algo]\nr = 2\nl = 1\n"
-            "[env]\nm = 8\nk = 2\ngraph_path = data/toy_8.edges\n"
+            "[env]\nk = 2\ngraph_path = data/toy_8.edges\n"
             f"activation_p = 0.3\n{key} = 0\n"
         )
         with pytest.raises(ConfigError, match=f"key '{key}' must be >= 1, got 0"):
@@ -231,7 +247,7 @@ class TestLoadConfig:
         p = tmp_path / "wide.ini"
         p.write_text(
             "[run]\nalgo = ksvfair\nenv = synthetic\nt = 1000\nseeds = 1\n"
-            "[env]\nm = 25\nk = 2\n"
+            "[env]\nk = 2\n"
             f"means = {','.join(['0.5'] * 25)}\n"
         )
         cfg = load_config(p)
@@ -384,7 +400,7 @@ class TestRunExperiment:
             "[run]\nalgo = ksvfair\nenv = cascade\nt = 500000\nrounds = 12\nseeds = 1\n"
             f"out_dir = {tmp_path / 'casc'}\n"
             "[algo]\nr = 2\nl = 1\n"
-            "[env]\nm = 8\nk = 2\ngraph_path = data/toy_8.edges\n"
+            "[env]\nk = 2\ngraph_path = data/toy_8.edges\n"
             "activation_p = 0.3\npistar_sims = 200\n"
         )
         out = run_experiment(p)
@@ -398,7 +414,7 @@ class TestRunExperiment:
             "[run]\nalgo = ksvfair\nenv = cascade\nt = 500000\nrounds = 5\nseeds = 1\n"
             f"out_dir = {tmp_path / 'c'}\n"
             "[algo]\nr = 2\nl = 1\n"
-            "[env]\nm = 8\nk = 2\ngraph_path = data/toy_8.edges\n"
+            "[env]\nk = 2\ngraph_path = data/toy_8.edges\n"
             "activation_p = 0.3\npistar_sims = 400\n"
         )
         cfg = load_config(p)
@@ -410,7 +426,7 @@ class TestRunExperiment:
 CASCADE_TOY = (
     "[run]\nalgo = ksvfair\nenv = cascade\nt = 500000\nrounds = 5\nseeds = 1\n"
     "[algo]\nr = 2\nl = 1\n"
-    "[env]\nm = 8\nk = 2\ngraph_path = data/toy_8.edges\n"
+    "[env]\nk = 2\ngraph_path = data/toy_8.edges\n"
     "activation_p = 0.3\npistar_sims = 50\n"
 )
 
@@ -526,6 +542,24 @@ class TestCompare:
         assert main(["compare", str(a), str(b), "--out-prefix", str(tmp_path / "cmp")]) == EXIT_RUNTIME
         assert capsys.readouterr().err == f"error: {b / table}: missing column {column!r}\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_arm_no_seed_selected_has_nan_ratio_and_no_warning(self, tmp_path):
+        # at two seeds of six muras rounds, arms 1 and 4 are never selected
+        text = (ROOT / "configs" / "synthetic_small.ini").read_text()
+        for old, new in [("algo = ksvfair", "algo = muras"), ("r = 5", "r = 1"), ("rounds = 60", "rounds = 6")]:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text.replace("seeds = 1,2,3", "seeds = 2"))
+        runs = [str(tmp_path / name) for name in ("a", "b")]
+        for out in runs:
+            assert main(["run", "--config", str(cfg), "--out", out]) == 0
+        never = [r["arm"] for r in read_rows(tmp_path / "a" / "arms_seed2.csv") if r["count"] == "0"]
+        assert never == ["1", "4"]
+        assert main(["compare", *runs, "--out-prefix", str(tmp_path / "cmp")]) == 0
+        ratios = {r["arm"]: (r["ratio_muras"], r["ratio_muras2"]) for r in read_rows(tmp_path / "cmp_arms.csv")}
+        assert [arm for arm, pair in ratios.items() if pair == ("nan", "nan")] == never
+
 
 class TestMainEntry:
     def test_run_and_exact_shapley_exit_zero(self, tmp_path, capsys):
@@ -621,21 +655,13 @@ class TestConfigErrorsBeforeOutput:
         assert not out.exists()
         return code
 
-    def test_cascade_m_other_than_graph_nodes(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(ROOT)
-        p = tmp_path / "c.ini"
-        p.write_text((ROOT / "configs" / "cascade_tiny.ini").read_text().replace("m = 8", "m = 9"))
-        with pytest.raises(ConfigError, match=r"key 'm'.* m=9"):
-            build_env(load_config(p))
-        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
-
     @pytest.mark.parametrize("M,K,T", [(5, 5, 6), (2, 2, 3), (6, 4, 5)])
     def test_ksvfair_budget_below_one_warm_up_round(self, tmp_path, monkeypatch, M, K, T):
         p = tmp_path / "c.ini"
         p.write_text(
             f"[run]\nalgo = ksvfair\nenv = synthetic\nt = {T}\nseeds = 1\n"
             "[algo]\nr = 2\nl = 2\n"
-            f"[env]\nm = {M}\nk = {K}\nmeans = {','.join(['0.5'] * M)}\n"
+            f"[env]\nk = {K}\nmeans = {','.join(['0.5'] * M)}\n"
         )
         with pytest.raises(ConfigError, match=rf"\(T={T}, rounds=None\) cannot cover the .* warm-up"):
             load_config(p)
@@ -708,6 +734,31 @@ class TestConfigErrorsBeforeOutput:
         assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
         env = config.split("_")[0]
         assert capsys.readouterr().err == f"config error: key {key!r} is required for the {env} environment\n"
+
+    @pytest.mark.parametrize(
+        "config, line",
+        [
+            ("synthetic_small.ini", "graph_path = data/toy_8.edges"),
+            ("synthetic_small.ini", "activation_p = 0.3"),
+            ("synthetic_small.ini", "pistar_sims = 50"),
+            ("cascade_tiny.ini", "means = 0.5"),
+            ("cascade_tiny.ini", "noise_stds = 0.1"),
+            ("cascade_tiny.ini", "lambda = 0.25"),
+        ],
+    )
+    def test_key_of_the_other_env_rejected(self, tmp_path, monkeypatch, capsys, config, line):
+        # named before any graph is read, so a synthetic run opens no graph
+        def no_read(path):
+            raise AssertionError(f"graph {path} read for a rejected config")
+
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr(cli, "load_edge_list", no_read)
+        p = tmp_path / "c.ini"
+        p.write_text((ROOT / "configs" / config).read_text().replace("[env]\n", f"[env]\n{line}\n"))
+        assert self.exit_code(monkeypatch, p, tmp_path / "o") == EXIT_CONFIG
+        key, env = line.split(" = ")[0], config.split("_")[0]
+        message = f"key '{key}' in section [env] is not read by the {env} environment"
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_relative_graph_path_read_from_current_directory(self, tmp_path, monkeypatch, capsys):
         # the shipped config names data/toy_8.edges, relative to the checkout root

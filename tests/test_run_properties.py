@@ -20,11 +20,11 @@ GRAPH = Path(__file__).resolve().parent.parent / "data" / "toy_8.edges"  # 8 nod
 
 @st.composite
 def configs(draw, algo, env):
-    """INI text of a small run of ``algo`` on ``env``.  About a third of the
-    draws hold one invalid value (k = 0, k > m, an m the env does not have,
-    r = 0 or a negative round cap), and a small t may not cover the
-    runner's fixed phase."""
-    bad = draw(st.sampled_from([None] * 10 + ["k = 0", "k > m", "m", "r = 0", "rounds < 0"]))
+    """INI text of a small run of ``algo`` on ``env``, and its arm count.
+    Two draws in seven hold one invalid value (k = 0, k above the
+    arm count, r = 0 or a negative round cap), and a small t may not cover
+    the runner's fixed phase."""
+    bad = draw(st.sampled_from([None] * 10 + ["k = 0", "k > m", "r = 0", "rounds < 0"]))
     n_arms = 8 if env == "cascade" else draw(st.integers(1, 8))
     k = {"k = 0": 0, "k > m": n_arms + 1}.get(bad) or draw(st.integers(1, n_arms))
     tiny = st.sampled_from(range(1, 61))
@@ -33,14 +33,15 @@ def configs(draw, algo, env):
         env_keys = f"means = {','.join(map(repr, means))}\nnoise_stds = {','.join(['0.2'] * n_arms)}\n"
     else:
         env_keys = f"graph_path = {GRAPH}\nactivation_p = 0.3\npistar_sims = 20\n"
-    return (
+    text = (
         f"[run]\nalgo = {algo}\nenv = {env}\nt = {draw(st.one_of(tiny, st.sampled_from(range(61, 3001))))}\n"
         f"rounds = {-1 if bad == 'rounds < 0' else draw(st.one_of(st.just(0), tiny))}\n"
         f"seeds = {draw(st.integers(0, 3))}\n"
         f"[algo]\nr = {0 if bad == 'r = 0' else draw(st.integers(1, 3))}\n"
         f"l = {draw(st.integers(1, 2))}\n"
-        f"[env]\nm = {n_arms + (bad == 'm')}\nk = {k}\n{env_keys}"
+        f"[env]\nk = {k}\n{env_keys}"
     )
+    return text, n_arms
 
 
 def run(config: Path, out: Path) -> int:
@@ -68,7 +69,7 @@ def check_rounds(path: Path, algo: str, T: int, M: int, K: int) -> None:
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_run_exits_zero_with_sound_tables_or_two_with_no_output(algo, env, data):
-    text = data.draw(configs(algo, env))
+    text, n_arms = data.draw(configs(algo, env))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = tmp / "c.ini"
@@ -86,4 +87,4 @@ def test_run_exits_zero_with_sound_tables_or_two_with_no_output(algo, env, data)
             assert (first / name).read_bytes() == (second / name).read_bytes()
         keys = dict(line.split(" = ") for line in text.splitlines() if " = " in line)
         [table] = first.glob("run_seed*.csv")
-        check_rounds(table, algo, int(keys["t"]), int(keys["m"]), int(keys["k"]))
+        check_rounds(table, algo, int(keys["t"]), n_arms, int(keys["k"]))
