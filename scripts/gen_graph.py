@@ -5,7 +5,8 @@ nodes and 8158 edges.  The original community subgraph is not
 redistributable, so this script builds a synthetic stand-in of the same
 size: a powerlaw-cluster backbone (heavy-tailed degrees, triangles) topped
 up with random extra edges to hit the edge count exactly.  Deterministic:
-rerunning reproduces the file byte for byte.
+rerunning reproduces the file byte for byte.  Needs networkx, the package's
+``scripts`` extra (``pip install -e '.[scripts]'``).
 """
 
 import networkx as nx

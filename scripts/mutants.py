@@ -103,8 +103,15 @@ MUTANTS = (
     Mutant(
         "cascade-env-without-reduce",
         "src/ksvfair/envs.py",
-        "    def __reduce__(self):",
-        "    def _reduce_unused(self):",
+        '    def __reduce__(self):\n        """Pickle as the constructor call',
+        '    def _reduce_unused(self):\n        """Pickle as the constructor call',
+        ("tests/test_envs.py::TestCascadePickle::test_round_trip_rebuilds_the_env",),
+    ),
+    Mutant(
+        "graph-without-reduce",
+        "src/ksvfair/envs.py",
+        "    def __reduce__(self):\n        return Graph,",
+        "    def _reduce_unused(self):\n        return Graph,",
         ("tests/test_envs.py::TestCascadePickle::test_round_trip_rebuilds_the_env",),
     ),
     Mutant(
@@ -259,6 +266,47 @@ MUTANTS = (
         "return np.divide(np.nansum(ratios, axis=0), seen, out=np.full(len(seen), np.nan), where=seen > 0)",
         "return np.nanmean(ratios, axis=0)",
         ("tests/test_cli.py::TestCompare::test_arm_no_seed_selected_has_nan_ratio_and_no_warning",),
+    ),
+    Mutant(
+        "rrs-sample-without-budget-check",
+        "src/ksvfair/rounding.py",
+        '    if abs(total - K) > SUM_TOL:\n        raise ValueError(f"marginals sum to {total}, expected budget {K}")\n',
+        "",
+        ("tests/test_rounding.py::TestRrsSample::test_integer_total_other_than_budget_rejected",),
+    ),
+    Mutant(
+        "marginals-shape-check-and",
+        "src/ksvfair/rounding.py",
+        "if p.ndim != 1 or len(p) == 0:",
+        "if p.ndim != 1 and len(p) == 0:",
+        ("tests/test_rounding.py::TestRrsSample::test_not_a_nonempty_vector_rejected",),
+    ),
+    Mutant(
+        "estimation-counts-check-and",
+        "src/ksvfair/estimation.py",
+        "if R < 1 or L < 1:",
+        "if R < 1 and L < 1:",
+        ("tests/test_estimation.py::TestShapleyEstimation::test_orderings_and_pulls_must_be_positive",),
+    ),
+    Mutant(
+        "edge-list-nodes-in-sorted-order",
+        "src/ksvfair/envs.py",
+        "number[np.argsort(first)] = np.arange(len(first))",
+        "number[:] = np.arange(len(first))",
+        (
+            "tests/test_envs.py::TestLoadEdgeList::test_first_appearance_not_sorted_order",
+            "tests/test_envs.py::TestLoadEdgeList::test_matches_line_by_line_reference",
+        ),
+    ),
+    Mutant(
+        "edge-list-keeps-reversed-duplicates",
+        "src/ksvfair/envs.py",
+        "pair = np.minimum(*ends.T) * len(first) + np.maximum(*ends.T)",
+        "pair = ends[:, 0] * len(first) + ends[:, 1]",
+        (
+            "tests/test_envs.py::TestLoadEdgeList::test_reverse_orientation_is_duplicate",
+            "tests/test_envs.py::TestLoadEdgeList::test_matches_line_by_line_reference",
+        ),
     ),
 )
 

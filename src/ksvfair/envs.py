@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,58 +271,78 @@ class SyntheticEnv(ValuationOracle):
         return np.where(sigmas == 0.0, exact, means)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph with densely indexed nodes."""
+    """Undirected simple graph with densely indexed nodes.
+
+    ``edges`` is a read-only (E, 2) intp array, one edge per row; a sequence
+    of pairs given to the constructor is converted.  A graph pickles as its
+    constructor call, so an unpickled one holds the same read-only array."""
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    dropped_self_loops: int = 0
-    dropped_duplicates: int = 0
+    edges: np.ndarray
+
+    def __post_init__(self):
+        # astype copies, into numpy's canonical intp dtype object
+        edges = np.asarray(self.edges).astype(np.intp).reshape(-1, 2)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+
+    def __reduce__(self):
+        return Graph, (self.n_nodes, self.edges)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
 
+# a node id as np.loadtxt reads an int64
+_ID = re.compile(r"[+-]?[0-9]+")
+
+
 def load_edge_list(path) -> Graph:
     """Parse whitespace-separated integer pairs, one edge per line.
 
-    Lines starting with '#' are comments.  Self-loops and duplicate edges
-    (in either orientation) are dropped and counted; nodes are re-indexed
-    densely in order of first appearance on kept edges.
+    Ids are ASCII decimal integers within int64.  Blank lines are skipped,
+    and lines whose first token starts with '#' are comments; a '#' further
+    on is an error.  Self-loops and duplicate edges (in either orientation)
+    are dropped and their counts logged; nodes are re-indexed densely in
+    order of first appearance on kept edges.  The file is parsed in one
+    ``np.loadtxt`` call; only a failed parse reads it line by line, to name
+    the first bad line.
     """
-    index: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    self_loops = 0
-    duplicates = 0
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two tokens, got {parts!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer token in {parts!r}") from exc
-            if a == b:
-                self_loops += 1
-                continue
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            for node in (a, b):
-                if node not in index:
-                    index[node] = len(index)
-            edges.append((index[a], index[b]))
-    if not edges:
+        text = fh.read()
+    try:
+        # loadtxt drops each '#' with the rest of its line, which is right
+        # only where the '#' opens the line's first token
+        for match in re.finditer("#", text):
+            before = text[text.rfind("\n", 0, match.start()) + 1 : match.start()].lstrip()
+            if before and not before.startswith("#"):
+                raise ValueError("a '#' after a token")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            ends = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        if ends.size and ends.shape[1] != 2:
+            raise ValueError(f"{ends.shape[1]} columns")
+    except ValueError as exc:
+        raise _line_error(path, text, exc) from exc
+    ends = ends.reshape(-1, 2)
+    loops = ends[:, 0] == ends[:, 1]
+    ends = ends[~loops]
+    # number the ids in order of first appearance, which with the self-loops
+    # gone is first appearance on kept edges: a duplicate's ids came earlier
+    inverse, first = _first_seen(ends.ravel())
+    number = np.empty(len(first), dtype=np.intp)
+    number[np.argsort(first)] = np.arange(len(first))
+    ends = number.take(inverse).reshape(-1, 2)
+    # keep the first edge of each (smaller, larger) pair, in file order; the
+    # pair's key is below n**2, within int64 for any graph that fits in memory
+    pair = np.minimum(*ends.T) * len(first) + np.maximum(*ends.T)
+    edges = ends.take(np.sort(_first_seen(pair)[1]), axis=0)
+    if not len(edges):
         raise ValueError(f"{path}: no edges found")
+    self_loops, duplicates = int(loops.sum()), len(ends) - len(edges)
     if self_loops or duplicates:
         log.warning(
             "%s: dropped %d self-loop(s) and %d duplicate edge(s)",
@@ -328,12 +350,32 @@ def load_edge_list(path) -> Graph:
             self_loops,
             duplicates,
         )
-    return Graph(
-        n_nodes=len(index),
-        edges=tuple(edges),
-        dropped_self_loops=self_loops,
-        dropped_duplicates=duplicates,
-    )
+    return Graph(n_nodes=len(first), edges=edges)
+
+
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index among the distinct values, in sorted order, and
+    each distinct value's first position in ``values``."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    first = np.full(len(distinct), len(values))
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    return inverse, first
+
+
+def _line_error(path, text: str, exc: ValueError) -> ValueError:
+    """The error of the first line of an edge list that is neither blank, a
+    comment nor two int64 ids, or ``exc`` under the path if there is none."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            return ValueError(f"{path}:{lineno}: expected two tokens, got {parts!r}")
+        if not all(_ID.fullmatch(t) for t in parts):
+            return ValueError(f"{path}:{lineno}: non-integer token in {parts!r}")
+        if not all(-(2**63) <= int(t) < 2**63 for t in parts):
+            return ValueError(f"{path}:{lineno}: id outside int64 in {parts!r}")
+    return ValueError(f"{path}: {exc}")
 
 
 def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -342,19 +384,21 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Min-label hooking plus pointer jumping (Shiloach and Vishkin, J.
     Algorithms 1982): every pass hooks the larger label of each edge whose
-    ends disagree onto the smaller, then moves each node's label two steps
-    further along its chain of labels.  A label only decreases and always
+    ends disagree onto the smaller, then squares the label map twice
+    (``label.take(label)``), so each node's label moves four links along its
+    chain of labels for two gathers.  A label only decreases and always
     names a node of its own component, so the loop ends, with one label per
     component: the smallest node's own id, which it can never drop below.
     The first pass hooks each v[i] onto u[i] straight from the starting
     labels, the node ids, without gathering them: that is the full hook when
     every u[i] <= v[i], as ``CascadeEnv`` stores its edges, and any
     orientation ends at the same labels.  The second pass skips the
-    convergence check: no community world from p = 0.02 to 0.4 converges in
-    one pass, and where a graph has, the second hook changes nothing, since
-    every label is at most its node's id.  The pass count follows the
-    logarithm of the component size rather than its diameter: a 10^5-node
-    path takes 11 or 12 passes, numbered in order, in reverse or at random.
+    convergence check: of 2,000 community worlds, none converges in one
+    pass at p = 0.02 to 0.2 and 6 do at p = 0.4, and where a graph has, the
+    second hook changes nothing, since every label is at most its node's
+    id.  The pass count follows the logarithm of the component size rather
+    than its diameter: a 10^5-node path takes 9, 10 or 12 passes, numbered
+    in order, in reverse or at random.
     Fewer passes are needed when the nodes on most edges have the smallest
     ids, as ``CascadeEnv`` numbers them.  Convergence is tested on the bytes
     of the two gathered end-label rows, equal exactly when the contiguous
@@ -362,11 +406,13 @@ def _component_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     label = np.arange(n_nodes)
     np.minimum.at(label, v, u)
-    label = label.take(label.take(label))
+    label = label.take(label)
+    label = label.take(label)
     lu, lv = label.take(u), label.take(v)
     np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
     while True:
-        label = label.take(label.take(label))
+        label = label.take(label)
+        label = label.take(label)
         lu, lv = label.take(u), label.take(v)
         if lu.tobytes() == lv.tobytes():
             return label
@@ -409,7 +455,7 @@ class CascadeEnv(ValuationOracle):
     query checks its seed set once.  Worlds are labelled with the nodes
     renumbered once by descending degree, ties in id order (``_node`` maps
     a node id to its number): hubs then carry the smallest labels and the
-    labelling takes fewer passes (2.55 rather than 2.92 on average over
+    labelling takes fewer passes (2.19 rather than 2.61 on average over
     2,000 community worlds at p = 0.1), while the edge order, and so every
     draw, is the graph's own.  A one-world
     query (every ``pull``, and ``exact`` at ``exact_sims = 1``) labels
@@ -438,7 +484,7 @@ class CascadeEnv(ValuationOracle):
             raise ValueError("exact_sims must be >= 1")
         if not 0 <= exact_seed < 2**32:  # one uint32 word of _exact_rng's entropy
             raise ValueError(f"exact_seed must lie in [0, 2**32), got {exact_seed}")
-        ends = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
+        ends = graph.edges
         # batched worlds share one id range, so a stray endpoint would join two worlds
         if ends.size and (ends.min() < 0 or ends.max() >= graph.n_nodes):
             raise ValueError(f"edge endpoints must lie in [0, {graph.n_nodes})")
@@ -454,7 +500,7 @@ class CascadeEnv(ValuationOracle):
         # each edge's renumbered ends as two contiguous rows, the smaller in
         # _lo, so that _component_labels' first pass is the full hook
         ends = self._node.take(ends)
-        self._lo, self._hi = ends.min(axis=1), ends.max(axis=1)
+        self._lo, self._hi = np.minimum(*ends.T), np.maximum(*ends.T)
         for row in (self._node, self._lo, self._hi):
             row.setflags(write=False)
         # the live-edge draw's block size m, its gap divisor log1p(-p) and

@@ -37,7 +37,10 @@ its generator, so exhaustive-ordering tests need no library keyword.
 The frontier sweep is the library's earlier level-by-level cascade kernel,
 kept so the component-labelling kernel can be pinned to it count for count.
 The gap walk draws one world's live edges one uniform at a time, so the
-array draw of geometric gaps can be pinned to it edge for edge.
+array draw of geometric gaps can be pinned to it edge for edge.  The
+edge-list reader is the library's earlier line-by-line loader, with its
+dict of first appearances and set of seen pairs, kept so the array loader
+can be pinned to it node for node and edge for edge.
 
 ``table_game`` and ``GameOracle`` are the library's earlier table-backed
 game and noisy game wrapper, kept as fixtures: any game as an oracle, with
@@ -155,7 +158,7 @@ def bfs_cascade_pull(graph, p: float, S, rng) -> float:
     node tries each inactive neighbour once, with a fresh coin per try.
     Returns the activated fraction of the graph."""
     adjacency: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    for u, v in graph.edges:
+    for u, v in graph.edges.tolist():
         adjacency[u].append(v)
         adjacency[v].append(u)
     active = [False] * graph.n_nodes
@@ -179,7 +182,7 @@ def live_edge_spread(graph, live_row, S) -> int:
     """Nodes reachable from S in one world, walking the live edges of
     ``graph.edges`` (``live_row[i]`` says whether edge i is live)."""
     adjacency: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    for (u, v), is_live in zip(graph.edges, live_row):
+    for (u, v), is_live in zip(graph.edges.tolist(), live_row):
         if is_live:
             adjacency[u].append(v)
             adjacency[v].append(u)
@@ -208,11 +211,43 @@ def gap_live_row(n_edges: int, p: float, block: int, rng) -> list[bool]:
     return live
 
 
+def loop_load_edge_list(path) -> tuple[int, list[tuple[int, int]], int, int]:
+    """The node count, kept edges, self-loops and duplicates of an edge list,
+    read line by line: '#' starts a comment at the start of a line, and
+    nodes are numbered in order of first appearance on kept edges."""
+    index: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    self_loops = duplicates = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two tokens, got {parts!r}")
+            a, b = int(parts[0]), int(parts[1])
+            if a == b:
+                self_loops += 1
+                continue
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                duplicates += 1
+                continue
+            seen.add(key)
+            for node in (a, b):
+                if node not in index:
+                    index[node] = len(index)
+            edges.append((index[a], index[b]))
+    return len(index), edges, self_loops, duplicates
+
+
 def frontier_spread_counts(env, S, live: np.ndarray) -> np.ndarray:
     """The earlier ``CascadeEnv._spread_counts``: worlds swept together as one
     graph on nodes w * n + v, one frontier level per pass."""
     n_worlds, n = live.shape[0], env.n_arms
-    ends = np.asarray(env.graph.edges, dtype=np.intp).reshape(-1, 2)
+    ends = env.graph.edges
     world, edge = np.divmod(np.flatnonzero(live), live.shape[1])
     u, v = ends[edge].T + world * n
     # each live edge as two arcs, u -> v and v -> u

@@ -781,6 +781,29 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_scripts_and_demos_import_only_declared_modules(self):
+        # read with ast, so nothing is imported: each module a script or demo
+        # imports is the standard library, numpy, ksvfair, a module of the
+        # repository's scripts, demos or tests, or a declared dependency
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        extras = project["optional-dependencies"].values()
+        requirements = project["dependencies"] + [req for extra in extras for req in extra]
+        declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}
+        local = {path.stem for folder in ("scripts", "demos", "tests") for path in (ROOT / folder).glob("*.py")}
+        known = set(sys.stdlib_module_names) | {"numpy", "ksvfair"} | local | declared
+        unknown = []
+        for path in sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "demos").glob("*.py")]):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                unknown += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] not in known]
+        assert unknown == []
+
     def test_cli_import_loads_no_process_pool(self):
         # the pool's module pulls in multiprocessing, socket and subprocess;
         # only a run on more than one CPU needs it

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import logging
 import math
 import pickle
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from reference import (
     frontier_spread_counts,
     gap_live_row,
     live_edge_spread,
+    loop_load_edge_list,
     scalar_gaussian_pull,
 )
 from stats import binned_check, mean_check, proportions_check
@@ -1095,7 +1098,7 @@ class TestNodeNumbering:
 
     @staticmethod
     def assert_same_partition(env, live_rows):
-        ends = np.array(env.graph.edges, dtype=np.intp).reshape(-1, 2)
+        ends = env.graph.edges
         n = env.n_arms
         for row in live_rows:
             edge = np.flatnonzero(row)
@@ -1115,7 +1118,7 @@ class TestNodeNumbering:
             env._node[0] = 1
         # the first hook's precondition, after renumbering
         assert np.all(env._lo <= env._hi)
-        ends = env._node.take(np.array(g.edges))
+        ends = env._node.take(g.edges)
         assert env._lo.tolist() == ends.min(axis=1).tolist()
         assert env._hi.tolist() == ends.max(axis=1).tolist()
 
@@ -1126,7 +1129,7 @@ class TestNodeNumbering:
         assert env._lo.tolist() == [0, 0, 0, 1]
         assert env._hi.tolist() == [2, 3, 1, 4]
         g = load_edge_list(DATA / "community_534.edges")
-        degree = np.bincount(np.array(g.edges).ravel(), minlength=g.n_nodes)
+        degree = np.bincount(g.edges.ravel(), minlength=g.n_nodes)
         by_degree = np.lexsort((np.arange(g.n_nodes), -degree))
         assert CascadeEnv(g, 0.1, budget=3)._node.take(by_degree).tolist() == list(range(g.n_nodes))
 
@@ -1169,7 +1172,10 @@ class TestCascadePickle:
             assert getattr(copy, name).tobytes() == getattr(env, name).tobytes(), name
             assert not getattr(copy, name).flags.writeable, name
         assert (copy.query_limit, copy.exact_seed, copy.exact_sims) == (5, 3, 7)
-        assert (copy.budget, copy.activation_p, copy.graph) == (4, 0.1, env.graph)
+        assert (copy.budget, copy.activation_p, copy.graph.n_nodes) == (4, 0.1, env.graph.n_nodes)
+        assert copy.graph.edges.dtype is np.dtype(np.intp)
+        assert copy.graph.edges.tobytes() == env.graph.edges.tobytes()
+        assert not copy.graph.edges.flags.writeable
         rng_a, rng_b = np.random.default_rng(23), np.random.default_rng(23)
         for S in [(0,), (3, 17), (1, 2, 5, 8, 13)]:
             assert copy.pull(S, rng_a) == env.pull(S, rng_b), S
@@ -1177,6 +1183,36 @@ class TestCascadePickle:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         strict = CascadeEnv(load_edge_list(DATA / "toy_8.edges"), 0.3, budget=2)
         assert pickle.loads(pickle.dumps(strict)).query_limit == 2
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list file's text: edges among a few ids (negative and
+    multi-digit among them), self-loops, earlier edges repeated in either
+    orientation, comment lines and blank lines, each line with its own
+    leading, separating and trailing whitespace."""
+    ids = draw(st.lists(st.integers(-5, 12) | st.integers(-(10**12), 10**12), min_size=1, max_size=8, unique=True))
+    space = st.sampled_from(["", " ", "\t", "  \t "])
+    gap = st.sampled_from([" ", "\t", "   ", " \t"])
+    lines, edges = [], []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "loop", "repeat", "comment", "blank"]))
+        if kind == "repeat" and edges:
+            a, b = draw(st.sampled_from(edges))
+            a, b = (b, a) if draw(st.booleans()) else (a, b)
+        elif kind in ("edge", "repeat"):
+            a, b = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        elif kind == "loop":
+            a = b = draw(st.sampled_from(ids))
+        if kind == "comment":
+            line = "#" + draw(st.text(alphabet="ab #-0123 ", max_size=8))
+        elif kind == "blank":
+            line = ""
+        else:
+            edges.append((a, b))
+            line = f"{a}{draw(gap)}{b}"
+        lines.append(draw(space) + line + draw(space))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestLoadEdgeList(object):
@@ -1187,14 +1223,25 @@ class TestLoadEdgeList(object):
         assert g.n_nodes == 3
         assert g.n_edges == 2
 
-    def test_dedup_and_self_loops(self, tmp_path):
+    def test_edges_are_a_read_only_intp_array(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("0 1\n1 2\n")
+        for g in (load_edge_list(p), Graph(3, ((0, 1), (1, 2)))):
+            assert g.edges.dtype is np.dtype(np.intp)
+            assert g.edges.tolist() == [[0, 1], [1, 2]]
+            with pytest.raises(ValueError, match="read-only"):
+                g.edges[0, 0] = 2
+        assert Graph(4, ()).edges.shape == (0, 2)
+
+    def test_dedup_and_self_loops(self, tmp_path, caplog):
         p = tmp_path / "g.edges"
         p.write_text("0 0\n0 1\n0 1\n")
-        g = load_edge_list(p)
+        with caplog.at_level(logging.WARNING, logger="ksvfair.envs"):
+            g = load_edge_list(p)
         assert g.n_nodes == 2
         assert g.n_edges == 1
-        assert g.dropped_self_loops == 1
-        assert g.dropped_duplicates == 1
+        [record] = caplog.records
+        assert record.getMessage() == f"{p}: dropped 1 self-loop(s) and 1 duplicate edge(s)"
 
     def test_reverse_orientation_is_duplicate(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -1208,25 +1255,73 @@ class TestLoadEdgeList(object):
         g = load_edge_list(p)
         assert g.n_nodes == 3
         # first-seen order: 10 -> 0, 20 -> 1, 30 -> 2
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_first_appearance_not_sorted_order(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("30 10\n10 20\n")
+        # first-seen order: 30 -> 0, 10 -> 1, 20 -> 2; sorted order would give [[2, 0], [0, 1]]
+        assert load_edge_list(p).edges.tolist() == [[0, 1], [1, 2]]
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("0 1\n2 x\n")
-        with pytest.raises(ValueError, match="non-integer"):
+        with pytest.raises(ValueError, match=r"g\.edges:2: non-integer"):
             load_edge_list(p)
 
     def test_wrong_token_count(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("0 1 2\n")
-        with pytest.raises(ValueError, match="two tokens"):
+        with pytest.raises(ValueError, match=r"g\.edges:1: expected two tokens"):
             load_edge_list(p)
+
+    def test_hash_after_two_tokens_is_a_token(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("# ok\n  # ok\n0 1\n1 2 # not a comment\n")
+        with pytest.raises(ValueError, match=r"g\.edges:4: expected two tokens, got \['1', '2', '#'"):
+            load_edge_list(p)
+
+    @pytest.mark.parametrize("line", ["2 9223372036854775808", "-9223372036854775809 2"])
+    def test_id_outside_int64_names_its_line(self, tmp_path, line):
+        p = tmp_path / "g.edges"
+        p.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError, match=r"g\.edges:2: id outside int64"):
+            load_edge_list(p)
+
+    def test_int64_limits_are_ids(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("9223372036854775807 -9223372036854775808\n")
+        assert load_edge_list(p).edges.tolist() == [[0, 1]]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("# nothing\n")
         with pytest.raises(ValueError, match="no edges"):
             load_edge_list(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    def test_matches_line_by_line_reference(self, text):
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        envs.log.addHandler(handler)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                p = Path(tmp) / "g.edges"
+                p.write_text(text)
+                n_nodes, edges, self_loops, duplicates = loop_load_edge_list(p)
+                if not edges:
+                    with pytest.raises(ValueError, match="no edges"):
+                        load_edge_list(p)
+                    return
+                g = load_edge_list(p)
+        finally:
+            envs.log.removeHandler(handler)
+        assert g.n_nodes == n_nodes
+        assert g.edges.tolist() == [list(e) for e in edges]
+        dropped = [f"{p}: dropped {self_loops} self-loop(s) and {duplicates} duplicate edge(s)"]
+        assert [r.getMessage() for r in records] == (dropped if self_loops or duplicates else [])
 
     def test_community_stand_in_shape(self):
         g = load_edge_list("data/community_534.edges")

@@ -48,6 +48,12 @@ class TestShapleyEstimation:
             for a, w in zip(range(3), [0.2, 0.3, 0.5]):
                 assert est.estimates[a] == pytest.approx(w, abs=1e-12)
 
+    @pytest.mark.parametrize("R, L", [(0, 1), (1, 0)], ids=["no-orderings", "no-pulls"])
+    def test_orderings_and_pulls_must_be_positive(self, R, L):
+        oracle = GameOracle(additive_game([0.2, 0.3, 0.5], 3))
+        with pytest.raises(ValueError, match="R and L must be >= 1"):
+            shapley_estimation((0, 1, 2), oracle, R, L, np.random.default_rng(0))
+
     def test_two_member_exhaustive_orderings(self):
         oracle = submodular_oracle()
         S = (1, 3)

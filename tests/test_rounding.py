@@ -282,6 +282,17 @@ class TestRrsSample:
         with pytest.raises(ValueError):
             rrs_sample(np.array([0.5, 0.5, 0.5]), 2, np.random.default_rng(0))
 
+    def test_integer_total_other_than_budget_rejected(self):
+        # a total of 2 passes the integer check, so only the budget check
+        # stops a draw of three arms
+        with pytest.raises(ValueError, match="expected budget 3"):
+            rrs_sample(np.full(4, 0.5), 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("pi", [np.full((2, 2), 0.5), np.zeros(0)], ids=["2-d", "empty"])
+    def test_not_a_nonempty_vector_rejected(self, pi):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            rrs_sample(pi, 2, np.random.default_rng(0))
+
     def test_entry_outside_unit_rejected(self):
         with pytest.raises(ValueError):
             rrs_sample(np.array([1.5, 0.5]), 2, np.random.default_rng(0))
